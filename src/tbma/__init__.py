@@ -9,7 +9,6 @@ factors, yielding inclusion probabilities and model-averaged estimates.
 from .chain import (
     ChainConfig,
     ChainOutput,
-    ChainState,
     PosteriorSummary,
     default_prior,
     diagnostics_series,
@@ -25,13 +24,13 @@ from .conditionals import (
     GammaPosterior,
     PhiPosterior,
     PsiPosterior,
+    conditional_log_marginal,
     draw_gamma,
     draw_phi,
     draw_psi,
     gamma_posterior_params,
     latent_conditional_params,
     phi_posterior_params,
-    psi_posterior_params,
     sample_latent,
     sample_truncated_normal,
 )
@@ -51,11 +50,12 @@ from .oracle import (
     QuadratureSpec,
     SynthSpec,
     SynthTruth,
+    conditional_log_marginal_rss,
     enumerate_model_posterior,
     generate_synthetic,
     quadrature_conditional_marginal,
     run_fixture_suite,
 )
-from .search import CbfResult, conditional_log_marginal, conditional_log_marginal_rss, mc3_step, propose_neighbor
+from .search import mc3_step, propose_neighbor
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .search import mc3_step
 
 __all__ = [
     "ChainConfig",
-    "ChainState",
     "ChainOutput",
     "PosteriorSummary",
     "default_prior",
@@ -72,17 +71,6 @@ class ChainConfig:
             raise InvalidParameter(f"init must be one of {INIT_KINDS}")
         if not 0 <= self.seed < 2**64:
             raise InvalidParameter("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True, eq=False)
-class ChainState:
-    """Current sampler state, exposed for instrumentation and testing."""
-
-    z: np.ndarray
-    psi: CoefVector
-    sigma: SigmaParams
-    model: ModelIndicator
-    sweep_index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,20 +163,18 @@ def _initial_state(
     config: ChainConfig,
     template: ModelIndicator,
     rng: np.random.Generator,
-) -> ChainState:
+) -> tuple[ModelIndicator, CoefVector, SigmaParams]:
+    """Starting (model, coefficients, covariance) for the configured init kind."""
     p, q = dataset.p, dataset.q
     zeros = CoefVector.zeros(p, q)
     unit = SigmaParams(0.0, 1.0)
-    empty_z = np.zeros(dataset.n)
     if config.init == "null-model":
-        model = ModelIndicator.null_model(p, q, template.forced_w, template.forced_x)
-        return ChainState(empty_z, zeros, unit, model, 0)
+        return ModelIndicator.null_model(p, q, template.forced_w, template.forced_x), zeros, unit
     if config.init == "full-model":
-        model = ModelIndicator.full_model(p, q, template.forced_w, template.forced_x)
-        return ChainState(empty_z, zeros, unit, model, 0)
+        return ModelIndicator.full_model(p, q, template.forced_w, template.forced_x), zeros, unit
     model = _random_model(template, rng)
     if config.init == "zero-coefficients":
-        return ChainState(empty_z, zeros, unit, model, 0)
+        return model, zeros, unit
     # prior-draw: coefficients from the restricted prior, covariance from its prior
     psi0, Psi0 = prior.restrict(model)
     full = np.zeros(p + q)
@@ -196,8 +182,7 @@ def _initial_state(
         full[model.active_positions] = psi0 + np.linalg.cholesky(Psi0) @ rng.standard_normal(model.d)
     gamma = prior.gamma0 + np.sqrt(prior.G0) * rng.standard_normal()
     phi = float((0.5 * prior.S0) / rng.gamma(0.5 * prior.s0))
-    sigma = SigmaParams(float(gamma), phi)
-    return ChainState(empty_z, CoefVector.from_psi(full, p), sigma, model, 0)
+    return model, CoefVector.from_psi(full, p), SigmaParams(float(gamma), phi)
 
 
 def run_chain(
@@ -216,8 +201,7 @@ def run_chain(
         raise InvalidParameter("prior dimensions must match the dataset")
     template = model_template or ModelIndicator.full_model(dataset.p, dataset.q)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(chain_id)]))
-    state = _initial_state(dataset, prior, config, template, rng)
-    model, psi, sigma = state.model, state.psi, state.sigma
+    model, psi, sigma = _initial_state(dataset, prior, config, template, rng)
 
     # Block-end thinning keeps exactly floor((iterations - burn_in) / thin)
     # post-burn-in records; burn-in records are kept at the same cadence.

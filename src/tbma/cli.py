@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,22 @@ import numpy as np
 from . import chain as chain_mod
 from . import io as io_mod
 from .core import ModelPrior, PriorSpec
-from .errors import TbmaError
+from .errors import InvalidParameter, ParseError, TbmaError
 from .oracle import SynthSpec, generate_synthetic, run_fixture_suite
 
 __all__ = ["main", "build_parser"]
 
 _ENV_SEED = "TBMA_SEED"
+
+_RUN_KEYS = frozenset(f.name for f in fields(chain_mod.ChainConfig))
+_SCHEMA_KEYS = frozenset({
+    "response", "censored", "selection", "outcome", "add_intercept_selection",
+    "add_intercept_outcome", "standardize", "censor_on_zero",
+})
+_PRIOR_KEYS = frozenset({
+    "theta0", "Theta0_scale", "beta0", "B0_scale", "gamma0", "G0", "s0", "S0",
+    "model_prior", "bernoulli_pi",
+})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,8 +85,17 @@ def _seed_default() -> int:
     return int(raw) if raw else 0
 
 
-def _load_schema(path) -> io_mod.DataSchema:
+def _read_config(path, known: frozenset[str]) -> io_mod.ConfigFile:
+    """Entries of one config file; a key outside ``known`` is an error."""
     raw = io_mod.read_config(path)
+    for key in raw:
+        if key not in known:
+            raise ParseError(f"{raw.where(key)}: unknown key {key!r}")
+    return raw
+
+
+def _load_schema(path) -> io_mod.DataSchema:
+    raw = _read_config(path, _SCHEMA_KEYS)
     def names(key):
         value = raw.get(key, "")
         return tuple(s.strip() for s in value.split(",") if s.strip())
@@ -94,12 +114,13 @@ def _load_schema(path) -> io_mod.DataSchema:
 def _load_prior(path, p: int, q: int) -> PriorSpec:
     if path is None:
         return chain_mod.default_prior(p, q)
-    raw = io_mod.read_config(path)
+    raw = _read_config(path, _PRIOR_KEYS)
     kind = raw.get("model_prior", "flat")
-    if kind == "bernoulli":
-        model_prior = ModelPrior(kind="bernoulli", pi=float(raw.get("bernoulli_pi", "0.5")))
-    else:
-        model_prior = ModelPrior()
+    pi = float(raw.get("bernoulli_pi", "0.5")) if kind == "bernoulli" else None
+    try:
+        model_prior = ModelPrior(kind=kind, pi=pi)
+    except InvalidParameter as exc:
+        raise ParseError(f"{raw.where('model_prior')}: key 'model_prior': {exc}") from exc
     return PriorSpec(
         theta0=np.full(p, float(raw.get("theta0", "0"))),
         Theta0=float(raw.get("Theta0_scale", "100")) * np.eye(p),
@@ -114,7 +135,7 @@ def _load_prior(path, p: int, q: int) -> PriorSpec:
 
 
 def _cmd_run(args) -> int:
-    config_raw = io_mod.read_config(args.config) if args.config else {}
+    config_raw = _read_config(args.config, _RUN_KEYS) if args.config else {}
     config = chain_mod.ChainConfig(
         iterations=_resolve(args.iterations, config_raw, "iterations", int, 100_000),
         burn_in=_resolve(args.burn_in, config_raw, "burn_in", int, 10_000),

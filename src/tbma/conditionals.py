@@ -3,15 +3,17 @@
 Covers the latent selection scores (truncated normals), the stacked
 coefficient vector (multivariate normal on the active subspace), the error
 covariance entry gamma (normal) and the conditional outcome variance phi
-(inverse gamma).
+(inverse gamma).  The coefficient conditional also yields the model's
+conditional log marginal, which the model move compares across models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.special import ndtr, ndtri
 
 from .core import (
@@ -31,7 +33,7 @@ __all__ = [
     "sample_truncated_normal",
     "latent_conditional_params",
     "sample_latent",
-    "psi_posterior_params",
+    "conditional_log_marginal",
     "gamma_posterior_params",
     "phi_posterior_params",
     "draw_psi",
@@ -49,11 +51,25 @@ NONNEGATIVE = "nonnegative"
 
 @dataclass(frozen=True, eq=False)
 class PsiPosterior:
-    """Conditional posterior of the active coefficients, with its model."""
+    """Conditional posterior N(psi1, Psi1) of one model's active coefficients,
+    with the model's log conditional marginal.
 
-    psi1: np.ndarray
-    Psi1: np.ndarray
+    ``chol`` is the lower Cholesky factor of the posterior precision.  Only
+    the model a move retains is drawn from, so the covariance is formed from
+    the factor on first use.
+    """
+
     model: ModelIndicator
+    psi1: np.ndarray
+    log_conditional_marginal: float
+    chol: np.ndarray
+
+    @cached_property
+    def Psi1(self) -> np.ndarray:
+        d = self.psi1.shape[0]
+        if d == 0:
+            return np.zeros((0, 0))
+        return cho_solve((self.chol, True), np.eye(d))
 
 
 @dataclass(frozen=True)
@@ -179,61 +195,45 @@ def sample_latent(
     return _truncated_draws(mu, sd, dataset.censored, rng)
 
 
-def _sigma_inv_entries(sp: SigmaParams) -> tuple[float, float, float]:
-    """Entries (a11, a12, a22) of the inverse error covariance, closed form."""
-    g, phi = sp.gamma, sp.phi
-    return 1.0 + g * g / phi, -g / phi, 1.0 / phi
-
-
-@dataclass(frozen=True, eq=False)
-class _PsiSystem:
-    """Precision-form normal system for the active coefficients."""
-
-    precision: np.ndarray
-    linear: np.ndarray
-    psi0: np.ndarray
-    Psi0: np.ndarray
-    logdet_Psi0: float
-    quad0: float  # psi0' Psi0^{-1} psi0
-
-
-def _psi_system(
+def conditional_log_marginal(
     dataset: TobitDataset,
     z: np.ndarray,
     model: ModelIndicator,
     sp: SigmaParams,
     prior: PriorSpec,
-) -> _PsiSystem:
+) -> PsiPosterior:
+    """Conditional posterior of a model's active coefficients and its log
+    integrated likelihood, at fixed latent scores and covariance.
+
+    Value: (log|Psi1| - log|Psi0| - psi0' Psi0^{-1} psi0 + psi1' Psi1^{-1} psi1) / 2
+    on the active subspace, all determinants via Cholesky log-determinants.
+    The dropped constant depends only on (z, y, sigma), so differences across
+    models are exact log conditional Bayes factors.
+    """
     z = check_sign_consistency(dataset, z)
     split = dataset.split
     aw, ax = model.active_w, model.active_x
     dw, dx = aw.size, ax.size
     d = dw + dx
-    a11, a12, a22 = _sigma_inv_entries(sp)
+    if d == 0:
+        return PsiPosterior(model, np.zeros(0), 0.0, np.zeros((0, 0)))
+    g, phi = sp.gamma, sp.phi
+    a11, a12, a22 = 1.0 + g * g / phi, -g / phi, 1.0 / phi  # inverse error covariance
 
     psi0, Psi0 = prior.restrict(model)
-    if d:
-        try:
-            cho0 = cho_factor(Psi0, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("prior covariance block is not positive definite") from exc
-        logdet0 = 2.0 * float(np.sum(np.log(np.diag(cho0[0]))))
-        prec0_psi0 = cho_solve(cho0, psi0)
-        quad0 = float(psi0 @ prec0_psi0)
-        prec = cho_solve(cho0, np.eye(d))
-        lin = prec0_psi0.copy()
-    else:
-        logdet0 = 0.0
-        quad0 = 0.0
-        prec = np.zeros((0, 0))
-        lin = np.zeros(0)
+    try:
+        cho0 = cho_factor(Psi0, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("prior covariance block is not positive definite") from exc
+    logdet0 = 2.0 * float(np.sum(np.log(np.diag(cho0[0]))))
+    lin = cho_solve(cho0, psi0)
+    quad0 = float(psi0 @ lin)
+    prec = cho_solve(cho0, np.eye(d))
 
     z_unc = z[split.uncensored_idx]
     z_cen = z[split.censored_idx]
-
     if dw:
-        block_ww = a11 * split.gram_ww_unc[np.ix_(aw, aw)] + split.gram_ww_cen[np.ix_(aw, aw)]
-        prec[:dw, :dw] += block_ww
+        prec[:dw, :dw] += a11 * split.gram_ww_unc[np.ix_(aw, aw)] + split.gram_ww_cen[np.ix_(aw, aw)]
         t_w = split.W_unc.T @ (a11 * z_unc + a12 * split.y_unc) + split.W_cen.T @ z_cen
         lin[:dw] += t_w[aw]
     if dx:
@@ -245,40 +245,17 @@ def _psi_system(
         prec[:dw, dw:] += cross
         prec[dw:, :dw] += cross.T
 
-    return _PsiSystem(
-        precision=prec, linear=lin, psi0=psi0, Psi0=Psi0, logdet_Psi0=logdet0, quad0=quad0
-    )
-
-
-def _solve_system(system: _PsiSystem):
-    """Posterior mean, covariance and precision log-determinant from the system."""
-    d = system.linear.shape[0]
-    if d == 0:
-        return np.zeros(0), np.zeros((0, 0)), 0.0
-    prec = system.precision
-    if not np.all(np.isfinite(prec)) or not np.all(np.isfinite(system.linear)):
+    if not np.all(np.isfinite(prec)) or not np.all(np.isfinite(lin)):
         raise NumericalError("non-finite values in the coefficient precision system")
     try:
-        cho = cho_factor(prec, lower=True)
+        chol = cholesky(prec, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("coefficient precision matrix is not positive definite") from exc
-    logdet_prec = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    psi1 = cho_solve(cho, system.linear)
-    Psi1 = cho_solve(cho, np.eye(d))
-    return psi1, Psi1, logdet_prec
-
-
-def psi_posterior_params(
-    dataset: TobitDataset,
-    z: np.ndarray,
-    model: ModelIndicator,
-    sp: SigmaParams,
-    prior: PriorSpec,
-) -> PsiPosterior:
-    """Conditional posterior N(psi1, Psi1) of the active coefficients."""
-    system = _psi_system(dataset, z, model, sp, prior)
-    psi1, Psi1, _ = _solve_system(system)
-    return PsiPosterior(psi1=psi1, Psi1=Psi1, model=model)
+    psi1 = cho_solve((chol, True), lin)
+    logdet_prec = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    # psi1' Psi1^{-1} psi1 equals psi1 . lin because Psi1^{-1} psi1 = lin.
+    value = 0.5 * (-logdet_prec - logdet0 - quad0 + float(psi1 @ lin))
+    return PsiPosterior(model, psi1, value, chol)
 
 
 def gamma_posterior_params(

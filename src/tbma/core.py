@@ -54,8 +54,6 @@ class _DesignSplit:
     gram_wx_unc: np.ndarray
     gram_xx_unc: np.ndarray
     gram_ww_cen: np.ndarray
-    wy_unc: np.ndarray
-    xy_unc: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +131,6 @@ class TobitDataset:
             gram_wx_unc=W_unc.T @ X_unc,
             gram_xx_unc=X_unc.T @ X_unc,
             gram_ww_cen=W_cen.T @ W_cen,
-            wy_unc=W_unc.T @ y_unc,
-            xy_unc=X_unc.T @ y_unc,
         )
 
     @cached_property

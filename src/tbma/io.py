@@ -25,6 +25,7 @@ __all__ = [
     "write_trace",
     "load_trace",
     "write_diagnostics",
+    "ConfigFile",
     "read_config",
     "parse_bool",
 ]
@@ -403,10 +404,24 @@ def parse_bool(raw: str) -> bool:
     raise ParseError(f"expected a boolean, got {raw!r}")
 
 
-def read_config(path) -> dict[str, str]:
-    """Flat `key = value` file with `#` comments and blank lines."""
+class ConfigFile(dict):
+    """Entries of one `key = value` config file, each with its line number."""
+
+    def __init__(self, path: Path):
+        super().__init__()
+        self.path = path
+        self.lines: dict[str, int] = {}
+
+    def where(self, key: str) -> str:
+        """`path:line` of the entry for ``key``, for error messages."""
+        return f"{self.path}:{self.lines[key]}"
+
+
+def read_config(path) -> ConfigFile:
+    """Flat `key = value` file with `#` comments and blank lines; a repeated
+    key is an error, not a silent override."""
     path = Path(path)
-    out: dict[str, str] = {}
+    out = ConfigFile(path)
     for line_num, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -414,5 +429,9 @@ def read_config(path) -> dict[str, str]:
         if "=" not in stripped:
             raise ParseError(f"expected 'key = value' at {path}:{line_num}")
         key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ParseError(f"{path}:{line_num}: key {key!r} repeats line {out.lines[key]}")
+        out[key] = value.strip()
+        out.lines[key] = line_num
     return out

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
+from .conditionals import conditional_log_marginal
 from .core import (
     ModelIndicator,
     ModelPrior,
@@ -29,11 +30,11 @@ from .core import (
     check_sign_consistency,
 )
 from .errors import DimensionError, InvalidParameter, ParseError
-from .search import conditional_log_marginal, conditional_log_marginal_rss
 
 __all__ = [
     "QuadratureSpec",
     "quadrature_conditional_marginal",
+    "conditional_log_marginal_rss",
     "enumerate_model_posterior",
     "SynthSpec",
     "SynthTruth",
@@ -152,6 +153,61 @@ def quadrature_conditional_marginal(
         logprior = prior_const - 0.5 * np.sum(centered * centered, axis=0)
         parts.append(logsumexp(loglik + logprior + logw))
     return float(logsumexp(parts))
+
+
+def conditional_log_marginal_rss(
+    dataset: TobitDataset,
+    z: np.ndarray,
+    model: ModelIndicator,
+    sp: SigmaParams,
+    prior: PriorSpec,
+) -> float:
+    """Redundant route to the closed-form conditional log marginal through
+    residual sums of squares.
+
+    Assembles the active-column normal equations densely from the raw rows
+    and the inverted 2x2 error covariance, then writes the quadratic-form
+    ratio as the whitened residual sum of squares at the posterior mean plus
+    the prior pullback term.  Restoring the data-only constant makes the
+    result match conditional_log_marginal to floating-point accuracy; no
+    sampler code is shared, so it serves as an algebraic cross-check.
+    """
+    z = check_sign_consistency(dataset, z)
+    aw, ax = model.active_w, model.active_x
+    dw = aw.size
+    g, phi = sp.gamma, sp.phi
+    (a11, a12), (_, a22) = np.linalg.inv(np.array([[1.0, g], [g, phi + g * g]]))
+
+    unc = ~dataset.censored
+    z_cen, z_unc, y_unc = z[~unc], z[unc], dataset.y[unc]
+    W_cen = dataset.W[~unc][:, aw]
+    W_unc = dataset.W[unc][:, aw]
+    X_unc = dataset.X[unc][:, ax]
+
+    psi0, Psi0 = prior.restrict(model)
+    prec = np.linalg.solve(Psi0, np.eye(psi0.size))
+    lin = np.linalg.solve(Psi0, psi0)
+    prec[:dw, :dw] += W_cen.T @ W_cen + a11 * W_unc.T @ W_unc
+    prec[:dw, dw:] += a12 * W_unc.T @ X_unc
+    prec[dw:, :dw] += a12 * X_unc.T @ W_unc
+    prec[dw:, dw:] += a22 * X_unc.T @ X_unc
+    lin[:dw] += W_cen.T @ z_cen + W_unc.T @ (a11 * z_unc + a12 * y_unc)
+    lin[dw:] += X_unc.T @ (a12 * z_unc + a22 * y_unc)
+    psi1 = np.linalg.solve(prec, lin)
+    _, logdet_prec = np.linalg.slogdet(prec)
+    _, logdet_Psi0 = np.linalg.slogdet(Psi0)
+
+    r_z_cen = z_cen - W_cen @ psi1[:dw]
+    r_z_unc = z_unc - W_unc @ psi1[:dw]
+    r_y = y_unc - X_unc @ psi1[dw:]
+    rss = float(r_z_cen @ r_z_cen)
+    rss += float(a11 * (r_z_unc @ r_z_unc) + 2.0 * a12 * (r_z_unc @ r_y) + a22 * (r_y @ r_y))
+    diff = psi0 - psi1
+    rss += float(diff @ np.linalg.solve(Psi0, diff))
+
+    data_const = float(z_cen @ z_cen)
+    data_const += float(a11 * (z_unc @ z_unc) + 2.0 * a12 * (z_unc @ y_unc) + a22 * (y_unc @ y_unc))
+    return 0.5 * (-float(logdet_prec) - float(logdet_Psi0) - rss + data_const)
 
 
 def enumerate_model_posterior(

@@ -1,118 +1,25 @@
-"""Model-move machinery: conditional log marginals and the nested
-Metropolis step over the model space.
+"""The model move: a single-bit-toggle Metropolis walk over inclusion patterns.
 
-With the error covariance held fixed, integrating the coefficients out of
-the Gaussian system gives the marginal likelihood in closed form, up to a
-constant shared by every model on the same data.  Differences between two
-models' values are therefore exact log Bayes factors, which drive a
-single-bit-toggle Metropolis walk over the inclusion patterns.
+Each move scores the current and the proposed model with the closed-form
+conditional log marginal.  Differences between two models' values are exact
+log conditional Bayes factors, and the retained model's coefficient
+posterior comes out of the same computation for the sweep's coefficient draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .conditionals import (
-    PsiPosterior,
-    _psi_system,
-    _sigma_inv_entries,
-    _solve_system,
-)
+from .conditionals import PsiPosterior, conditional_log_marginal
 from .core import ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from .errors import NoMoveAvailable
 
 __all__ = [
-    "CbfResult",
-    "conditional_log_marginal",
-    "conditional_log_marginal_rss",
     "propose_neighbor",
     "mc3_step",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class CbfResult:
-    """Log conditional marginal of one model plus its coefficient posterior.
-
-    The posterior is a by-product of the marginal computation and is reused
-    for the coefficient draw of the sweep that retains this model.
-    """
-
-    log_conditional_marginal: float
-    psi_posterior: PsiPosterior
-
-
-def conditional_log_marginal(
-    dataset: TobitDataset,
-    z: np.ndarray,
-    model: ModelIndicator,
-    sp: SigmaParams,
-    prior: PriorSpec,
-) -> CbfResult:
-    """Log integrated likelihood of a model at fixed latent scores and covariance.
-
-    Value: (log|Psi1| - log|Psi0| - psi0' Psi0^{-1} psi0 + psi1' Psi1^{-1} psi1) / 2
-    on the active subspace, all determinants via Cholesky log-determinants.
-    The dropped constant depends only on (z, y, sigma), so differences across
-    models are exact log conditional Bayes factors.
-    """
-    system = _psi_system(dataset, z, model, sp, prior)
-    psi1, Psi1, logdet_prec = _solve_system(system)
-    # psi1' Psi1^{-1} psi1 equals psi1 . linear because Psi1^{-1} psi1 = linear.
-    quad1 = float(psi1 @ system.linear)
-    value = 0.5 * (-logdet_prec - system.logdet_Psi0 - system.quad0 + quad1)
-    return CbfResult(
-        log_conditional_marginal=value,
-        psi_posterior=PsiPosterior(psi1=psi1, Psi1=Psi1, model=model),
-    )
-
-
-def conditional_log_marginal_rss(
-    dataset: TobitDataset,
-    z: np.ndarray,
-    model: ModelIndicator,
-    sp: SigmaParams,
-    prior: PriorSpec,
-) -> float:
-    """Redundant route to the same value through residual sums of squares.
-
-    Rewrites the quadratic-form ratio as the whitened residual sum of squares
-    at the posterior mean plus the prior pullback term, and restores the
-    data-only constant so the result matches conditional_log_marginal to
-    floating-point accuracy.  Kept deliberately independent of the linear
-    shortcut used there; serves as an algebraic cross-check.
-    """
-    system = _psi_system(dataset, z, model, sp, prior)
-    psi1, _, logdet_prec = _solve_system(system)
-    split = dataset.split
-    aw, ax = model.active_w, model.active_x
-    dw = aw.size
-    a11, a12, a22 = _sigma_inv_entries(sp)
-
-    theta1 = psi1[:dw]
-    beta1 = psi1[dw:]
-    r_z_unc = z[split.uncensored_idx] - split.W_unc[:, aw] @ theta1
-    r_z_cen = z[split.censored_idx] - split.W_cen[:, aw] @ theta1
-    r_y = split.y_unc - split.X_unc[:, ax] @ beta1
-
-    rss = float(np.dot(r_z_cen, r_z_cen))
-    rss += float(a11 * np.dot(r_z_unc, r_z_unc) + 2.0 * a12 * np.dot(r_z_unc, r_y) + a22 * np.dot(r_y, r_y))
-    diff = system.psi0 - psi1
-    if diff.size:
-        rss += float(diff @ np.linalg.solve(system.Psi0, diff))
-
-    z_unc = z[split.uncensored_idx]
-    z_cen = z[split.censored_idx]
-    data_const = float(np.dot(z_cen, z_cen))
-    data_const += float(
-        a11 * np.dot(z_unc, z_unc)
-        + 2.0 * a12 * np.dot(z_unc, split.y_unc)
-        + a22 * np.dot(split.y_unc, split.y_unc)
-    )
-    return 0.5 * (-logdet_prec - system.logdet_Psi0 - rss + data_const)
 
 
 def propose_neighbor(model: ModelIndicator, rng: np.random.Generator) -> ModelIndicator:
@@ -136,7 +43,6 @@ def mc3_step(
     prior: PriorSpec,
     model_prior: ModelPrior,
     rng: np.random.Generator,
-    cache: dict | None = None,
 ) -> tuple[ModelIndicator, bool, PsiPosterior]:
     """One accept/reject move over the model space.
 
@@ -145,28 +51,14 @@ def mc3_step(
     ratio to the log conditional Bayes factor.  Returns the retained model,
     the acceptance flag, and the retained model's coefficient posterior for
     immediate reuse by the coefficient draw.
-
-    ``cache`` optionally memoizes marginals by inclusion pattern; only valid
-    while (z, sp) are held fixed, as in the enumeration cross-checks.
     """
-
-    def marginal(m: ModelIndicator) -> CbfResult:
-        if cache is None:
-            return conditional_log_marginal(dataset, z, m, sp, prior)
-        key = m.key()
-        hit = cache.get(key)
-        if hit is None:
-            hit = conditional_log_marginal(dataset, z, m, sp, prior)
-            cache[key] = hit
-        return hit
-
     try:
         proposal = propose_neighbor(model, rng)
     except NoMoveAvailable:
-        return model, False, marginal(model).psi_posterior
+        return model, False, conditional_log_marginal(dataset, z, model, sp, prior)
 
-    current = marginal(model)
-    proposed = marginal(proposal)
+    current = conditional_log_marginal(dataset, z, model, sp, prior)
+    proposed = conditional_log_marginal(dataset, z, proposal, sp, prior)
     delta = (
         proposed.log_conditional_marginal
         - current.log_conditional_marginal
@@ -174,5 +66,5 @@ def mc3_step(
     )
     u = rng.uniform()
     if delta >= 0.0 or u < math.exp(delta):
-        return proposal, True, proposed.psi_posterior
-    return model, False, current.psi_posterior
+        return proposal, True, proposed
+    return model, False, current

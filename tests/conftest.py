@@ -1,12 +1,42 @@
 import numpy as np
 import pytest
 
+import tbma.search
 from tbma.core import ModelIndicator, PriorSpec, TobitDataset
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def memo_marginals(monkeypatch):
+    """Memoize the marginals mc3_step scores, keyed by inclusion pattern.
+
+    ``install(adjust)`` rebinds ``tbma.search.conditional_log_marginal`` to a
+    fresh memo over the real function, optionally passing each new result
+    through ``adjust``.  Only valid while the latent scores and covariance
+    are held fixed, as in the enumeration checks.
+    """
+    real = tbma.search.conditional_log_marginal
+
+    def install(adjust=None):
+        memo = {}
+
+        def memoized(dataset, z, model, sp, prior):
+            key = model.key()
+            hit = memo.get(key)
+            if hit is None:
+                hit = real(dataset, z, model, sp, prior)
+                if adjust is not None:
+                    hit = adjust(hit)
+                memo[key] = hit
+            return hit
+
+        monkeypatch.setattr(tbma.search, "conditional_log_marginal", memoized)
+
+    return install
 
 
 def unit_prior(p, q, **overrides):

@@ -23,10 +23,10 @@ from tbma.chain import (
 from tbma.cli import main as cli_main
 from tbma.conditionals import (
     _truncated_draws,
+    conditional_log_marginal,
     draw_phi,
     draw_psi,
     phi_posterior_params,
-    psi_posterior_params,
     sample_latent,
 )
 from tbma.core import CoefVector, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
@@ -139,7 +139,7 @@ def test_c2_residual_rewrite_redundancy():
     report("C2 determinant form vs residual rewrite", f"worst abs err {worst:.2e}")
 
 
-def test_c3_stationarity_against_exact_enumeration():
+def test_c3_stationarity_against_exact_enumeration(memo_marginals):
     dataset = make_dataset(n=15, seed=6, p=2, q=1)
     z = consistent_z(dataset, seed=2)
     sp = SigmaParams(0.4, 1.0)
@@ -152,9 +152,9 @@ def test_c3_stationarity_against_exact_enumeration():
     model = ModelIndicator.null_model(2, 1)
     counts = dict.fromkeys(exact, 0)
     steps = 1_000_000
-    cache = {}
+    memo_marginals()
     for _ in range(steps):
-        model, _, _ = mc3_step(dataset, z, model, sp, prior, flat, rng, cache=cache)
+        model, _, _ = mc3_step(dataset, z, model, sp, prior, flat, rng)
         counts[model.key()] += 1
     elapsed = time.perf_counter() - start
 
@@ -208,7 +208,7 @@ def test_c4_conjugate_reduction_uncensored_decoupled():
         sp = SigmaParams(0.0, phi)
         z = sample_latent(dataset, psi, sp, rng)
         phi = draw_phi(phi_posterior_params(dataset, z, psi, 0.0, prior), rng)
-        psi = draw_psi(psi_posterior_params(dataset, z, model, SigmaParams(0.0, phi), prior), rng)
+        psi = draw_psi(conditional_log_marginal(dataset, z, model, SigmaParams(0.0, phi), prior), rng)
         if it >= burn:
             betas[it - burn] = psi.beta
 

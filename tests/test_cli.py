@@ -115,6 +115,44 @@ class TestErrorPaths:
             "--iterations", 10, "--burn-in", 1, "--out-dir", tmp_path / "o",
         ) == 2
 
+    @pytest.mark.parametrize(
+        "flag, lines, message",
+        [
+            ("--config", ["iterations = 20", "burnin = 5000"], "typo.cfg:2: unknown key 'burnin'"),
+            ("--config", ["seed = 1", "", "seed = 2"], "typo.cfg:3: key 'seed' repeats line 1"),
+            ("--prior-config", ["G0 = 10", "model_prior = bernouli"],
+             "typo.cfg:2: key 'model_prior': unknown model prior kind 'bernouli'"),
+            ("--prior-config", ["bernoulli_p = 0.2"], "typo.cfg:1: unknown key 'bernoulli_p'"),
+        ],
+    )
+    def test_config_typo_exits_2_naming_file_line_and_key(
+        self, tmp_path, schema_file, capsys, flag, lines, message
+    ):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 30, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        config = write(tmp_path / "typo.cfg", lines)
+        code = run_cli(
+            "run", "--data", data, "--schema", schema_file, flag, config,
+            "--iterations", 10, "--burn-in", 1, "--out-dir", tmp_path / "o",
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_schema_typo_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 30, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        schema = write(tmp_path / "schema.cfg", [
+            "response = y", "censored = censored", "selection = w1, w2", "outcome = x1, x2",
+            "add_intercept_selction = false",
+        ])
+        code = run_cli("run", "--data", data, "--schema", schema, "--iterations", 10,
+                       "--burn-in", 1, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert f"{schema}:5: unknown key 'add_intercept_selction'" in capsys.readouterr().err
+
     def test_wrong_theta_length_exits_2(self, tmp_path):
         assert run_cli(
             "synth", "--n", 10, "--p", 2, "--q", 1, "--theta", "1",

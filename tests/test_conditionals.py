@@ -6,19 +6,25 @@ from scipy.stats import truncnorm
 
 from conftest import consistent_z, make_dataset, unit_prior
 from tbma.conditionals import (
+    PsiPosterior,
+    conditional_log_marginal,
     draw_gamma,
     draw_phi,
     draw_psi,
     gamma_posterior_params,
     latent_conditional_params,
     phi_posterior_params,
-    psi_posterior_params,
     sample_latent,
     sample_truncated_normal,
 )
 from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
-from tbma.conditionals import PsiPosterior
 from tbma.errors import InvalidParameter
+
+
+def posterior_with_covariance(model, mean, cov):
+    """A coefficient posterior N(mean, cov), stored as its precision factor."""
+    chol = np.linalg.cholesky(np.linalg.inv(cov))
+    return PsiPosterior(model=model, psi1=mean, log_conditional_marginal=0.0, chol=chol)
 
 
 class TestTruncatedNormal:
@@ -149,7 +155,7 @@ class TestPsiPosterior:
             include_w=np.array([True, False]), include_x=np.array([True, True]),
             forced_w=np.zeros(2, bool), forced_x=np.zeros(2, bool),
         )
-        post = psi_posterior_params(ds, np.zeros(0), model, SigmaParams(0.2, 1.0), prior)
+        post = conditional_log_marginal(ds, np.zeros(0), model, SigmaParams(0.2, 1.0), prior)
         assert np.allclose(post.psi1, [1.0, 0.5, 0.0])
         assert np.allclose(post.Psi1, np.diag([2.0, 4.0, 5.0]))
 
@@ -158,7 +164,7 @@ class TestPsiPosterior:
         assert ds.n_o == 0
         z = consistent_z(ds)
         prior = unit_prior(2, 2, B0=np.diag([3.0, 7.0]), beta0=np.array([2.0, -2.0]))
-        post = psi_posterior_params(ds, z, ModelIndicator.full_model(2, 2), SigmaParams(0.5, 2.0), prior)
+        post = conditional_log_marginal(ds, z, ModelIndicator.full_model(2, 2), SigmaParams(0.5, 2.0), prior)
         assert np.allclose(post.psi1[2:], [2.0, -2.0])
         assert np.allclose(post.Psi1[2:, 2:], np.diag([3.0, 7.0]))
         assert np.allclose(post.Psi1[:2, 2:], 0.0)
@@ -171,7 +177,7 @@ class TestPsiPosterior:
         phi = 1.7
         prior = unit_prior(2, 2, Theta0=np.diag([2.0, 0.5]), B0=np.diag([1.5, 3.0]),
                            theta0=np.array([0.2, 0.0]), beta0=np.array([-0.1, 0.4]))
-        post = psi_posterior_params(ds, z, ModelIndicator.full_model(2, 2), SigmaParams(0.0, phi), prior)
+        post = conditional_log_marginal(ds, z, ModelIndicator.full_model(2, 2), SigmaParams(0.0, phi), prior)
 
         prec_theta = np.linalg.inv(np.diag([2.0, 0.5])) + ds.W.T @ ds.W
         mean_theta = np.linalg.solve(
@@ -193,11 +199,8 @@ class TestPsiPosterior:
         prior = unit_prior(2, 2)
         sp = SigmaParams(0.8, 0.9)
         model = ModelIndicator.full_model(2, 2)
-        post = psi_posterior_params(ds, z, model, sp, prior)
-        from tbma.conditionals import _psi_system
-
-        system = _psi_system(ds, z, model, sp, prior)
-        assert np.allclose(post.Psi1 @ system.precision, np.eye(4), atol=1e-10)
+        post = conditional_log_marginal(ds, z, model, sp, prior)
+        assert np.allclose(post.Psi1 @ (post.chol @ post.chol.T), np.eye(4), atol=1e-10)
 
 
 class TestGammaPhiPosteriors:
@@ -274,7 +277,7 @@ class TestDraws:
         rng = np.random.default_rng(77)
         model = ModelIndicator.full_model(1, 1)
         Psi1 = np.array([[1.0, 0.6], [0.6, 2.0]])
-        post = PsiPosterior(psi1=np.array([1.0, -1.0]), Psi1=Psi1, model=model)
+        post = posterior_with_covariance(model, np.array([1.0, -1.0]), Psi1)
         draws = np.empty((1_000_000, 2))
         for i in range(draws.shape[0]):
             cv = draw_psi(post, rng)
@@ -288,7 +291,7 @@ class TestDraws:
             include_w=np.array([True, False]), include_x=np.array([False, True]),
             forced_w=np.zeros(2, bool), forced_x=np.zeros(2, bool),
         )
-        post = PsiPosterior(psi1=np.array([0.5, -0.5]), Psi1=np.eye(2), model=model)
+        post = posterior_with_covariance(model, np.array([0.5, -0.5]), np.eye(2))
         for _ in range(50):
             cv = draw_psi(post, rng)
             assert cv.theta[1] == 0.0
@@ -296,7 +299,7 @@ class TestDraws:
 
     def test_empty_model_draw(self, rng):
         model = ModelIndicator.null_model(2, 2)
-        post = PsiPosterior(psi1=np.zeros(0), Psi1=np.zeros((0, 0)), model=model)
+        post = posterior_with_covariance(model, np.zeros(0), np.zeros((0, 0)))
         cv = draw_psi(post, rng)
         assert np.array_equal(cv.psi, np.zeros(4))
 
@@ -354,7 +357,7 @@ class TestJointDistributionConsistency:
             gamma = draw_gamma(gamma_posterior_params(ds, z, psi, sp.phi, prior), rng)
             phi = draw_phi(phi_posterior_params(ds, z, psi, gamma, prior), rng)
             sp = SigmaParams(gamma, phi)
-            psi = draw_psi(psi_posterior_params(ds, z, model, sp, prior), rng)
+            psi = draw_psi(conditional_log_marginal(ds, z, model, sp, prior), rng)
             samples[it] = np.concatenate([psi.psi, [gamma, phi]])
 
         # Exact prior moments: psi and gamma are N(0, 0.25); phi has an

@@ -241,6 +241,17 @@ class TestConfigFiles:
         raw = read_config(path)
         assert raw == {"iterations": "500", "init": "full-model", "standardize": "true"}
 
+    def test_entries_remember_their_lines(self, tmp_path):
+        path = write_lines(tmp_path / "c.cfg", ["# comment", "iterations = 500", "", "init = full-model"])
+        raw = read_config(path)
+        assert raw.where("iterations") == f"{path}:2"
+        assert raw.where("init") == f"{path}:4"
+
+    def test_duplicate_key_names_file_line_and_key(self, tmp_path):
+        path = write_lines(tmp_path / "c.cfg", ["iterations = 500", "seed = 1", "iterations = 900"])
+        with pytest.raises(ParseError, match=rf"{path}:3: key 'iterations' repeats line 1"):
+            read_config(path)
+
     def test_malformed_line(self, tmp_path):
         path = write_lines(tmp_path / "c.cfg", ["iterations 500"])
         with pytest.raises(ParseError):

@@ -15,7 +15,7 @@ from tbma.oracle import (
     quadrature_conditional_marginal,
 )
 from tbma.oracle import _batched_log_density
-from tbma.search import conditional_log_marginal
+from tbma.conditionals import conditional_log_marginal
 
 
 class TestQuadrature:

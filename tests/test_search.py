@@ -1,21 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import tbma.search
 from conftest import consistent_z, make_dataset, unit_prior
-from tbma.conditionals import psi_posterior_params
+from tbma.conditionals import conditional_log_marginal
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams
 from tbma.errors import NoMoveAvailable
-from tbma.oracle import enumerate_model_posterior
-from tbma.search import (
-    CbfResult,
-    conditional_log_marginal,
-    conditional_log_marginal_rss,
-    mc3_step,
-    propose_neighbor,
-)
+from tbma.oracle import conditional_log_marginal_rss, enumerate_model_posterior
+from tbma.search import mc3_step, propose_neighbor
 
 
 def random_model(rng, p=3, q=3):
@@ -79,18 +76,11 @@ class TestConditionalLogMarginal:
         val = conditional_log_marginal(self.ds, self.z, model, self.sp, self.prior)
         assert np.exp(val.log_conditional_marginal - val.log_conditional_marginal) == 1.0
 
-    def test_posterior_byproduct_identical_to_direct_computation(self):
-        model = ModelIndicator.full_model(2, 2)
-        res = conditional_log_marginal(self.ds, self.z, model, self.sp, self.prior)
-        direct = psi_posterior_params(self.ds, self.z, model, self.sp, self.prior)
-        assert np.array_equal(res.psi_posterior.psi1, direct.psi1)
-        assert np.array_equal(res.psi_posterior.Psi1, direct.Psi1)
-
     def test_empty_model_is_finite_zero(self):
         model = ModelIndicator.null_model(2, 2)
         res = conditional_log_marginal(self.ds, self.z, model, self.sp, self.prior)
         assert res.log_conditional_marginal == 0.0
-        assert res.psi_posterior.psi1.size == 0
+        assert res.psi1.size == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_residual_rewrite_agrees(self, seed):
@@ -112,22 +102,20 @@ class TestMc3Step:
         self.prior = unit_prior(2, 2)
         self.flat = ModelPrior()
 
-    def test_always_accepts_when_bayes_factor_at_least_one(self, rng):
-        # Seed the cache so every neighbor dominates the current model; the
+    def test_always_accepts_when_bayes_factor_at_least_one(self, rng, memo_marginals):
+        # Raise every neighbor's marginal above the current model's; the
         # acceptance probability min(1, CBF) must then be one.
         model = ModelIndicator.null_model(2, 2)
         cur = conditional_log_marginal(self.ds, self.z, model, self.sp, self.prior)
-        cache = {model.key(): cur}
-        for pos in range(4):
-            neighbor = model.with_toggled(pos)
-            real = conditional_log_marginal(self.ds, self.z, neighbor, self.sp, self.prior)
-            cache[neighbor.key()] = CbfResult(
-                cur.log_conditional_marginal + 3.0, real.psi_posterior
-            )
+
+        def dominate(res):
+            if res.model == model:
+                return res
+            return replace(res, log_conditional_marginal=cur.log_conditional_marginal + 3.0)
+
+        memo_marginals(dominate)
         for _ in range(200):
-            _, accepted, _ = mc3_step(
-                self.ds, self.z, model, self.sp, self.prior, self.flat, rng, cache=cache
-            )
+            _, accepted, _ = mc3_step(self.ds, self.z, model, self.sp, self.prior, self.flat, rng)
             assert accepted
 
     def test_no_move_available_returns_input(self, rng):
@@ -151,25 +139,68 @@ class TestMc3Step:
             assert acc_a == acc_b
             assert model_a == model_b
 
-    def test_acceptance_shift_invariant(self, rng):
+    def test_acceptance_shift_invariant(self, memo_marginals):
         # Adding a constant to both marginals leaves every decision unchanged.
-        model = ModelIndicator.null_model(2, 2)
-        base = {}
-        shifted = {}
-        for bits in range(16):
-            include = np.array([(bits >> k) & 1 == 1 for k in range(4)])
-            m = ModelIndicator(include[:2], include[2:], np.zeros(2, bool), np.zeros(2, bool))
-            res = conditional_log_marginal(self.ds, self.z, m, self.sp, self.prior)
-            base[m.key()] = res
-            shifted[m.key()] = CbfResult(res.log_conditional_marginal + 123.456, res.psi_posterior)
-        rng_a = np.random.default_rng(99)
-        rng_b = np.random.default_rng(99)
-        model_a = model_b = model
-        for _ in range(500):
-            model_a, acc_a, _ = mc3_step(self.ds, self.z, model_a, self.sp, self.prior, self.flat, rng_a, cache=base)
-            model_b, acc_b, _ = mc3_step(self.ds, self.z, model_b, self.sp, self.prior, self.flat, rng_b, cache=shifted)
+        def walk(adjust):
+            memo_marginals(adjust)
+            rng = np.random.default_rng(99)
+            model = ModelIndicator.null_model(2, 2)
+            steps = []
+            for _ in range(500):
+                model, accepted, _ = mc3_step(self.ds, self.z, model, self.sp, self.prior, self.flat, rng)
+                steps.append((model, accepted))
+            return steps
+
+        base = walk(None)
+        shifted = walk(lambda res: replace(res, log_conditional_marginal=res.log_conditional_marginal + 123.456))
+        for (model_a, acc_a), (model_b, acc_b) in zip(base, shifted):
             assert acc_a == acc_b
             assert model_a == model_b
+
+
+class TestScoringContract:
+    """mc3_step scores models only through tbma.search.conditional_log_marginal."""
+
+    def setup_method(self):
+        self.ds = make_dataset(n=25, seed=14)
+        self.z = consistent_z(self.ds, seed=4)
+        self.sp = SigmaParams(0.3, 1.0)
+        self.flat = ModelPrior()
+
+    def record_scores(self, monkeypatch):
+        scored = []
+        real = tbma.search.conditional_log_marginal
+
+        def recording(dataset, z, model, sp, prior):
+            scored.append(real(dataset, z, model, sp, prior))
+            return scored[-1]
+
+        monkeypatch.setattr(tbma.search, "conditional_log_marginal", recording)
+        return scored
+
+    def test_two_marginals_per_move(self, rng, monkeypatch):
+        scored = self.record_scores(monkeypatch)
+        prior = unit_prior(2, 2)
+        model = ModelIndicator.null_model(2, 2)
+        for _ in range(100):
+            before = len(scored)
+            retained, accepted, post = mc3_step(self.ds, self.z, model, self.sp, prior, self.flat, rng)
+            assert len(scored) == before + 2
+            current, proposed = scored[before:]
+            assert current.model is model
+            assert proposed.model != model
+            assert post is (proposed if accepted else current)
+            assert retained is post.model
+            model = retained
+
+    def test_one_marginal_when_no_bit_is_free(self, rng, monkeypatch):
+        scored = self.record_scores(monkeypatch)
+        model = ModelIndicator.null_model(1, 1, forced_w=np.ones(1, bool), forced_x=np.ones(1, bool))
+        ds = make_dataset(n=12, seed=3, p=1, q=1)
+        out, accepted, post = mc3_step(ds, consistent_z(ds), model, self.sp, unit_prior(1, 1), self.flat, rng)
+        assert len(scored) == 1
+        assert post is scored[0]
+        assert out is model and not accepted
 
 
 class TestDetailedBalance:
@@ -192,7 +223,7 @@ class TestDetailedBalance:
                 backward = log_post[neighbor.key()] + min(0.0, -delta)
                 assert abs(forward - backward) < 1e-12
 
-    def test_short_chain_visits_match_enumeration_loosely(self):
+    def test_short_chain_visits_match_enumeration_loosely(self, memo_marginals):
         # Smoke-scale version of the stationarity criterion; the full-length
         # run lives in the acceptance suite.
         ds = make_dataset(n=15, seed=6, p=2, q=1)
@@ -206,9 +237,9 @@ class TestDetailedBalance:
         model = ModelIndicator.null_model(2, 1)
         counts = {key: 0 for key in posterior}
         steps = 60_000
-        cache = {}
+        memo_marginals()
         for _ in range(steps):
-            model, _, _ = mc3_step(ds, z, model, sp, prior, flat, rng, cache=cache)
+            model, _, _ = mc3_step(ds, z, model, sp, prior, flat, rng)
             counts[model.key()] += 1
         for key, prob in posterior.items():
             assert abs(counts[key] / steps - prob) < 0.05
