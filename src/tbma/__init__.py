@@ -24,6 +24,7 @@ from .conditionals import (
     GammaPosterior,
     PhiPosterior,
     PsiPosterior,
+    SweepStatistics,
     conditional_log_marginal,
     draw_gamma,
     draw_phi,
@@ -33,6 +34,7 @@ from .conditionals import (
     phi_posterior_params,
     sample_latent,
     sample_truncated_normal,
+    sweep_statistics,
 )
 from .core import (
     CoefVector,

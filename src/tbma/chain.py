@@ -3,7 +3,11 @@ posterior summaries.
 
 Each sweep draws the latent scores, then the covariance entry, then the
 conditional variance, applies the model move(s), and finally draws the
-coefficients for the retained model, in exactly that order.
+coefficients for the retained model, in exactly that order.  Before the
+moves, the sweep builds the coefficient conditional's data statistics once
+and scores its starting model once; each move then scores only its proposal
+and passes the retained model's posterior on to the next move and to the
+coefficient draw.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import search
 from .conditionals import (
     draw_gamma,
     draw_phi,
@@ -20,6 +25,7 @@ from .conditionals import (
     gamma_posterior_params,
     phi_posterior_params,
     sample_latent,
+    sweep_statistics,
 )
 from .core import CoefVector, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from .errors import EmptyChain, InvalidParameter, NumericalError
@@ -226,12 +232,12 @@ def run_chain(
             gamma = draw_gamma(gamma_posterior_params(dataset, z, psi, sigma.phi, prior), rng)
             phi = draw_phi(phi_posterior_params(dataset, z, psi, gamma, prior), rng)
             sigma = SigmaParams(gamma, phi)
+            stats = sweep_statistics(dataset, z, sigma)
+            # Looked up on ``search`` so that every scored model goes through one name.
+            psi_post = search.conditional_log_marginal(stats, prior, model)
             accepted_any = False
-            psi_post = None
             for _ in range(config.inner_model_moves):
-                model, accepted, psi_post = mc3_step(
-                    dataset, z, model, sigma, prior, prior.model_prior, rng
-                )
+                model, accepted, psi_post = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
                 accepted_any = accepted_any or accepted
             psi = draw_psi(psi_post, rng)
         except NumericalError as exc:

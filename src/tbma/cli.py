@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -26,10 +27,14 @@ _SCHEMA_KEYS = frozenset({
     "response", "censored", "selection", "outcome", "add_intercept_selection",
     "add_intercept_outcome", "standardize", "censor_on_zero",
 })
-_PRIOR_KEYS = frozenset({
-    "theta0", "Theta0_scale", "beta0", "B0_scale", "gamma0", "G0", "s0", "S0",
-    "model_prior", "bernoulli_pi",
-})
+# Prior config key of each field name that PriorSpec's and ModelPrior's
+# errors mention.
+_PRIOR_FIELD_KEYS = {
+    "theta0": "theta0", "Theta0": "Theta0_scale", "beta0": "beta0", "B0": "B0_scale",
+    "gamma0": "gamma0", "G0": "G0", "s0": "s0", "S0": "S0",
+    "kind": "model_prior", "pi": "bernoulli_pi",
+}
+_PRIOR_KEYS = frozenset(_PRIOR_FIELD_KEYS.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,12 +77,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(flag_value, config: dict[str, str], key: str, convert, default):
+def _value(config: io_mod.ConfigFile, key: str, convert, default):
+    """``convert`` of the entry for ``key``, or ``default`` without one; a
+    value that does not convert is an error naming its file, line and key."""
+    if key not in config:
+        return default
+    try:
+        return convert(config[key])
+    except ValueError as exc:
+        raise ParseError(f"{config.where(key)}: key {key!r}: {exc}") from exc
+
+
+def _resolve(flag_value, config: io_mod.ConfigFile, key: str, convert, default):
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return convert(config[key])
-    return default
+    return _value(config, key, convert, default)
+
+
+def _locate(config: io_mod.ConfigFile, exc: InvalidParameter, field_keys: dict[str, str]) -> None:
+    """Raise ``exc`` again at the config entry of the first field its message
+    names; ``field_keys`` maps field names to the keys ``config`` supplied.
+    Returns when the message names none of them."""
+    message = str(exc)
+    named = [
+        (match.start(), key)
+        for field, key in field_keys.items()
+        if (match := re.search(rf"\b{re.escape(field)}\b", message))
+    ]
+    if named:
+        key = min(named)[1]
+        raise ParseError(f"{config.where(key)}: key {key!r}: {message}") from exc
 
 
 def _seed_default() -> int:
@@ -104,10 +133,10 @@ def _load_schema(path) -> io_mod.DataSchema:
         selection=names("selection"),
         outcome=names("outcome"),
         censored=raw.get("censored") or None,
-        add_intercept_selection=io_mod.parse_bool(raw.get("add_intercept_selection", "true")),
-        add_intercept_outcome=io_mod.parse_bool(raw.get("add_intercept_outcome", "true")),
-        standardize=io_mod.parse_bool(raw.get("standardize", "false")),
-        censor_on_zero=io_mod.parse_bool(raw.get("censor_on_zero", "false")),
+        add_intercept_selection=_value(raw, "add_intercept_selection", io_mod.parse_bool, True),
+        add_intercept_outcome=_value(raw, "add_intercept_outcome", io_mod.parse_bool, True),
+        standardize=_value(raw, "standardize", io_mod.parse_bool, False),
+        censor_on_zero=_value(raw, "censor_on_zero", io_mod.parse_bool, False),
     )
 
 
@@ -116,35 +145,40 @@ def _load_prior(path, p: int, q: int) -> PriorSpec:
         return chain_mod.default_prior(p, q)
     raw = _read_config(path, _PRIOR_KEYS)
     kind = raw.get("model_prior", "flat")
-    pi = float(raw.get("bernoulli_pi", "0.5")) if kind == "bernoulli" else None
+    pi = _value(raw, "bernoulli_pi", float, 0.5) if kind == "bernoulli" else None
     try:
-        model_prior = ModelPrior(kind=kind, pi=pi)
+        return PriorSpec(
+            theta0=np.full(p, _value(raw, "theta0", float, 0.0)),
+            Theta0=_value(raw, "Theta0_scale", float, 100.0) * np.eye(p),
+            beta0=np.full(q, _value(raw, "beta0", float, 0.0)),
+            B0=_value(raw, "B0_scale", float, 100.0) * np.eye(q),
+            gamma0=_value(raw, "gamma0", float, 0.0),
+            G0=_value(raw, "G0", float, 100.0),
+            s0=_value(raw, "s0", float, 5.0),
+            S0=_value(raw, "S0", float, 5.0),
+            model_prior=ModelPrior(kind=kind, pi=pi),
+        )
     except InvalidParameter as exc:
-        raise ParseError(f"{raw.where('model_prior')}: key 'model_prior': {exc}") from exc
-    return PriorSpec(
-        theta0=np.full(p, float(raw.get("theta0", "0"))),
-        Theta0=float(raw.get("Theta0_scale", "100")) * np.eye(p),
-        beta0=np.full(q, float(raw.get("beta0", "0"))),
-        B0=float(raw.get("B0_scale", "100")) * np.eye(q),
-        gamma0=float(raw.get("gamma0", "0")),
-        G0=float(raw.get("G0", "100")),
-        s0=float(raw.get("s0", "5")),
-        S0=float(raw.get("S0", "5")),
-        model_prior=model_prior,
-    )
+        _locate(raw, exc, {field: key for field, key in _PRIOR_FIELD_KEYS.items() if key in raw})
+        raise
 
 
 def _cmd_run(args) -> int:
     config_raw = _read_config(args.config, _RUN_KEYS) if args.config else {}
-    config = chain_mod.ChainConfig(
-        iterations=_resolve(args.iterations, config_raw, "iterations", int, 100_000),
-        burn_in=_resolve(args.burn_in, config_raw, "burn_in", int, 10_000),
-        seed=_resolve(args.seed, config_raw, "seed", int, _seed_default()),
-        chains=_resolve(args.chains, config_raw, "chains", int, 2),
-        thin=_resolve(args.thin, config_raw, "thin", int, 1),
-        inner_model_moves=_resolve(args.inner_model_moves, config_raw, "inner_model_moves", int, 1),
-        init=_resolve(args.init, config_raw, "init", str, "null-model"),
-    )
+    try:
+        config = chain_mod.ChainConfig(
+            iterations=_resolve(args.iterations, config_raw, "iterations", int, 100_000),
+            burn_in=_resolve(args.burn_in, config_raw, "burn_in", int, 10_000),
+            seed=_resolve(args.seed, config_raw, "seed", int, _seed_default()),
+            chains=_resolve(args.chains, config_raw, "chains", int, 2),
+            thin=_resolve(args.thin, config_raw, "thin", int, 1),
+            inner_model_moves=_resolve(args.inner_model_moves, config_raw, "inner_model_moves", int, 1),
+            init=_resolve(args.init, config_raw, "init", str, "null-model"),
+        )
+    except InvalidParameter as exc:
+        # A flag overrides the file, so only keys no flag set can be at fault.
+        _locate(config_raw, exc, {key: key for key in config_raw if getattr(args, key) is None})
+        raise
     loaded = io_mod.load_csv(args.data, _load_schema(args.schema))
     dataset = loaded.dataset
     prior = _load_prior(args.prior_config, dataset.p, dataset.q)

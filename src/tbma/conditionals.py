@@ -5,6 +5,13 @@ coefficient vector (multivariate normal on the active subspace), the error
 covariance entry gamma (normal) and the conditional outcome variance phi
 (inverse gamma).  The coefficient conditional also yields the model's
 conditional log marginal, which the model move compares across models.
+
+The coefficient conditional has two parts.  ``sweep_statistics`` does all
+the O(n) work once per sweep: at fixed latent scores and covariance, the
+weighted Gram matrix and linear term of every covariate are the same for
+every model.  ``conditional_log_marginal`` then scores one model from them
+by indexing its active rows and columns, adding the restricted prior and
+factoring once.
 """
 
 from __future__ import annotations
@@ -27,12 +34,14 @@ from .core import (
 from .errors import InvalidParameter, NumericalError
 
 __all__ = [
+    "SweepStatistics",
     "PsiPosterior",
     "GammaPosterior",
     "PhiPosterior",
     "sample_truncated_normal",
     "latent_conditional_params",
     "sample_latent",
+    "sweep_statistics",
     "conditional_log_marginal",
     "gamma_posterior_params",
     "phi_posterior_params",
@@ -47,6 +56,19 @@ _TAIL_SWITCH = 5.0
 
 NEGATIVE = "negative"
 NONNEGATIVE = "nonnegative"
+
+
+@dataclass(frozen=True, eq=False)
+class SweepStatistics:
+    """Data terms of the coefficient conditional over all p + q covariates,
+    at one sweep's latent scores and covariance.
+
+    ``gram`` is the weighted cross-product matrix and ``lin`` the weighted
+    design-response vector, both stacked selection block first.
+    """
+
+    gram: np.ndarray
+    lin: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +91,7 @@ class PsiPosterior:
         d = self.psi1.shape[0]
         if d == 0:
             return np.zeros((0, 0))
-        return cho_solve((self.chol, True), np.eye(d))
+        return cho_solve((self.chol, True), np.eye(d), check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -183,75 +205,94 @@ def sample_latent(
     """Joint draw of all latent scores; sign pattern equals the censoring pattern."""
     if dataset.n == 0:
         return np.empty(0)
+    split = dataset.split
     mu = dataset.W @ psi.theta
     sd = np.ones(dataset.n)
-    unc = ~dataset.censored
-    if np.any(unc):
+    unc = split.uncensored_idx
+    if unc.size:
         g, phi = sp.gamma, sp.phi
         denom = phi + g * g
-        resid = dataset.y[unc] - dataset.X[unc] @ psi.beta
+        resid = split.y_unc - split.X_unc @ psi.beta
         mu[unc] += (g / denom) * resid
         sd[unc] = np.sqrt(phi / denom)
     return _truncated_draws(mu, sd, dataset.censored, rng)
 
 
+def sweep_statistics(dataset: TobitDataset, z: np.ndarray, sp: SigmaParams) -> SweepStatistics:
+    """Everything the coefficient conditional takes from the data at fixed
+    latent scores and covariance, for all p + q covariates at once.
+
+    With (a11, a12, a22) the entries of the inverse error covariance, the
+    Gram matrix is [[a11 W_u'W_u + W_c'W_c, a12 W_u'X_u], [., a22 X_u'X_u]]
+    over uncensored (u) and censored (c) rows, and the linear term is
+    [W_u'(a11 z_u + a12 y_u) + W_c'z_c ; X_u'(a12 z_u + a22 y_u)].  The
+    row-split Gram blocks are cached on the dataset, so only the two
+    matrix-vector products touch every row.
+    """
+    z = check_sign_consistency(dataset, z)
+    split = dataset.split
+    p, pq = dataset.p, dataset.p + dataset.q
+    g, phi = sp.gamma, sp.phi
+    a11, a12, a22 = 1.0 + g * g / phi, -g / phi, 1.0 / phi  # inverse error covariance
+
+    gram = np.empty((pq, pq))
+    gram[:p, :p] = a11 * split.gram_ww_unc + split.gram_ww_cen
+    gram[:p, p:] = a12 * split.gram_wx_unc
+    gram[p:, :p] = gram[:p, p:].T
+    gram[p:, p:] = a22 * split.gram_xx_unc
+
+    z_unc = z[split.uncensored_idx]
+    z_cen = z[split.censored_idx]
+    lin = np.concatenate([
+        split.W_unc.T @ (a11 * z_unc + a12 * split.y_unc) + split.W_cen.T @ z_cen,
+        split.X_unc.T @ (a12 * z_unc + a22 * split.y_unc),
+    ])
+    gram.setflags(write=False)
+    lin.setflags(write=False)
+    return SweepStatistics(gram, lin)
+
+
 def conditional_log_marginal(
-    dataset: TobitDataset,
-    z: np.ndarray,
-    model: ModelIndicator,
-    sp: SigmaParams,
+    stats: SweepStatistics,
     prior: PriorSpec,
+    model: ModelIndicator,
 ) -> PsiPosterior:
     """Conditional posterior of a model's active coefficients and its log
-    integrated likelihood, at fixed latent scores and covariance.
+    integrated likelihood, at the latent scores and covariance ``stats`` was
+    built from.
 
     Value: (log|Psi1| - log|Psi0| - psi0' Psi0^{-1} psi0 + psi1' Psi1^{-1} psi1) / 2
     on the active subspace, all determinants via Cholesky log-determinants.
     The dropped constant depends only on (z, y, sigma), so differences across
-    models are exact log conditional Bayes factors.
+    models are exact log conditional Bayes factors.  The prior block is
+    restricted and inverted per model: the inverse of a restricted
+    covariance is not the restriction of the full prior precision.
     """
-    z = check_sign_consistency(dataset, z)
-    split = dataset.split
-    aw, ax = model.active_w, model.active_x
-    dw, dx = aw.size, ax.size
-    d = dw + dx
+    d = model.d
     if d == 0:
         return PsiPosterior(model, np.zeros(0), 0.0, np.zeros((0, 0)))
-    g, phi = sp.gamma, sp.phi
-    a11, a12, a22 = 1.0 + g * g / phi, -g / phi, 1.0 / phi  # inverse error covariance
 
     psi0, Psi0 = prior.restrict(model)
     try:
-        cho0 = cho_factor(Psi0, lower=True)
+        cho0 = cho_factor(Psi0, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("prior covariance block is not positive definite") from exc
     logdet0 = 2.0 * float(np.sum(np.log(np.diag(cho0[0]))))
-    lin = cho_solve(cho0, psi0)
+    lin = cho_solve(cho0, psi0, check_finite=False)
     quad0 = float(psi0 @ lin)
-    prec = cho_solve(cho0, np.eye(d))
+    prec = cho_solve(cho0, np.eye(d), check_finite=False)
 
-    z_unc = z[split.uncensored_idx]
-    z_cen = z[split.censored_idx]
-    if dw:
-        prec[:dw, :dw] += a11 * split.gram_ww_unc[np.ix_(aw, aw)] + split.gram_ww_cen[np.ix_(aw, aw)]
-        t_w = split.W_unc.T @ (a11 * z_unc + a12 * split.y_unc) + split.W_cen.T @ z_cen
-        lin[:dw] += t_w[aw]
-    if dx:
-        prec[dw:, dw:] += a22 * split.gram_xx_unc[np.ix_(ax, ax)]
-        t_x = split.X_unc.T @ (a12 * z_unc + a22 * split.y_unc)
-        lin[dw:] += t_x[ax]
-    if dw and dx:
-        cross = a12 * split.gram_wx_unc[np.ix_(aw, ax)]
-        prec[:dw, dw:] += cross
-        prec[dw:, :dw] += cross.T
+    active = model.active_positions
+    prec += stats.gram[np.ix_(active, active)]
+    lin += stats.lin[active]
 
     if not np.all(np.isfinite(prec)) or not np.all(np.isfinite(lin)):
         raise NumericalError("non-finite values in the coefficient precision system")
     try:
-        chol = cholesky(prec, lower=True)
+        chol = cholesky(prec, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("coefficient precision matrix is not positive definite") from exc
-    psi1 = cho_solve((chol, True), lin)
+    psi1 = cho_solve((chol, True), lin, check_finite=False)
     logdet_prec = 2.0 * float(np.sum(np.log(np.diag(chol))))
     # psi1' Psi1^{-1} psi1 equals psi1 . lin because Psi1^{-1} psi1 = lin.
     value = 0.5 * (-logdet_prec - logdet0 - quad0 + float(psi1 @ lin))

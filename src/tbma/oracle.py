@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from .conditionals import conditional_log_marginal
+from .conditionals import conditional_log_marginal, sweep_statistics
 from .core import (
     ModelIndicator,
     ModelPrior,
@@ -231,12 +231,13 @@ def enumerate_model_posterior(
     base = ModelIndicator.null_model(p, q, forced_w=forced_w, forced_x=forced_x)
     free = base.free_positions()
 
+    stats = sweep_statistics(dataset, z, sp)
     keys, scores = [], []
     for bits in itertools.product((False, True), repeat=free.size):
         include = np.concatenate([base.include_w, base.include_x])
         include[free] = bits
         model = ModelIndicator(include[:p], include[p:], base.forced_w, base.forced_x)
-        score = conditional_log_marginal(dataset, z, model, sp, prior).log_conditional_marginal
+        score = conditional_log_marginal(stats, prior, model).log_conditional_marginal
         if model_prior.kind == "bernoulli":
             k = sum(bits)
             score += k * np.log(model_prior.pi) + (free.size - k) * np.log1p(-model_prior.pi)
@@ -538,8 +539,9 @@ def run_fixture_suite(directory=None) -> list[FixtureCheck]:
     for fx in iter_fixtures(directory):
         start = perf_counter()
         prior = fx.prior
-        log_a = conditional_log_marginal(fx.dataset, fx.z, fx.model_a, fx.sp, prior)
-        log_b = conditional_log_marginal(fx.dataset, fx.z, fx.model_b, fx.sp, prior)
+        stats = sweep_statistics(fx.dataset, fx.z, fx.sp)
+        log_a = conditional_log_marginal(stats, prior, fx.model_a)
+        log_b = conditional_log_marginal(stats, prior, fx.model_b)
         quad_a = quadrature_conditional_marginal(fx.dataset, fx.z, fx.model_a, fx.sp, prior, fx.quadrature)
         quad_b = quadrature_conditional_marginal(fx.dataset, fx.z, fx.model_b, fx.sp, prior, fx.quadrature)
         delta_closed = log_b.log_conditional_marginal - log_a.log_conditional_marginal

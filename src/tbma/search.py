@@ -1,9 +1,12 @@
 """The model move: a single-bit-toggle Metropolis walk over inclusion patterns.
 
-Each move scores the current and the proposed model with the closed-form
-conditional log marginal.  Differences between two models' values are exact
-log conditional Bayes factors, and the retained model's coefficient
-posterior comes out of the same computation for the sweep's coefficient draw.
+A move scores only the proposed model, with the closed-form conditional log
+marginal computed from the sweep's shared statistics.  The current model's
+score comes in with it: the sweep scores its starting model once, and each
+move hands on the posterior of the model it retains, so a rejection costs no
+rescoring.  Differences between two models' values are exact log
+conditional Bayes factors, and the retained model's coefficient posterior is
+the one the sweep's coefficient draw uses.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import math
 
 import numpy as np
 
-from .conditionals import PsiPosterior, conditional_log_marginal
-from .core import ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
+from .conditionals import PsiPosterior, SweepStatistics, conditional_log_marginal
+from .core import ModelIndicator, ModelPrior, PriorSpec
 from .errors import NoMoveAvailable
 
 __all__ = [
@@ -36,29 +39,27 @@ def propose_neighbor(model: ModelIndicator, rng: np.random.Generator) -> ModelIn
 
 
 def mc3_step(
-    dataset: TobitDataset,
-    z: np.ndarray,
-    model: ModelIndicator,
-    sp: SigmaParams,
+    stats: SweepStatistics,
     prior: PriorSpec,
+    current: PsiPosterior,
     model_prior: ModelPrior,
     rng: np.random.Generator,
 ) -> tuple[ModelIndicator, bool, PsiPosterior]:
-    """One accept/reject move over the model space.
+    """One accept/reject move from ``current``, the scored current model.
 
-    Proposes a neighbor, computes both conditional log marginals, and accepts
-    with probability min(1, exp(delta)) where delta adds the log model-prior
+    Proposes a neighbor, scores it from ``stats``, and accepts with
+    probability min(1, exp(delta)) where delta adds the log model-prior
     ratio to the log conditional Bayes factor.  Returns the retained model,
-    the acceptance flag, and the retained model's coefficient posterior for
-    immediate reuse by the coefficient draw.
+    the acceptance flag, and the retained model's coefficient posterior:
+    ``current`` itself on rejection, or when no bit is free to toggle.
     """
+    model = current.model
     try:
         proposal = propose_neighbor(model, rng)
     except NoMoveAvailable:
-        return model, False, conditional_log_marginal(dataset, z, model, sp, prior)
+        return model, False, current
 
-    current = conditional_log_marginal(dataset, z, model, sp, prior)
-    proposed = conditional_log_marginal(dataset, z, proposal, sp, prior)
+    proposed = conditional_log_marginal(stats, prior, proposal)
     delta = (
         proposed.log_conditional_marginal
         - current.log_conditional_marginal

@@ -24,11 +24,11 @@ def memo_marginals(monkeypatch):
     def install(adjust=None):
         memo = {}
 
-        def memoized(dataset, z, model, sp, prior):
+        def memoized(stats, prior, model):
             key = model.key()
             hit = memo.get(key)
             if hit is None:
-                hit = real(dataset, z, model, sp, prior)
+                hit = real(stats, prior, model)
                 if adjust is not None:
                     hit = adjust(hit)
                 memo[key] = hit

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import truncnorm
 
+import tbma.search
 from conftest import consistent_z, make_dataset, unit_prior
 from tbma.chain import (
     ChainConfig,
@@ -28,6 +29,7 @@ from tbma.conditionals import (
     draw_psi,
     phi_posterior_params,
     sample_latent,
+    sweep_statistics,
 )
 from tbma.core import CoefVector, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from tbma.oracle import (
@@ -153,8 +155,10 @@ def test_c3_stationarity_against_exact_enumeration(memo_marginals):
     counts = dict.fromkeys(exact, 0)
     steps = 1_000_000
     memo_marginals()
+    stats = sweep_statistics(dataset, z, sp)
+    current = tbma.search.conditional_log_marginal(stats, prior, model)
     for _ in range(steps):
-        model, _, _ = mc3_step(dataset, z, model, sp, prior, flat, rng)
+        model, _, current = mc3_step(stats, prior, current, flat, rng)
         counts[model.key()] += 1
     elapsed = time.perf_counter() - start
 
@@ -208,7 +212,8 @@ def test_c4_conjugate_reduction_uncensored_decoupled():
         sp = SigmaParams(0.0, phi)
         z = sample_latent(dataset, psi, sp, rng)
         phi = draw_phi(phi_posterior_params(dataset, z, psi, 0.0, prior), rng)
-        psi = draw_psi(conditional_log_marginal(dataset, z, model, SigmaParams(0.0, phi), prior), rng)
+        stats = sweep_statistics(dataset, z, SigmaParams(0.0, phi))
+        psi = draw_psi(conditional_log_marginal(stats, prior, model), rng)
         if it >= burn:
             betas[it - burn] = psi.beta
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tbma.chain as chain_mod
+import tbma.search
 from conftest import make_dataset, unit_prior
 from tbma.chain import (
     ChainConfig,
@@ -153,6 +154,24 @@ class TestSweepOrder:
         run_chain(ds, unit_prior(2, 2), config)
         per_sweep = ["z", "gamma", "phi", "move", "move", "psi"]
         assert events == per_sweep * 3
+
+    def test_statistics_built_once_and_each_model_scored_once_per_sweep(self, monkeypatch):
+        counts = {"statistics": 0, "scores": 0}
+
+        def counting(name, fn):
+            def inner(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return inner
+
+        monkeypatch.setattr(chain_mod, "sweep_statistics", counting("statistics", chain_mod.sweep_statistics))
+        monkeypatch.setattr(
+            tbma.search, "conditional_log_marginal", counting("scores", tbma.search.conditional_log_marginal)
+        )
+        ds = make_dataset(n=10, seed=2)
+        config = ChainConfig(iterations=7, burn_in=0, seed=1, chains=1, inner_model_moves=3)
+        run_chain(ds, unit_prior(2, 2), config)
+        assert counts == {"statistics": 7, "scores": 7 * (1 + 3)}
 
 
 class TestSummaries:

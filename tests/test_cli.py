@@ -123,6 +123,10 @@ class TestErrorPaths:
             ("--prior-config", ["G0 = 10", "model_prior = bernouli"],
              "typo.cfg:2: key 'model_prior': unknown model prior kind 'bernouli'"),
             ("--prior-config", ["bernoulli_p = 0.2"], "typo.cfg:1: unknown key 'bernoulli_p'"),
+            ("--prior-config", ["G0 = 10", "theta0 = abc"],
+             "typo.cfg:2: key 'theta0': could not convert string to float: 'abc'"),
+            ("--prior-config", ["Theta0_scale = -1"],
+             "typo.cfg:1: key 'Theta0_scale': Theta0 must be positive definite"),
         ],
     )
     def test_config_typo_exits_2_naming_file_line_and_key(
@@ -138,6 +142,19 @@ class TestErrorPaths:
         )
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rejected_run_config_value_names_file_line_and_key(self, tmp_path, schema_file, capsys):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 30, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        config = write(tmp_path / "run.cfg", ["seed = 4", "burn_in = 20000"])
+        code = run_cli(
+            "run", "--data", data, "--schema", schema_file, "--config", config,
+            "--iterations", 10, "--out-dir", tmp_path / "o",
+        )
+        assert code == 2
+        assert f"{config}:2: key 'burn_in': burn_in must satisfy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_schema_typo_exits_2(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from tbma.conditionals import (
     phi_posterior_params,
     sample_latent,
     sample_truncated_normal,
+    sweep_statistics,
 )
 from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 from tbma.errors import InvalidParameter
@@ -155,7 +156,8 @@ class TestPsiPosterior:
             include_w=np.array([True, False]), include_x=np.array([True, True]),
             forced_w=np.zeros(2, bool), forced_x=np.zeros(2, bool),
         )
-        post = conditional_log_marginal(ds, np.zeros(0), model, SigmaParams(0.2, 1.0), prior)
+        stats = sweep_statistics(ds, np.zeros(0), SigmaParams(0.2, 1.0))
+        post = conditional_log_marginal(stats, prior, model)
         assert np.allclose(post.psi1, [1.0, 0.5, 0.0])
         assert np.allclose(post.Psi1, np.diag([2.0, 4.0, 5.0]))
 
@@ -164,7 +166,8 @@ class TestPsiPosterior:
         assert ds.n_o == 0
         z = consistent_z(ds)
         prior = unit_prior(2, 2, B0=np.diag([3.0, 7.0]), beta0=np.array([2.0, -2.0]))
-        post = conditional_log_marginal(ds, z, ModelIndicator.full_model(2, 2), SigmaParams(0.5, 2.0), prior)
+        stats = sweep_statistics(ds, z, SigmaParams(0.5, 2.0))
+        post = conditional_log_marginal(stats, prior, ModelIndicator.full_model(2, 2))
         assert np.allclose(post.psi1[2:], [2.0, -2.0])
         assert np.allclose(post.Psi1[2:, 2:], np.diag([3.0, 7.0]))
         assert np.allclose(post.Psi1[:2, 2:], 0.0)
@@ -177,7 +180,8 @@ class TestPsiPosterior:
         phi = 1.7
         prior = unit_prior(2, 2, Theta0=np.diag([2.0, 0.5]), B0=np.diag([1.5, 3.0]),
                            theta0=np.array([0.2, 0.0]), beta0=np.array([-0.1, 0.4]))
-        post = conditional_log_marginal(ds, z, ModelIndicator.full_model(2, 2), SigmaParams(0.0, phi), prior)
+        stats = sweep_statistics(ds, z, SigmaParams(0.0, phi))
+        post = conditional_log_marginal(stats, prior, ModelIndicator.full_model(2, 2))
 
         prec_theta = np.linalg.inv(np.diag([2.0, 0.5])) + ds.W.T @ ds.W
         mean_theta = np.linalg.solve(
@@ -199,7 +203,7 @@ class TestPsiPosterior:
         prior = unit_prior(2, 2)
         sp = SigmaParams(0.8, 0.9)
         model = ModelIndicator.full_model(2, 2)
-        post = conditional_log_marginal(ds, z, model, sp, prior)
+        post = conditional_log_marginal(sweep_statistics(ds, z, sp), prior, model)
         assert np.allclose(post.Psi1 @ (post.chol @ post.chol.T), np.eye(4), atol=1e-10)
 
 
@@ -357,7 +361,7 @@ class TestJointDistributionConsistency:
             gamma = draw_gamma(gamma_posterior_params(ds, z, psi, sp.phi, prior), rng)
             phi = draw_phi(phi_posterior_params(ds, z, psi, gamma, prior), rng)
             sp = SigmaParams(gamma, phi)
-            psi = draw_psi(conditional_log_marginal(ds, z, model, sp, prior), rng)
+            psi = draw_psi(conditional_log_marginal(sweep_statistics(ds, z, sp), prior, model), rng)
             samples[it] = np.concatenate([psi.psi, [gamma, phi]])
 
         # Exact prior moments: psi and gamma are N(0, 0.25); phi has an

@@ -15,7 +15,7 @@ from tbma.oracle import (
     quadrature_conditional_marginal,
 )
 from tbma.oracle import _batched_log_density
-from tbma.conditionals import conditional_log_marginal
+from tbma.conditionals import conditional_log_marginal, sweep_statistics
 
 
 class TestQuadrature:
@@ -234,6 +234,7 @@ class TestFixtureFiles:
         # change the integrated likelihood.
         fx = next(f for f in iter_fixtures() if f.dataset.n_o == 0)
         prior = fx.prior
-        la = conditional_log_marginal(fx.dataset, fx.z, fx.model_a, fx.sp, prior).log_conditional_marginal
-        lb = conditional_log_marginal(fx.dataset, fx.z, fx.model_b, fx.sp, prior).log_conditional_marginal
+        stats = sweep_statistics(fx.dataset, fx.z, fx.sp)
+        la = conditional_log_marginal(stats, prior, fx.model_a).log_conditional_marginal
+        lb = conditional_log_marginal(stats, prior, fx.model_b).log_conditional_marginal
         assert la == pytest.approx(lb, abs=1e-12)

@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 
 import tbma.search
 from conftest import consistent_z, make_dataset, unit_prior
-from tbma.conditionals import conditional_log_marginal
+from tbma.conditionals import conditional_log_marginal, sweep_statistics
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams
 from tbma.errors import NoMoveAvailable
 from tbma.oracle import conditional_log_marginal_rss, enumerate_model_posterior
@@ -70,15 +70,16 @@ class TestConditionalLogMarginal:
         self.z = consistent_z(self.ds, seed=4)
         self.sp = SigmaParams(0.6, 1.4)
         self.prior = unit_prior(2, 2)
+        self.stats = sweep_statistics(self.ds, self.z, self.sp)
 
     def test_self_ratio_is_one(self):
         model = ModelIndicator.full_model(2, 2)
-        val = conditional_log_marginal(self.ds, self.z, model, self.sp, self.prior)
+        val = conditional_log_marginal(self.stats, self.prior, model)
         assert np.exp(val.log_conditional_marginal - val.log_conditional_marginal) == 1.0
 
     def test_empty_model_is_finite_zero(self):
         model = ModelIndicator.null_model(2, 2)
-        res = conditional_log_marginal(self.ds, self.z, model, self.sp, self.prior)
+        res = conditional_log_marginal(self.stats, self.prior, model)
         assert res.log_conditional_marginal == 0.0
         assert res.psi1.size == 0
 
@@ -89,7 +90,8 @@ class TestConditionalLogMarginal:
         z = consistent_z(ds, seed=seed + 1)
         sp = SigmaParams(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.2, 3.0)))
         model = random_model(rng, p=2, q=2)
-        closed = conditional_log_marginal(ds, z, model, sp, self.prior).log_conditional_marginal
+        stats = sweep_statistics(ds, z, sp)
+        closed = conditional_log_marginal(stats, self.prior, model).log_conditional_marginal
         rewrite = conditional_log_marginal_rss(ds, z, model, sp, self.prior)
         assert abs(closed - rewrite) < 1e-9
 
@@ -101,12 +103,13 @@ class TestMc3Step:
         self.sp = SigmaParams(0.3, 1.0)
         self.prior = unit_prior(2, 2)
         self.flat = ModelPrior()
+        self.stats = sweep_statistics(self.ds, self.z, self.sp)
 
     def test_always_accepts_when_bayes_factor_at_least_one(self, rng, memo_marginals):
         # Raise every neighbor's marginal above the current model's; the
         # acceptance probability min(1, CBF) must then be one.
         model = ModelIndicator.null_model(2, 2)
-        cur = conditional_log_marginal(self.ds, self.z, model, self.sp, self.prior)
+        cur = conditional_log_marginal(self.stats, self.prior, model)
 
         def dominate(res):
             if res.model == model:
@@ -115,27 +118,28 @@ class TestMc3Step:
 
         memo_marginals(dominate)
         for _ in range(200):
-            _, accepted, _ = mc3_step(self.ds, self.z, model, self.sp, self.prior, self.flat, rng)
+            _, accepted, _ = mc3_step(self.stats, self.prior, cur, self.flat, rng)
             assert accepted
 
     def test_no_move_available_returns_input(self, rng):
         model = ModelIndicator.null_model(1, 1, forced_w=np.ones(1, bool), forced_x=np.ones(1, bool))
         ds = make_dataset(n=12, seed=3, p=1, q=1)
-        z = consistent_z(ds)
-        out, accepted, post = mc3_step(ds, z, model, self.sp, unit_prior(1, 1), self.flat, rng)
+        stats = sweep_statistics(ds, consistent_z(ds), self.sp)
+        prior = unit_prior(1, 1)
+        current = conditional_log_marginal(stats, prior, model)
+        out, accepted, post = mc3_step(stats, prior, current, self.flat, rng)
         assert out == model
         assert not accepted
         assert post.psi1.shape == (2,)
 
     def test_bernoulli_half_matches_flat_decisions(self):
-        model_a = ModelIndicator.null_model(2, 2)
-        model_b = ModelIndicator.null_model(2, 2)
+        post_a = post_b = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
         rng_a = np.random.default_rng(505)
         rng_b = np.random.default_rng(505)
         half = ModelPrior(kind="bernoulli", pi=0.5)
         for _ in range(400):
-            model_a, acc_a, _ = mc3_step(self.ds, self.z, model_a, self.sp, self.prior, self.flat, rng_a)
-            model_b, acc_b, _ = mc3_step(self.ds, self.z, model_b, self.sp, self.prior, half, rng_b)
+            model_a, acc_a, post_a = mc3_step(self.stats, self.prior, post_a, self.flat, rng_a)
+            model_b, acc_b, post_b = mc3_step(self.stats, self.prior, post_b, half, rng_b)
             assert acc_a == acc_b
             assert model_a == model_b
 
@@ -145,9 +149,10 @@ class TestMc3Step:
             memo_marginals(adjust)
             rng = np.random.default_rng(99)
             model = ModelIndicator.null_model(2, 2)
+            current = tbma.search.conditional_log_marginal(self.stats, self.prior, model)
             steps = []
             for _ in range(500):
-                model, accepted, _ = mc3_step(self.ds, self.z, model, self.sp, self.prior, self.flat, rng)
+                model, accepted, current = mc3_step(self.stats, self.prior, current, self.flat, rng)
                 steps.append((model, accepted))
             return steps
 
@@ -159,48 +164,64 @@ class TestMc3Step:
 
 
 class TestScoringContract:
-    """mc3_step scores models only through tbma.search.conditional_log_marginal."""
+    """mc3_step scores only the proposal, through tbma.search.conditional_log_marginal,
+    and hands back the posterior of the model it retains."""
 
     def setup_method(self):
         self.ds = make_dataset(n=25, seed=14)
         self.z = consistent_z(self.ds, seed=4)
         self.sp = SigmaParams(0.3, 1.0)
+        self.prior = unit_prior(2, 2)
         self.flat = ModelPrior()
+        self.stats = sweep_statistics(self.ds, self.z, self.sp)
 
     def record_scores(self, monkeypatch):
         scored = []
         real = tbma.search.conditional_log_marginal
 
-        def recording(dataset, z, model, sp, prior):
-            scored.append(real(dataset, z, model, sp, prior))
+        def recording(stats, prior, model):
+            scored.append(real(stats, prior, model))
             return scored[-1]
 
         monkeypatch.setattr(tbma.search, "conditional_log_marginal", recording)
         return scored
 
-    def test_two_marginals_per_move(self, rng, monkeypatch):
+    def test_one_marginal_per_move(self, rng, monkeypatch):
         scored = self.record_scores(monkeypatch)
-        prior = unit_prior(2, 2)
-        model = ModelIndicator.null_model(2, 2)
+        current = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
+        outcomes = set()
         for _ in range(100):
             before = len(scored)
-            retained, accepted, post = mc3_step(self.ds, self.z, model, self.sp, prior, self.flat, rng)
-            assert len(scored) == before + 2
-            current, proposed = scored[before:]
-            assert current.model is model
-            assert proposed.model != model
+            retained, accepted, post = mc3_step(self.stats, self.prior, current, self.flat, rng)
+            assert len(scored) == before + 1
+            proposed = scored[-1]
+            assert proposed.model != current.model
             assert post is (proposed if accepted else current)
             assert retained is post.model
-            model = retained
+            outcomes.add(accepted)
+            current = post
+        assert outcomes == {True, False}
 
-    def test_one_marginal_when_no_bit_is_free(self, rng, monkeypatch):
+    def test_nothing_scored_when_no_bit_is_free(self, rng, monkeypatch):
         scored = self.record_scores(monkeypatch)
         model = ModelIndicator.null_model(1, 1, forced_w=np.ones(1, bool), forced_x=np.ones(1, bool))
         ds = make_dataset(n=12, seed=3, p=1, q=1)
-        out, accepted, post = mc3_step(ds, consistent_z(ds), model, self.sp, unit_prior(1, 1), self.flat, rng)
-        assert len(scored) == 1
-        assert post is scored[0]
+        stats = sweep_statistics(ds, consistent_z(ds), self.sp)
+        prior = unit_prior(1, 1)
+        current = conditional_log_marginal(stats, prior, model)
+        out, accepted, post = mc3_step(stats, prior, current, self.flat, rng)
+        assert scored == []
+        assert post is current
         assert out is model and not accepted
+
+    def test_rescoring_the_retained_model_is_bit_identical(self, rng):
+        current = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
+        for _ in range(100):
+            _, _, current = mc3_step(self.stats, self.prior, current, self.flat, rng)
+            again = conditional_log_marginal(self.stats, self.prior, current.model)
+            assert again.log_conditional_marginal == current.log_conditional_marginal
+            assert np.array_equal(again.psi1, current.psi1)
+            assert np.array_equal(again.chol, current.chol)
 
 
 class TestDetailedBalance:
@@ -238,8 +259,10 @@ class TestDetailedBalance:
         counts = {key: 0 for key in posterior}
         steps = 60_000
         memo_marginals()
+        stats = sweep_statistics(ds, z, sp)
+        current = tbma.search.conditional_log_marginal(stats, prior, model)
         for _ in range(steps):
-            model, _, _ = mc3_step(ds, z, model, sp, prior, flat, rng)
+            model, _, current = mc3_step(stats, prior, current, flat, rng)
             counts[model.key()] += 1
         for key, prob in posterior.items():
             assert abs(counts[key] / steps - prob) < 0.05
