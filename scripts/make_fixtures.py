@@ -28,12 +28,17 @@ def bits(text: str) -> np.ndarray:
 
 
 def model(w: str, x: str) -> ModelIndicator:
-    return ModelIndicator(bits(w), bits(x), np.zeros(P, dtype=bool), np.zeros(Q, dtype=bool))
+    return ModelIndicator(bits(w + x), np.zeros(P + Q, dtype=bool), P)
 
 
 def write_fixture(name, dataset: TobitDataset, z, gamma, phi, model_a, model_b, nodes, half_width=10.0):
-    def bitstring(mask):
-        return "".join("1" if b else "0" for b in mask)
+    def bitstrings(model):
+        # The fixture format stores each model's bits per equation.
+        text = "".join("1" if b else "0" for b in model.include)
+        return text[: model.p], text[model.p :]
+
+    model_a_w, model_a_x = bitstrings(model_a)
+    model_b_w, model_b_x = bitstrings(model_b)
 
     lines = [
         "# tbma-fixture-v1",
@@ -42,10 +47,10 @@ def write_fixture(name, dataset: TobitDataset, z, gamma, phi, model_a, model_b, 
         f"# phi = {phi!r}",
         f"# nodes_per_axis = {nodes}",
         f"# half_width = {half_width!r}",
-        f"# model_a_w = {bitstring(model_a.include_w)}",
-        f"# model_a_x = {bitstring(model_a.include_x)}",
-        f"# model_b_w = {bitstring(model_b.include_w)}",
-        f"# model_b_x = {bitstring(model_b.include_x)}",
+        f"# model_a_w = {model_a_w}",
+        f"# model_a_x = {model_a_x}",
+        f"# model_b_w = {model_b_w}",
+        f"# model_b_x = {model_b_x}",
         ",".join(list(dataset.column_names_w) + list(dataset.column_names_x) + ["y", "censored", "z"]),
     ]
     for i in range(dataset.n):

@@ -30,7 +30,6 @@ from .conditionals import (
     draw_phi,
     draw_psi,
     gamma_posterior_params,
-    latent_conditional_params,
     phi_posterior_params,
     sample_latent,
     sample_truncated_normal,
@@ -43,18 +42,19 @@ from .core import (
     PriorSpec,
     SigmaParams,
     TobitDataset,
-    augmented_design,
-    build_sigma,
-    complete_data_log_density,
 )
 from .io import DataSchema, LoadedData, Standardization, load_csv, load_trace
 from .oracle import (
     QuadratureSpec,
     SynthSpec,
     SynthTruth,
+    augmented_design,
+    build_sigma,
+    complete_data_log_density,
     conditional_log_marginal_rss,
     enumerate_model_posterior,
     generate_synthetic,
+    latent_conditional_params,
     quadrature_conditional_marginal,
     run_fixture_suite,
 )

@@ -156,11 +156,10 @@ def _config_fingerprint(config: ChainConfig, prior: PriorSpec) -> str:
 
 
 def _random_model(template: ModelIndicator, rng: np.random.Generator) -> ModelIndicator:
-    include = np.concatenate([template.forced_w, template.forced_x])
+    include = template.forced.copy()
     free = template.free_positions()
     include[free] = rng.uniform(size=free.size) < 0.5
-    p = template.p
-    return ModelIndicator(include[:p], include[p:], template.forced_w, template.forced_x)
+    return ModelIndicator(include, template.forced, template.p)
 
 
 def _initial_state(
@@ -175,9 +174,9 @@ def _initial_state(
     zeros = CoefVector.zeros(p, q)
     unit = SigmaParams(0.0, 1.0)
     if config.init == "null-model":
-        return ModelIndicator.null_model(p, q, template.forced_w, template.forced_x), zeros, unit
+        return ModelIndicator.null_model(p, q, template.forced), zeros, unit
     if config.init == "full-model":
-        return ModelIndicator.full_model(p, q, template.forced_w, template.forced_x), zeros, unit
+        return ModelIndicator.full_model(p, q, template.forced), zeros, unit
     model = _random_model(template, rng)
     if config.init == "zero-coefficients":
         return model, zeros, unit
@@ -206,6 +205,10 @@ def run_chain(
     if prior.p != dataset.p or prior.q != dataset.q:
         raise InvalidParameter("prior dimensions must match the dataset")
     template = model_template or ModelIndicator.full_model(dataset.p, dataset.q)
+    if (template.p, template.q) != (dataset.p, dataset.q):
+        raise InvalidParameter(
+            f"model template has (p, q) = ({template.p}, {template.q}), dataset ({dataset.p}, {dataset.q})"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(chain_id)]))
     model, psi, sigma = _initial_state(dataset, prior, config, template, rng)
 
@@ -245,8 +248,7 @@ def run_chain(
 
         if keep_mask[sweep]:
             row = row_of_sweep[sweep]
-            models[row, : dataset.p] = model.include_w
-            models[row, dataset.p :] = model.include_x
+            models[row] = model.include
             psis[row] = psi.psi
             gammas[row] = sigma.gamma
             phis[row] = sigma.phi

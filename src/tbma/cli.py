@@ -22,7 +22,8 @@ __all__ = ["main", "build_parser"]
 
 _ENV_SEED = "TBMA_SEED"
 
-_RUN_KEYS = frozenset(f.name for f in fields(chain_mod.ChainConfig))
+_RUN_DEFAULTS = {f.name: f.default for f in fields(chain_mod.ChainConfig)}
+_RUN_KEYS = frozenset(_RUN_DEFAULTS)
 _SCHEMA_KEYS = frozenset({
     "response", "censored", "selection", "outcome", "add_intercept_selection",
     "add_intercept_outcome", "standardize", "censor_on_zero",
@@ -165,16 +166,12 @@ def _load_prior(path, p: int, q: int) -> PriorSpec:
 
 def _cmd_run(args) -> int:
     config_raw = _read_config(args.config, _RUN_KEYS) if args.config else {}
+    defaults = dict(_RUN_DEFAULTS, seed=_seed_default())
     try:
-        config = chain_mod.ChainConfig(
-            iterations=_resolve(args.iterations, config_raw, "iterations", int, 100_000),
-            burn_in=_resolve(args.burn_in, config_raw, "burn_in", int, 10_000),
-            seed=_resolve(args.seed, config_raw, "seed", int, _seed_default()),
-            chains=_resolve(args.chains, config_raw, "chains", int, 2),
-            thin=_resolve(args.thin, config_raw, "thin", int, 1),
-            inner_model_moves=_resolve(args.inner_model_moves, config_raw, "inner_model_moves", int, 1),
-            init=_resolve(args.init, config_raw, "init", str, "null-model"),
-        )
+        config = chain_mod.ChainConfig(**{
+            key: _resolve(getattr(args, key), config_raw, key, type(default), default)
+            for key, default in defaults.items()
+        })
     except InvalidParameter as exc:
         # A flag overrides the file, so only keys no flag set can be at fault.
         _locate(config_raw, exc, {key: key for key in config_raw if getattr(args, key) is None})

@@ -39,7 +39,6 @@ __all__ = [
     "GammaPosterior",
     "PhiPosterior",
     "sample_truncated_normal",
-    "latent_conditional_params",
     "sample_latent",
     "sweep_statistics",
     "conditional_log_marginal",
@@ -175,28 +174,6 @@ def sample_truncated_normal(mu: float, var: float, side: str, rng: np.random.Gen
         np.array([mu]), np.array([np.sqrt(var)]), np.array([side == NEGATIVE]), rng
     )
     return float(out[0])
-
-
-def latent_conditional_params(
-    row_index: int, dataset: TobitDataset, psi: CoefVector, sp: SigmaParams
-) -> tuple[float, float, str]:
-    """Mean, variance and truncation side of one latent score's conditional.
-
-    Censored rows marginalize the unobserved outcome, so their conditional is
-    the unit-variance selection prior; uncensored rows condition on y, which
-    shifts the mean by gamma / (phi + gamma^2) times the outcome residual and
-    shrinks the variance to phi / (phi + gamma^2).
-    """
-    if not 0 <= row_index < dataset.n:
-        raise InvalidParameter(f"row_index {row_index} out of range")
-    mu = float(dataset.W[row_index] @ psi.theta)
-    if dataset.censored[row_index]:
-        return mu, 1.0, NEGATIVE
-    g, phi = sp.gamma, sp.phi
-    resid = float(dataset.y[row_index] - dataset.X[row_index] @ psi.beta)
-    mu += g / (phi + g * g) * resid
-    var = 1.0 - g * g / (phi + g * g)
-    return mu, var, NONNEGATIVE
 
 
 def sample_latent(

@@ -1,4 +1,4 @@
-"""Domain types and density evaluation for the two-equation censored-outcome model.
+"""Domain types for the two-equation censored-outcome model.
 
 A latent selection score z = W theta + eps decides whether the outcome
 y = X beta + eta is observed (z >= 0) or censored (z < 0).  The error pair
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import InvalidParameter, InvalidState
 
@@ -24,13 +25,15 @@ __all__ = [
     "ModelIndicator",
     "ModelPrior",
     "PriorSpec",
-    "build_sigma",
-    "augmented_design",
-    "complete_data_log_density",
 ]
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values``, or ``values`` itself when it already is
+    a read-only array of ``dtype`` that owns its data, so frozen objects share it."""
+    frozen = isinstance(values, np.ndarray) and values.flags.owndata and not values.flags.writeable
+    if frozen and values.dtype == dtype:
+        return values
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -158,14 +161,6 @@ class SigmaParams:
             raise InvalidParameter(f"phi must be positive, got {self.phi}")
 
 
-def build_sigma(sp: SigmaParams) -> np.ndarray:
-    """Error covariance [[1, gamma], [gamma, phi + gamma**2]]; determinant phi."""
-    if sp.phi <= 0.0:
-        raise InvalidParameter(f"phi must be positive, got {sp.phi}")
-    g = sp.gamma
-    return np.array([[1.0, g], [g, sp.phi + g * g]])
-
-
 @dataclass(frozen=True, eq=False)
 class CoefVector:
     """Selection and outcome coefficients with a stacked view."""
@@ -193,102 +188,90 @@ class CoefVector:
 
 @dataclass(frozen=True, eq=False)
 class ModelIndicator:
-    """Inclusion bits for both equations, with always-included (forced) masks."""
+    """Inclusion bits over the stacked length-(p+q) covariate vector, the
+    ``p`` selection covariates first, with an always-included (forced) mask.
 
-    include_w: np.ndarray
-    include_x: np.ndarray
-    forced_w: np.ndarray
-    forced_x: np.ndarray
+    Every model toggled from this one shares its ``forced`` array.
+    """
+
+    include: np.ndarray
+    forced: np.ndarray
+    p: int
 
     def __post_init__(self):
-        for name in ("include_w", "include_x", "forced_w", "forced_x"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), bool))
-        if self.include_w.shape != self.forced_w.shape or self.include_x.shape != self.forced_x.shape:
-            raise InvalidParameter("forced masks must match the include vectors in length")
-        if np.any(self.forced_w & ~self.include_w) or np.any(self.forced_x & ~self.include_x):
-            raise InvalidParameter("forced bits must be set in the include vectors")
-
-    @property
-    def p(self) -> int:
-        return self.include_w.shape[0]
+        object.__setattr__(self, "include", _frozen_array(self.include, bool))
+        object.__setattr__(self, "forced", _frozen_array(self.forced, bool))
+        if self.include.ndim != 1 or self.forced.shape != self.include.shape:
+            raise InvalidParameter("include and forced must be 1-d masks of equal length")
+        if not 0 <= self.p <= self.include.size:
+            raise InvalidParameter(f"p must satisfy 0 <= p <= {self.include.size}, got {self.p}")
+        if np.any(self.forced & ~self.include):
+            raise InvalidParameter("forced bits must be set in the include mask")
 
     @property
     def q(self) -> int:
-        return self.include_x.shape[0]
-
-    @cached_property
-    def active_w(self) -> np.ndarray:
-        return np.flatnonzero(self.include_w)
-
-    @cached_property
-    def active_x(self) -> np.ndarray:
-        return np.flatnonzero(self.include_x)
-
-    @property
-    def d(self) -> int:
-        return self.active_w.size + self.active_x.size
+        return self.include.size - self.p
 
     @cached_property
     def active_positions(self) -> np.ndarray:
         """Active indices into the stacked length-(p+q) coefficient vector."""
-        return np.concatenate([self.active_w, self.p + self.active_x])
+        return np.flatnonzero(self.include)
+
+    @property
+    def active_w(self) -> np.ndarray:
+        return np.flatnonzero(self.include[: self.p])
+
+    @property
+    def active_x(self) -> np.ndarray:
+        return np.flatnonzero(self.include[self.p :])
+
+    @property
+    def d(self) -> int:
+        return self.active_positions.size
 
     def key(self) -> tuple[bool, ...]:
         """Hashable identity of the inclusion pattern."""
-        return tuple(bool(b) for b in np.concatenate([self.include_w, self.include_x]))
+        return tuple(self.include.tolist())
 
     def free_positions(self) -> np.ndarray:
         """Stacked positions whose bit may be toggled."""
-        return np.flatnonzero(~np.concatenate([self.forced_w, self.forced_x]))
+        return np.flatnonzero(~self.forced)
 
     def n_free_active(self) -> int:
-        forced = np.concatenate([self.forced_w, self.forced_x])
-        include = np.concatenate([self.include_w, self.include_x])
-        return int(np.count_nonzero(include & ~forced))
+        return int(np.count_nonzero(self.include & ~self.forced))
 
     def with_toggled(self, position: int) -> "ModelIndicator":
         """Return a copy with one stacked inclusion bit flipped."""
-        if not 0 <= position < self.p + self.q:
+        if not 0 <= position < self.include.size:
             raise InvalidParameter(f"position {position} out of range")
-        include_w = np.array(self.include_w)
-        include_x = np.array(self.include_x)
-        if position < self.p:
-            if self.forced_w[position]:
-                raise InvalidParameter("cannot toggle a forced selection bit")
-            include_w[position] = not include_w[position]
-        else:
-            j = position - self.p
-            if self.forced_x[j]:
-                raise InvalidParameter("cannot toggle a forced outcome bit")
-            include_x[j] = not include_x[j]
-        return ModelIndicator(include_w, include_x, self.forced_w, self.forced_x)
+        if self.forced[position]:
+            raise InvalidParameter(f"cannot toggle forced position {position}")
+        include = self.include.copy()
+        include[position] = not include[position]
+        include.setflags(write=False)
+        return ModelIndicator(include, self.forced, self.p)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelIndicator):
             return NotImplemented
         return (
-            self.key() == other.key()
-            and np.array_equal(self.forced_w, other.forced_w)
-            and np.array_equal(self.forced_x, other.forced_x)
+            self.p == other.p
+            and np.array_equal(self.include, other.include)
+            and np.array_equal(self.forced, other.forced)
         )
 
     def __hash__(self):
-        return hash((self.key(), self.forced_w.tobytes(), self.forced_x.tobytes()))
+        return hash((self.key(), self.forced.tobytes()))
 
     @classmethod
-    def full_model(cls, p: int, q: int, forced_w=None, forced_x=None) -> "ModelIndicator":
-        return cls(
-            include_w=np.ones(p, dtype=bool),
-            include_x=np.ones(q, dtype=bool),
-            forced_w=np.zeros(p, dtype=bool) if forced_w is None else forced_w,
-            forced_x=np.zeros(q, dtype=bool) if forced_x is None else forced_x,
-        )
+    def full_model(cls, p: int, q: int, forced=None) -> "ModelIndicator":
+        forced = np.zeros(p + q, dtype=bool) if forced is None else forced
+        return cls(np.ones(p + q, dtype=bool), forced, p)
 
     @classmethod
-    def null_model(cls, p: int, q: int, forced_w=None, forced_x=None) -> "ModelIndicator":
-        fw = np.zeros(p, dtype=bool) if forced_w is None else np.asarray(forced_w, dtype=bool)
-        fx = np.zeros(q, dtype=bool) if forced_x is None else np.asarray(forced_x, dtype=bool)
-        return cls(include_w=fw.copy(), include_x=fx.copy(), forced_w=fw, forced_x=fx)
+    def null_model(cls, p: int, q: int, forced=None) -> "ModelIndicator":
+        forced = np.zeros(p + q, dtype=bool) if forced is None else forced
+        return cls(forced, forced, p)
 
 
 @dataclass(frozen=True)
@@ -367,27 +350,18 @@ class PriorSpec:
     def q(self) -> int:
         return self.beta0.shape[0]
 
-    @property
+    @cached_property
     def psi0(self) -> np.ndarray:
-        return np.concatenate([self.theta0, self.beta0])
+        return _frozen_array(np.concatenate([self.theta0, self.beta0]), np.float64)
 
-    @property
+    @cached_property
     def Psi0(self) -> np.ndarray:
-        p, q = self.p, self.q
-        out = np.zeros((p + q, p + q))
-        out[:p, :p] = self.Theta0
-        out[p:, p:] = self.B0
-        return out
+        return _frozen_array(block_diag(self.Theta0, self.B0), np.float64)
 
     def restrict(self, model: ModelIndicator) -> tuple[np.ndarray, np.ndarray]:
         """Prior mean and covariance on the active coefficient subspace."""
-        aw, ax = model.active_w, model.active_x
-        mean = np.concatenate([self.theta0[aw], self.beta0[ax]])
-        dw = aw.size
-        cov = np.zeros((model.d, model.d))
-        cov[:dw, :dw] = self.Theta0[np.ix_(aw, aw)]
-        cov[dw:, dw:] = self.B0[np.ix_(ax, ax)]
-        return mean, cov
+        active = model.active_positions
+        return self.psi0[active], self.Psi0[np.ix_(active, active)]
 
     @cached_property
     def fingerprint(self) -> str:
@@ -396,27 +370,6 @@ class PriorSpec:
             h.update(np.ascontiguousarray(part).tobytes())
         h.update(repr((self.gamma0, self.G0, self.s0, self.S0, self.model_prior)).encode())
         return h.hexdigest()
-
-
-def augmented_design(row_index: int, dataset: TobitDataset, model: ModelIndicator):
-    """Stacked per-row response and design for the active coefficient set.
-
-    Returns ``(y_i, X_i)`` where ``y_i`` is a 2-vector whose first slot is a
-    placeholder (0.0) for the latent value supplied by the caller at sampling
-    time, and ``X_i`` is 2 x d(M).  On censored rows the outcome slot of
-    ``y_i`` and the second row of ``X_i`` are zero.
-    """
-    if not 0 <= row_index < dataset.n:
-        raise InvalidParameter(f"row_index {row_index} out of range")
-    aw, ax = model.active_w, model.active_x
-    dw, dx = aw.size, ax.size
-    xt = np.zeros((2, dw + dx))
-    xt[0, :dw] = dataset.W[row_index, aw]
-    yt = np.zeros(2)
-    if not dataset.censored[row_index]:
-        xt[1, dw:] = dataset.X[row_index, ax]
-        yt[1] = dataset.y[row_index]
-    return yt, xt
 
 
 def check_sign_consistency(dataset: TobitDataset, z: np.ndarray) -> np.ndarray:
@@ -428,32 +381,3 @@ def check_sign_consistency(dataset: TobitDataset, z: np.ndarray) -> np.ndarray:
     if not np.array_equal(neg, dataset.censored):
         raise InvalidState("sign of z is inconsistent with the censoring pattern")
     return z
-
-
-def complete_data_log_density(
-    dataset: TobitDataset, z: np.ndarray, psi: CoefVector, sp: SigmaParams
-) -> float:
-    """Log joint density of (z, observed y) given all parameters.
-
-    Proportional form: the 2*pi normalizing factors are dropped, everything
-    else (including the phi power) is kept, so values are comparable across
-    parameter settings on the same data.
-    """
-    z = check_sign_consistency(dataset, z)
-    if dataset.n == 0:
-        return 0.0
-    cen = dataset.censored
-    unc = ~cen
-    e_z = z - dataset.W @ psi.theta
-    quad = float(np.dot(e_z[cen], e_z[cen]))
-    n_o = dataset.n_o
-    if n_o:
-        g, phi = sp.gamma, sp.phi
-        e_zu = e_z[unc]
-        e_yu = dataset.y[unc] - dataset.X[unc] @ psi.beta
-        quad += float(
-            (1.0 + g * g / phi) * np.dot(e_zu, e_zu)
-            - 2.0 * (g / phi) * np.dot(e_zu, e_yu)
-            + np.dot(e_yu, e_yu) / phi
-        )
-    return -0.5 * (n_o * np.log(sp.phi) + quad)

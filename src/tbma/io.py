@@ -183,12 +183,9 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
             y_scale=y_scale,
         )
 
-    forced_w = np.zeros(len(names_w), dtype=bool)
-    forced_x = np.zeros(len(names_x), dtype=bool)
     if schema.add_intercept_selection:
         W = np.column_stack([np.ones(n), W]) if n else np.ones((0, len(names_w) + 1))
         names_w = [INTERCEPT_NAME] + names_w
-        forced_w = np.concatenate([[True], forced_w])
         if standardization is not None:
             standardization = dataclasses.replace(
                 standardization,
@@ -199,7 +196,6 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
     if schema.add_intercept_outcome:
         X = np.column_stack([np.ones(n), X]) if n else np.ones((0, len(names_x) + 1))
         names_x = [INTERCEPT_NAME] + names_x
-        forced_x = np.concatenate([[True], forced_x])
         if standardization is not None:
             standardization = dataclasses.replace(
                 standardization,
@@ -212,7 +208,13 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
         W=W, X=X, y=y, censored=censored,
         column_names_w=tuple(names_w), column_names_x=tuple(names_x),
     )
-    template = ModelIndicator.full_model(dataset.p, dataset.q, forced_w, forced_x)
+    # An added intercept is the first column of its equation and always included.
+    forced = np.zeros(dataset.p + dataset.q, dtype=bool)
+    if schema.add_intercept_selection:
+        forced[0] = True
+    if schema.add_intercept_outcome:
+        forced[dataset.p] = True
+    template = ModelIndicator.full_model(dataset.p, dataset.q, forced)
     return LoadedData(dataset=dataset, model_template=template, standardization=standardization)
 
 

@@ -1,6 +1,8 @@
 """Independent brute-force oracles backing the test suite.
 
-Everything here is deliberately simpler than the samplers it checks: a plain
+Everything here is deliberately simpler than the samplers it checks: direct
+per-row and whole-data transcriptions of the model (error covariance,
+augmented design, complete-data density, latent-score conditional), a plain
 tensor-grid quadrature for conditional marginals, exhaustive enumeration of
 small model spaces, a generator that draws data straight from the model
 equations, and a one-dimensional mixture reference for the uncensored
@@ -20,8 +22,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from .conditionals import conditional_log_marginal, sweep_statistics
+from .conditionals import NEGATIVE, NONNEGATIVE, conditional_log_marginal, sweep_statistics
 from .core import (
+    CoefVector,
     ModelIndicator,
     ModelPrior,
     PriorSpec,
@@ -32,6 +35,10 @@ from .core import (
 from .errors import DimensionError, InvalidParameter, ParseError
 
 __all__ = [
+    "build_sigma",
+    "augmented_design",
+    "complete_data_log_density",
+    "latent_conditional_params",
     "QuadratureSpec",
     "quadrature_conditional_marginal",
     "conditional_log_marginal_rss",
@@ -54,6 +61,84 @@ RSS_FORM_TOL = 1e-9
 
 # Fixtures pin the coefficient prior to standard normal per active column.
 _FIXTURE_PRIOR_HYPERS = dict(gamma0=0.0, G0=1.0, s0=4.0, S0=4.0)
+
+
+def build_sigma(sp: SigmaParams) -> np.ndarray:
+    """Error covariance [[1, gamma], [gamma, phi + gamma**2]]; determinant phi."""
+    g = sp.gamma
+    return np.array([[1.0, g], [g, sp.phi + g * g]])
+
+
+def augmented_design(row_index: int, dataset: TobitDataset, model: ModelIndicator):
+    """Stacked per-row response and design for the active coefficient set.
+
+    Returns ``(y_i, X_i)`` where ``y_i`` is a 2-vector whose first slot is a
+    placeholder (0.0) for the latent value supplied by the caller at sampling
+    time, and ``X_i`` is 2 x d(M).  On censored rows the outcome slot of
+    ``y_i`` and the second row of ``X_i`` are zero.
+    """
+    if not 0 <= row_index < dataset.n:
+        raise InvalidParameter(f"row_index {row_index} out of range")
+    aw, ax = model.active_w, model.active_x
+    dw, dx = aw.size, ax.size
+    xt = np.zeros((2, dw + dx))
+    xt[0, :dw] = dataset.W[row_index, aw]
+    yt = np.zeros(2)
+    if not dataset.censored[row_index]:
+        xt[1, dw:] = dataset.X[row_index, ax]
+        yt[1] = dataset.y[row_index]
+    return yt, xt
+
+
+def complete_data_log_density(
+    dataset: TobitDataset, z: np.ndarray, psi: CoefVector, sp: SigmaParams
+) -> float:
+    """Log joint density of (z, observed y) given all parameters.
+
+    Proportional form: the 2*pi normalizing factors are dropped, everything
+    else (including the phi power) is kept, so values are comparable across
+    parameter settings on the same data.
+    """
+    z = check_sign_consistency(dataset, z)
+    if dataset.n == 0:
+        return 0.0
+    cen = dataset.censored
+    unc = ~cen
+    e_z = z - dataset.W @ psi.theta
+    quad = float(np.dot(e_z[cen], e_z[cen]))
+    n_o = dataset.n_o
+    if n_o:
+        g, phi = sp.gamma, sp.phi
+        e_zu = e_z[unc]
+        e_yu = dataset.y[unc] - dataset.X[unc] @ psi.beta
+        quad += float(
+            (1.0 + g * g / phi) * np.dot(e_zu, e_zu)
+            - 2.0 * (g / phi) * np.dot(e_zu, e_yu)
+            + np.dot(e_yu, e_yu) / phi
+        )
+    return -0.5 * (n_o * np.log(sp.phi) + quad)
+
+
+def latent_conditional_params(
+    row_index: int, dataset: TobitDataset, psi: CoefVector, sp: SigmaParams
+) -> tuple[float, float, str]:
+    """Mean, variance and truncation side of one latent score's conditional.
+
+    Censored rows marginalize the unobserved outcome, so their conditional is
+    the unit-variance selection prior; uncensored rows condition on y, which
+    shifts the mean by gamma / (phi + gamma^2) times the outcome residual and
+    shrinks the variance to phi / (phi + gamma^2).
+    """
+    if not 0 <= row_index < dataset.n:
+        raise InvalidParameter(f"row_index {row_index} out of range")
+    mu = float(dataset.W[row_index] @ psi.theta)
+    if dataset.censored[row_index]:
+        return mu, 1.0, NEGATIVE
+    g, phi = sp.gamma, sp.phi
+    resid = float(dataset.y[row_index] - dataset.X[row_index] @ psi.beta)
+    mu += g / (phi + g * g) * resid
+    var = 1.0 - g * g / (phi + g * g)
+    return mu, var, NONNEGATIVE
 
 
 @dataclass(frozen=True)
@@ -176,7 +261,7 @@ def conditional_log_marginal_rss(
     aw, ax = model.active_w, model.active_x
     dw = aw.size
     g, phi = sp.gamma, sp.phi
-    (a11, a12), (_, a22) = np.linalg.inv(np.array([[1.0, g], [g, phi + g * g]]))
+    (a11, a12), (_, a22) = np.linalg.inv(build_sigma(sp))
 
     unc = ~dataset.censored
     z_cen, z_unc, y_unc = z[~unc], z[unc], dataset.y[unc]
@@ -216,8 +301,7 @@ def enumerate_model_posterior(
     sp: SigmaParams,
     prior: PriorSpec,
     model_prior: ModelPrior,
-    forced_w: np.ndarray | None = None,
-    forced_x: np.ndarray | None = None,
+    forced: np.ndarray | None = None,
 ) -> dict[tuple[bool, ...], float]:
     """Exact conditional posterior over every model, keyed by inclusion pattern.
 
@@ -228,15 +312,15 @@ def enumerate_model_posterior(
     p, q = dataset.p, dataset.q
     if p + q > 12:
         raise DimensionError(f"enumeration supports p + q <= 12, got {p + q}")
-    base = ModelIndicator.null_model(p, q, forced_w=forced_w, forced_x=forced_x)
+    base = ModelIndicator.null_model(p, q, forced)
     free = base.free_positions()
 
     stats = sweep_statistics(dataset, z, sp)
     keys, scores = [], []
     for bits in itertools.product((False, True), repeat=free.size):
-        include = np.concatenate([base.include_w, base.include_x])
+        include = base.include.copy()
         include[free] = bits
-        model = ModelIndicator(include[:p], include[p:], base.forced_w, base.forced_x)
+        model = ModelIndicator(include, base.forced, p)
         score = conditional_log_marginal(stats, prior, model).log_conditional_marginal
         if model_prior.kind == "bernoulli":
             k = sum(bits)
@@ -495,22 +579,22 @@ def load_fixture(path) -> CbfFixture:
         column_names_w=tuple(names_w),
         column_names_x=tuple(names_x),
     )
-    p, q = len(names_w), len(names_x)
-    forced_w, forced_x = np.zeros(p, dtype=bool), np.zeros(q, dtype=bool)
-    model_a = ModelIndicator(
-        _parse_bits(meta["model_a_w"]), _parse_bits(meta["model_a_x"]), forced_w, forced_x
-    )
-    model_b = ModelIndicator(
-        _parse_bits(meta["model_b_w"]), _parse_bits(meta["model_b_x"]), forced_w, forced_x
-    )
+    forced = np.zeros(dataset.p + dataset.q, dtype=bool)
+
+    def model(tag: str) -> ModelIndicator:
+        bits_w, bits_x = _parse_bits(meta[f"{tag}_w"]), _parse_bits(meta[f"{tag}_x"])
+        if bits_w.size != dataset.p or bits_x.size != dataset.q:
+            raise ParseError(f"fixture {path}: {tag} needs {dataset.p} + {dataset.q} bits")
+        return ModelIndicator(np.concatenate([bits_w, bits_x]), forced, dataset.p)
+
     name = meta.get("name") or Path(str(path)).stem
     return CbfFixture(
         name=name,
         dataset=dataset,
         z=data[:, col["z"]],
         sp=SigmaParams(gamma=float(meta["gamma"]), phi=float(meta["phi"])),
-        model_a=model_a,
-        model_b=model_b,
+        model_a=model("model_a"),
+        model_b=model("model_b"),
         quadrature=QuadratureSpec(
             nodes_per_axis=int(meta.get("nodes_per_axis", 201)),
             half_width=float(meta.get("half_width", 10.0)),

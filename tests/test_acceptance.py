@@ -169,7 +169,7 @@ def test_c3_stationarity_against_exact_enumeration(memo_marginals):
     worst_db = 0.0
     for key in exact:
         include = np.array(key)
-        current = ModelIndicator(include[:2], include[2:], np.zeros(2, bool), np.zeros(1, bool))
+        current = ModelIndicator(include, np.zeros(3, bool), 2)
         for pos in range(3):
             neighbor = current.with_toggled(pos)
             delta = log_post[neighbor.key()] - log_post[current.key()]

@@ -19,6 +19,7 @@ from tbma.chain import (
     run_chains,
     running_model_size,
 )
+from tbma.core import ModelIndicator
 from tbma.errors import EmptyChain, InvalidParameter
 
 
@@ -116,6 +117,14 @@ class TestRunChainBookkeeping:
         with pytest.raises(InvalidParameter):
             run_chain(self.ds, unit_prior(3, 2), ChainConfig(iterations=4, burn_in=0, chains=1))
 
+    @pytest.mark.parametrize("init", chain_mod.INIT_KINDS)
+    def test_mis_sized_template_rejected(self, init):
+        # Same stacked length p + q = 4 as the dataset, split differently.
+        template = ModelIndicator.full_model(3, 1)
+        config = ChainConfig(iterations=4, burn_in=0, chains=1, init=init)
+        with pytest.raises(InvalidParameter, match=r"\(3, 1\).*\(2, 2\)"):
+            run_chain(self.ds, self.prior, config, model_template=template)
+
     def test_numerical_failure_reports_sweep_index(self, monkeypatch):
         from tbma.errors import NumericalError
 
@@ -186,9 +195,7 @@ class TestSummaries:
 
     def test_forced_bit_reports_one(self):
         ds = make_dataset(n=25, seed=4)
-        from tbma.core import ModelIndicator
-
-        template = ModelIndicator.full_model(2, 2, forced_w=np.array([True, False]))
+        template = ModelIndicator.full_model(2, 2, forced=np.array([True, False, False, False]))
         out = run_chain(ds, unit_prior(2, 2), ChainConfig(iterations=30, burn_in=5, seed=2, chains=1),
                         model_template=template)
         incl_w, _ = inclusion_probabilities(out)

@@ -12,7 +12,6 @@ from tbma.conditionals import (
     draw_phi,
     draw_psi,
     gamma_posterior_params,
-    latent_conditional_params,
     phi_posterior_params,
     sample_latent,
     sample_truncated_normal,
@@ -20,6 +19,7 @@ from tbma.conditionals import (
 )
 from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 from tbma.errors import InvalidParameter
+from tbma.oracle import latent_conditional_params
 
 
 def posterior_with_covariance(model, mean, cov):
@@ -152,10 +152,7 @@ class TestPsiPosterior:
         )
         prior = unit_prior(2, 2, Theta0=np.diag([2.0, 3.0]), B0=np.diag([4.0, 5.0]),
                            theta0=np.array([1.0, -1.0]), beta0=np.array([0.5, 0.0]))
-        model = ModelIndicator(
-            include_w=np.array([True, False]), include_x=np.array([True, True]),
-            forced_w=np.zeros(2, bool), forced_x=np.zeros(2, bool),
-        )
+        model = ModelIndicator(np.array([True, False, True, True]), np.zeros(4, bool), 2)
         stats = sweep_statistics(ds, np.zeros(0), SigmaParams(0.2, 1.0))
         post = conditional_log_marginal(stats, prior, model)
         assert np.allclose(post.psi1, [1.0, 0.5, 0.0])
@@ -291,10 +288,7 @@ class TestDraws:
         assert np.allclose(draws.mean(axis=0), [1.0, -1.0], atol=0.01)
 
     def test_inactive_coordinates_exactly_zero(self, rng):
-        model = ModelIndicator(
-            include_w=np.array([True, False]), include_x=np.array([False, True]),
-            forced_w=np.zeros(2, bool), forced_x=np.zeros(2, bool),
-        )
+        model = ModelIndicator(np.array([True, False, False, True]), np.zeros(4, bool), 2)
         post = posterior_with_covariance(model, np.array([0.5, -0.5]), np.eye(2))
         for _ in range(50):
             cv = draw_psi(post, rng)

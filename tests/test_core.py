@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
@@ -12,14 +12,23 @@ from tbma.core import (
     PriorSpec,
     SigmaParams,
     TobitDataset,
-    augmented_design,
-    build_sigma,
-    complete_data_log_density,
 )
 from tbma.errors import InvalidParameter, InvalidState
+from tbma.oracle import augmented_design, build_sigma, complete_data_log_density
 
 finite_gamma = st.floats(-5.0, 5.0, allow_nan=False)
 positive_phi = st.floats(1e-3, 50.0, allow_nan=False)
+
+
+@st.composite
+def stacked_masks(draw):
+    """(p, include, forced) for a random model with forced a subset of include."""
+    p = draw(st.integers(0, 6))
+    size = p + draw(st.integers(0, 6))
+    bits = st.lists(st.booleans(), min_size=size, max_size=size)
+    include = np.array(draw(bits), dtype=bool)
+    forced = include & np.array(draw(bits), dtype=bool)
+    return p, include, forced
 
 
 class TestBuildSigma:
@@ -93,27 +102,68 @@ class TestTobitDataset:
 class TestModelIndicator:
     def test_forced_subset_enforced(self):
         with pytest.raises(InvalidParameter):
-            ModelIndicator(
-                include_w=np.array([False]), include_x=np.array([True]),
-                forced_w=np.array([True]), forced_x=np.array([False]),
-            )
+            ModelIndicator(np.array([False, True]), np.array([True, False]), 1)
 
     def test_active_dimension(self):
-        m = ModelIndicator(
-            include_w=np.array([True, False]), include_x=np.array([True, True]),
-            forced_w=np.zeros(2, bool), forced_x=np.zeros(2, bool),
-        )
+        m = ModelIndicator(np.array([True, False, True, True]), np.zeros(4, bool), 2)
         assert m.d == 3
         assert m.active_positions.tolist() == [0, 2, 3]
 
     def test_toggle_forced_rejected(self):
-        m = ModelIndicator.null_model(2, 1, forced_w=np.array([True, False]))
+        m = ModelIndicator.null_model(2, 1, forced=np.array([True, False, False]))
         with pytest.raises(InvalidParameter):
             m.with_toggled(0)
 
     def test_toggle_roundtrip(self):
         m = ModelIndicator.full_model(2, 2)
         assert m.with_toggled(3).with_toggled(3) == m
+
+    @given(case=stacked_masks())
+    def test_derived_views_match_numpy(self, case):
+        p, include, forced = case
+        m = ModelIndicator(include, forced, p)
+        assert m.q == include.size - p
+        assert m.key() == tuple(bool(b) for b in include)
+        assert np.array_equal(m.active_positions, np.flatnonzero(include))
+        assert np.array_equal(m.active_w, np.flatnonzero(include[:p]))
+        assert np.array_equal(m.active_x, np.flatnonzero(include[p:]))
+        assert m.d == np.count_nonzero(include)
+        assert np.array_equal(m.free_positions(), np.flatnonzero(~forced))
+        assert m.n_free_active() == np.count_nonzero(include & ~forced)
+
+    @given(case=stacked_masks(), data=st.data())
+    def test_toggle_flips_one_free_bit_and_shares_forced(self, case, data):
+        p, include, forced = case
+        m = ModelIndicator(include, forced, p)
+        free = np.flatnonzero(~forced)
+        assume(free.size > 0)
+        pos = int(free[data.draw(st.integers(0, free.size - 1))])
+        toggled = m.with_toggled(pos)
+        assert np.flatnonzero(toggled.include != include).tolist() == [pos]
+        assert toggled.forced is m.forced
+        assert toggled.p == p
+        for fixed in np.flatnonzero(forced):
+            with pytest.raises(InvalidParameter):
+                m.with_toggled(int(fixed))
+        with pytest.raises(InvalidParameter):
+            m.with_toggled(include.size)
+
+    @given(case=stacked_masks())
+    def test_constructor_rejects_malformed_masks(self, case):
+        p, include, forced = case
+        excluded = np.flatnonzero(~include)
+        if excluded.size:
+            not_subset = forced.copy()
+            not_subset[excluded[0]] = True
+            with pytest.raises(InvalidParameter):
+                ModelIndicator(include, not_subset, p)
+        with pytest.raises(InvalidParameter):
+            ModelIndicator(include, np.append(forced, False), p)
+        with pytest.raises(InvalidParameter):
+            ModelIndicator(include[None, :], forced[None, :], p)
+        for bad_p in (-1, include.size + 1):
+            with pytest.raises(InvalidParameter):
+                ModelIndicator(include, forced, bad_p)
 
 
 class TestModelPrior:
@@ -156,10 +206,7 @@ class TestAugmentedDesign:
             W=np.array([[2.0]]), X=np.array([[3.0]]), y=np.array([1.5]),
             censored=np.array([False]), column_names_w=("w",), column_names_x=("x",),
         )
-        model = ModelIndicator(
-            include_w=np.array([True]), include_x=np.array([False]),
-            forced_w=np.zeros(1, bool), forced_x=np.zeros(1, bool),
-        )
+        model = ModelIndicator(np.array([True, False]), np.zeros(2, bool), 1)
         _, xt = augmented_design(0, ds, model)
         assert xt.shape == (2, 1)
 
@@ -251,10 +298,7 @@ class TestPriorSpec:
             beta0=np.array([4.0, 5.0]), B0=np.diag([6.0, 7.0]),
             gamma0=0.0, G0=1.0, s0=2.0, S0=2.0,
         )
-        model = ModelIndicator(
-            include_w=np.array([False, True]), include_x=np.array([True, False]),
-            forced_w=np.zeros(2, bool), forced_x=np.zeros(2, bool),
-        )
+        model = ModelIndicator(np.array([False, True, True, False]), np.zeros(4, bool), 2)
         mean, cov = prior.restrict(model)
         assert mean.tolist() == [2.0, 4.0]
         assert np.array_equal(cov, np.diag([3.0, 6.0]))

@@ -104,8 +104,8 @@ class TestLoadCsv:
         ds = loaded.dataset
         assert ds.column_names_w[0] == INTERCEPT_NAME
         assert np.all(ds.W[:, 0] == 1.0)
-        assert loaded.model_template.forced_w[0]
-        assert not loaded.model_template.forced_w[1]
+        assert loaded.model_template.forced[0]
+        assert not loaded.model_template.forced[1]
 
     def test_standardize_records_transforms(self, tmp_path):
         rng = np.random.default_rng(8)

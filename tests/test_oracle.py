@@ -3,10 +3,11 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from conftest import consistent_z, make_dataset, unit_prior
-from tbma.core import CoefVector, ModelIndicator, ModelPrior, SigmaParams, TobitDataset, complete_data_log_density
+from tbma.core import CoefVector, ModelIndicator, ModelPrior, SigmaParams, TobitDataset
 from tbma.errors import DimensionError
 from tbma.oracle import (
     QuadratureSpec,
+    complete_data_log_density,
     SynthSpec,
     conjugate_regression_moments,
     enumerate_model_posterior,
@@ -58,10 +59,7 @@ class TestQuadrature:
         z = np.abs(rng.standard_normal(n))
         sp = SigmaParams(0.0, phi)
         prior = unit_prior(1, 1)
-        model = ModelIndicator(
-            include_w=np.array([False]), include_x=np.array([True]),
-            forced_w=np.zeros(1, bool), forced_x=np.zeros(1, bool),
-        )
+        model = ModelIndicator(np.array([False, True]), np.zeros(2, bool), 1)
         value = quadrature_conditional_marginal(ds, z, model, sp, prior)
 
         # Reference: z terms enter as constants; the Gaussian evidence of y

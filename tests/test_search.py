@@ -17,7 +17,7 @@ from tbma.search import mc3_step, propose_neighbor
 
 def random_model(rng, p=3, q=3):
     include = rng.uniform(size=p + q) < 0.5
-    return ModelIndicator(include[:p], include[p:], np.zeros(p, bool), np.zeros(q, bool))
+    return ModelIndicator(include, np.zeros(p + q, bool), p)
 
 
 class TestProposeNeighbor:
@@ -27,21 +27,18 @@ class TestProposeNeighbor:
         rng = np.random.default_rng(seed)
         model = random_model(rng)
         proposal = propose_neighbor(model, rng)
-        flips = np.count_nonzero(
-            np.concatenate([model.include_w != proposal.include_w,
-                            model.include_x != proposal.include_x])
-        )
+        flips = np.count_nonzero(model.include != proposal.include)
         assert flips == 1
 
     def test_forced_bits_never_change(self, rng):
-        forced_w = np.array([True, False, False])
-        model = ModelIndicator.null_model(3, 2, forced_w=forced_w)
+        forced = np.array([True, False, False, False, False])
+        model = ModelIndicator.null_model(3, 2, forced=forced)
         for _ in range(200):
             proposal = propose_neighbor(model, rng)
-            assert proposal.include_w[0]
+            assert proposal.include[0]
 
     def test_all_forced_raises(self, rng):
-        model = ModelIndicator.null_model(1, 1, forced_w=np.ones(1, bool), forced_x=np.ones(1, bool))
+        model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
         with pytest.raises(NoMoveAvailable):
             propose_neighbor(model, rng)
 
@@ -54,10 +51,7 @@ class TestProposeNeighbor:
         counts = np.zeros(12)
         for _ in range(trials):
             proposal = propose_neighbor(model, rng)
-            pos = np.flatnonzero(
-                np.concatenate([model.include_w != proposal.include_w,
-                                model.include_x != proposal.include_x])
-            )[0]
+            pos = np.flatnonzero(model.include != proposal.include)[0]
             counts[pos] += 1
         freq = counts / trials
         assert np.all(np.abs(freq - 1.0 / 12.0) < 0.01)
@@ -122,7 +116,7 @@ class TestMc3Step:
             assert accepted
 
     def test_no_move_available_returns_input(self, rng):
-        model = ModelIndicator.null_model(1, 1, forced_w=np.ones(1, bool), forced_x=np.ones(1, bool))
+        model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
         ds = make_dataset(n=12, seed=3, p=1, q=1)
         stats = sweep_statistics(ds, consistent_z(ds), self.sp)
         prior = unit_prior(1, 1)
@@ -204,7 +198,7 @@ class TestScoringContract:
 
     def test_nothing_scored_when_no_bit_is_free(self, rng, monkeypatch):
         scored = self.record_scores(monkeypatch)
-        model = ModelIndicator.null_model(1, 1, forced_w=np.ones(1, bool), forced_x=np.ones(1, bool))
+        model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
         ds = make_dataset(n=12, seed=3, p=1, q=1)
         stats = sweep_statistics(ds, consistent_z(ds), self.sp)
         prior = unit_prior(1, 1)
@@ -236,7 +230,7 @@ class TestDetailedBalance:
 
         for key in posterior:
             include = np.array(key)
-            model = ModelIndicator(include[:2], include[2:], np.zeros(2, bool), np.zeros(1, bool))
+            model = ModelIndicator(include, np.zeros(3, bool), 2)
             for pos in range(3):
                 neighbor = model.with_toggled(pos)
                 delta = log_post[neighbor.key()] - log_post[model.key()]
