@@ -21,6 +21,7 @@ from .chain import (
     running_model_size,
 )
 from .conditionals import (
+    FittedValues,
     GammaPosterior,
     PhiPosterior,
     PsiPosterior,
@@ -29,6 +30,7 @@ from .conditionals import (
     draw_gamma,
     draw_phi,
     draw_psi,
+    fitted_values,
     gamma_posterior_params,
     phi_posterior_params,
     sample_latent,

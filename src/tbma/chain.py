@@ -3,11 +3,12 @@ posterior summaries.
 
 Each sweep draws the latent scores, then the covariance entry, then the
 conditional variance, applies the model move(s), and finally draws the
-coefficients for the retained model, in exactly that order.  Before the
-moves, the sweep builds the coefficient conditional's data statistics once
-and scores its starting model once; each move then scores only its proposal
-and passes the retained model's posterior on to the next move and to the
-coefficient draw.
+coefficients for the retained model, in exactly that order.  The first
+three draws read the fitted values of the sweep's starting coefficients,
+formed once at the top of the sweep.  Before the moves, the sweep builds
+the coefficient conditional's data statistics once and scores its starting
+model once; each move then scores only its proposal and passes the retained
+model's posterior on to the next move and to the coefficient draw.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .conditionals import (
     draw_gamma,
     draw_phi,
     draw_psi,
+    fitted_values,
     gamma_posterior_params,
     phi_posterior_params,
     sample_latent,
@@ -231,9 +233,10 @@ def run_chain(
 
     for sweep in range(config.iterations):
         try:
-            z = sample_latent(dataset, psi, sigma, rng)
-            gamma = draw_gamma(gamma_posterior_params(dataset, z, psi, sigma.phi, prior), rng)
-            phi = draw_phi(phi_posterior_params(dataset, z, psi, gamma, prior), rng)
+            fit = fitted_values(dataset, psi)
+            z = sample_latent(dataset, fit, sigma, rng)
+            gamma = draw_gamma(gamma_posterior_params(dataset, z, fit, sigma.phi, prior), rng)
+            phi = draw_phi(phi_posterior_params(dataset, z, fit, gamma, prior), rng)
             sigma = SigmaParams(gamma, phi)
             stats = sweep_statistics(dataset, z, sigma)
             # Looked up on ``search`` so that every scored model goes through one name.

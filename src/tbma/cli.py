@@ -15,7 +15,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import io as io_mod
 from .core import ModelPrior, PriorSpec
-from .errors import InvalidParameter, ParseError, TbmaError
+from .errors import InvalidParameter, ParseError, SchemaError, TbmaError
 from .oracle import SynthSpec, generate_synthetic, run_fixture_suite
 
 __all__ = ["main", "build_parser"]
@@ -178,6 +178,14 @@ def _cmd_run(args) -> int:
         raise
     loaded = io_mod.load_csv(args.data, _load_schema(args.schema))
     dataset = loaded.dataset
+    if dataset.n == 0:
+        raise SchemaError(f"{args.data} has no data rows")
+    if dataset.n_o == 0:
+        print(
+            f"warning: every row of {args.data} is censored, so the outcome equation's "
+            "inclusion probabilities and coefficients, gamma and phi only echo their priors",
+            file=sys.stderr,
+        )
     prior = _load_prior(args.prior_config, dataset.p, dataset.q)
 
     out_dir = Path(args.out_dir)

@@ -6,12 +6,15 @@ covariance entry gamma (normal) and the conditional outcome variance phi
 (inverse gamma).  The coefficient conditional also yields the model's
 conditional log marginal, which the model move compares across models.
 
+The latent, gamma and phi conditionals all read the fitted values of the
+sweep's starting coefficients, which ``fitted_values`` forms once per sweep.
+
 The coefficient conditional has two parts.  ``sweep_statistics`` does all
 the O(n) work once per sweep: at fixed latent scores and covariance, the
 weighted Gram matrix and linear term of every covariate are the same for
 every model.  ``conditional_log_marginal`` then scores one model from them
 by indexing its active rows and columns, adding the restricted prior and
-factoring once.
+factoring once, with LAPACK's Cholesky routines called directly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr, ndtri
 
 from .core import (
@@ -34,11 +37,13 @@ from .core import (
 from .errors import InvalidParameter, NumericalError
 
 __all__ = [
+    "FittedValues",
     "SweepStatistics",
     "PsiPosterior",
     "GammaPosterior",
     "PhiPosterior",
     "sample_truncated_normal",
+    "fitted_values",
     "sample_latent",
     "sweep_statistics",
     "conditional_log_marginal",
@@ -55,6 +60,15 @@ _TAIL_SWITCH = 5.0
 
 NEGATIVE = "negative"
 NONNEGATIVE = "nonnegative"
+
+
+@dataclass(frozen=True, eq=False)
+class FittedValues:
+    """Fitted values of one coefficient vector: ``sel`` = W theta over every
+    row, ``out_unc`` = X beta over the uncensored rows."""
+
+    sel: np.ndarray
+    out_unc: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +104,8 @@ class PsiPosterior:
         d = self.psi1.shape[0]
         if d == 0:
             return np.zeros((0, 0))
-        return cho_solve((self.chol, True), np.eye(d), check_finite=False)
+        cov, _ = dpotrs(self.chol, np.eye(d), lower=1)
+        return cov
 
 
 @dataclass(frozen=True)
@@ -176,20 +191,30 @@ def sample_truncated_normal(mu: float, var: float, side: str, rng: np.random.Gen
     return float(out[0])
 
 
+def fitted_values(dataset: TobitDataset, psi: CoefVector) -> FittedValues:
+    """The products of ``psi`` with the design that the latent, gamma and phi
+    conditionals share; read-only, so every reader sees the same values."""
+    sel = dataset.W @ psi.theta
+    out_unc = dataset.split.X_unc @ psi.beta
+    sel.setflags(write=False)
+    out_unc.setflags(write=False)
+    return FittedValues(sel, out_unc)
+
+
 def sample_latent(
-    dataset: TobitDataset, psi: CoefVector, sp: SigmaParams, rng: np.random.Generator
+    dataset: TobitDataset, fit: FittedValues, sp: SigmaParams, rng: np.random.Generator
 ) -> np.ndarray:
     """Joint draw of all latent scores; sign pattern equals the censoring pattern."""
     if dataset.n == 0:
         return np.empty(0)
     split = dataset.split
-    mu = dataset.W @ psi.theta
+    mu = fit.sel.copy()
     sd = np.ones(dataset.n)
     unc = split.uncensored_idx
     if unc.size:
         g, phi = sp.gamma, sp.phi
         denom = phi + g * g
-        resid = split.y_unc - split.X_unc @ psi.beta
+        resid = split.y_unc - fit.out_unc
         mu[unc] += (g / denom) * resid
         sd[unc] = np.sqrt(phi / denom)
     return _truncated_draws(mu, sd, dataset.censored, rng)
@@ -250,27 +275,25 @@ def conditional_log_marginal(
         return PsiPosterior(model, np.zeros(0), 0.0, np.zeros((0, 0)))
 
     psi0, Psi0 = prior.restrict(model)
-    try:
-        cho0 = cho_factor(Psi0, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("prior covariance block is not positive definite") from exc
-    logdet0 = 2.0 * float(np.sum(np.log(np.diag(cho0[0]))))
-    lin = cho_solve(cho0, psi0, check_finite=False)
+    cho0, info = dpotrf(Psi0, lower=1, clean=0)
+    if info:
+        raise NumericalError("prior covariance block is not positive definite")
+    logdet0 = 2.0 * float(np.log(cho0.diagonal()).sum())
+    lin, _ = dpotrs(cho0, psi0, lower=1)
     quad0 = float(psi0 @ lin)
-    prec = cho_solve(cho0, np.eye(d), check_finite=False)
+    prec, _ = dpotrs(cho0, np.eye(d), lower=1)
 
     active = model.active_positions
-    prec += stats.gram[np.ix_(active, active)]
+    prec += stats.gram[active[:, None], active]
     lin += stats.lin[active]
 
     if not np.all(np.isfinite(prec)) or not np.all(np.isfinite(lin)):
         raise NumericalError("non-finite values in the coefficient precision system")
-    try:
-        chol = cholesky(prec, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("coefficient precision matrix is not positive definite") from exc
-    psi1 = cho_solve((chol, True), lin, check_finite=False)
-    logdet_prec = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    chol, info = dpotrf(prec, lower=1, clean=1, overwrite_a=1)
+    if info:
+        raise NumericalError("coefficient precision matrix is not positive definite")
+    psi1, _ = dpotrs(chol, lin, lower=1)
+    logdet_prec = 2.0 * float(np.log(chol.diagonal()).sum())
     # psi1' Psi1^{-1} psi1 equals psi1 . lin because Psi1^{-1} psi1 = lin.
     value = 0.5 * (-logdet_prec - logdet0 - quad0 + float(psi1 @ lin))
     return PsiPosterior(model, psi1, value, chol)
@@ -279,7 +302,7 @@ def conditional_log_marginal(
 def gamma_posterior_params(
     dataset: TobitDataset,
     z: np.ndarray,
-    psi: CoefVector,
+    fit: FittedValues,
     phi: float,
     prior: PriorSpec,
 ) -> GammaPosterior:
@@ -289,8 +312,9 @@ def gamma_posterior_params(
     if dataset.n_o == 0:
         return GammaPosterior(gamma1=prior.gamma0, G1=prior.G0)
     split = dataset.split
-    e_z = z[split.uncensored_idx] - split.W_unc @ psi.theta
-    e_y = split.y_unc - split.X_unc @ psi.beta
+    unc = split.uncensored_idx
+    e_z = z[unc] - fit.sel[unc]
+    e_y = split.y_unc - fit.out_unc
     g1_inv = 1.0 / prior.G0 + float(np.dot(e_z, e_z)) / phi
     G1 = 1.0 / g1_inv
     gamma1 = G1 * (prior.gamma0 / prior.G0 + float(np.dot(e_z, e_y)) / phi)
@@ -300,14 +324,15 @@ def gamma_posterior_params(
 def phi_posterior_params(
     dataset: TobitDataset,
     z: np.ndarray,
-    psi: CoefVector,
+    fit: FittedValues,
     gamma: float,
     prior: PriorSpec,
 ) -> PhiPosterior:
     """Conditional inverse-gamma parameters (s1, S1) for phi."""
     split = dataset.split
-    e_z = z[split.uncensored_idx] - split.W_unc @ psi.theta
-    e_y = split.y_unc - split.X_unc @ psi.beta
+    unc = split.uncensored_idx
+    e_z = z[unc] - fit.sel[unc]
+    e_y = split.y_unc - fit.out_unc
     # Squared-residual form of S1 - S0 keeps the update nonnegative exactly.
     resid = gamma * e_z - e_y
     return PhiPosterior(s1=prior.s0 + dataset.n_o, S1=prior.S0 + float(np.dot(resid, resid)))

@@ -361,7 +361,7 @@ class PriorSpec:
     def restrict(self, model: ModelIndicator) -> tuple[np.ndarray, np.ndarray]:
         """Prior mean and covariance on the active coefficient subspace."""
         active = model.active_positions
-        return self.psi0[active], self.Psi0[np.ix_(active, active)]
+        return self.psi0[active], self.Psi0[active[:, None], active]
 
     @cached_property
     def fingerprint(self) -> str:

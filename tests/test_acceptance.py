@@ -27,6 +27,7 @@ from tbma.conditionals import (
     conditional_log_marginal,
     draw_phi,
     draw_psi,
+    fitted_values,
     phi_posterior_params,
     sample_latent,
     sweep_statistics,
@@ -210,8 +211,9 @@ def test_c4_conjugate_reduction_uncensored_decoupled():
     betas = np.empty((sweeps, q))
     for it in range(sweeps + burn):
         sp = SigmaParams(0.0, phi)
-        z = sample_latent(dataset, psi, sp, rng)
-        phi = draw_phi(phi_posterior_params(dataset, z, psi, 0.0, prior), rng)
+        fit = fitted_values(dataset, psi)
+        z = sample_latent(dataset, fit, sp, rng)
+        phi = draw_phi(phi_posterior_params(dataset, z, fit, 0.0, prior), rng)
         stats = sweep_statistics(dataset, z, SigmaParams(0.0, phi))
         psi = draw_psi(conditional_log_marginal(stats, prior, model), rng)
         if it >= burn:

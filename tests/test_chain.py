@@ -141,6 +141,32 @@ class TestRunChainBookkeeping:
         with pytest.raises(NumericalError, match="sweep 3"):
             run_chain(self.ds, self.prior, ChainConfig(iterations=10, burn_in=0, seed=1, chains=1))
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda gram, lin: (gram, np.full_like(lin, np.nan)), "non-finite values"),
+            (lambda gram, lin: (gram - 1e6 * np.eye(gram.shape[0]), lin), "not positive definite"),
+        ],
+    )
+    def test_scoring_fault_names_chain_sweep_and_cause(self, monkeypatch, corrupt, message):
+        from tbma.conditionals import SweepStatistics
+        from tbma.errors import NumericalError
+
+        real = chain_mod.sweep_statistics
+        built = {"n": 0}
+
+        def faulty(dataset, z, sigma):
+            stats = real(dataset, z, sigma)
+            built["n"] += 1
+            if built["n"] < 3:
+                return stats
+            return SweepStatistics(*corrupt(stats.gram, stats.lin))
+
+        monkeypatch.setattr(chain_mod, "sweep_statistics", faulty)
+        config = ChainConfig(iterations=10, burn_in=0, seed=1, chains=1)
+        with pytest.raises(NumericalError, match=rf"chain 1 aborted at sweep 2: .*{message}"):
+            run_chain(self.ds, self.prior, config, chain_id=1)
+
 
 class TestSweepOrder:
     def test_one_sweep_is_z_gamma_phi_moves_psi(self, monkeypatch):
@@ -165,7 +191,7 @@ class TestSweepOrder:
         assert events == per_sweep * 3
 
     def test_statistics_built_once_and_each_model_scored_once_per_sweep(self, monkeypatch):
-        counts = {"statistics": 0, "scores": 0}
+        counts = {"fitted": 0, "statistics": 0, "scores": 0}
 
         def counting(name, fn):
             def inner(*args, **kwargs):
@@ -173,6 +199,7 @@ class TestSweepOrder:
                 return fn(*args, **kwargs)
             return inner
 
+        monkeypatch.setattr(chain_mod, "fitted_values", counting("fitted", chain_mod.fitted_values))
         monkeypatch.setattr(chain_mod, "sweep_statistics", counting("statistics", chain_mod.sweep_statistics))
         monkeypatch.setattr(
             tbma.search, "conditional_log_marginal", counting("scores", tbma.search.conditional_log_marginal)
@@ -180,7 +207,7 @@ class TestSweepOrder:
         ds = make_dataset(n=10, seed=2)
         config = ChainConfig(iterations=7, burn_in=0, seed=1, chains=1, inner_model_moves=3)
         run_chain(ds, unit_prior(2, 2), config)
-        assert counts == {"statistics": 7, "scores": 7 * (1 + 3)}
+        assert counts == {"fitted": 7, "statistics": 7, "scores": 7 * (1 + 3)}
 
 
 class TestSummaries:

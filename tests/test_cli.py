@@ -157,6 +157,27 @@ class TestErrorPaths:
         assert f"{config}:2: key 'burn_in': burn_in must satisfy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_header_only_csv_exits_2_naming_the_file(self, tmp_path, schema_file, capsys):
+        data = write(tmp_path / "empty.csv", ["w1,w2,x1,x2,y,censored"])
+        code = run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 10,
+                       "--burn-in", 1, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert f"{data} has no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_all_censored_csv_warns_on_stderr(self, tmp_path, schema_file, capsys):
+        data = write(tmp_path / "censored.csv", [
+            "w1,w2,x1,x2,y,censored",
+            *(f"{0.1 * i},{-0.2 * i},{0.3 * i},{0.05 * i},0,1" for i in range(12)),
+        ])
+        code = run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 20,
+                       "--burn-in", 5, "--chains", 1, "--out-dir", tmp_path / "o")
+        assert code == 0
+        err = capsys.readouterr().err
+        assert f"warning: every row of {data} is censored" in err
+        assert "only echo their priors" in err
+        assert (tmp_path / "o" / "summary.csv").exists()
+
     def test_schema_typo_exits_2(self, tmp_path, capsys):
         data = tmp_path / "synth.csv"
         run_cli("synth", "--n", 30, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",

@@ -7,10 +7,12 @@ from scipy.stats import truncnorm
 from conftest import consistent_z, make_dataset, unit_prior
 from tbma.conditionals import (
     PsiPosterior,
+    SweepStatistics,
     conditional_log_marginal,
     draw_gamma,
     draw_phi,
     draw_psi,
+    fitted_values,
     gamma_posterior_params,
     phi_posterior_params,
     sample_latent,
@@ -18,7 +20,7 @@ from tbma.conditionals import (
     sweep_statistics,
 )
 from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
-from tbma.errors import InvalidParameter
+from tbma.errors import InvalidParameter, NumericalError
 from tbma.oracle import latent_conditional_params
 
 
@@ -122,7 +124,7 @@ class TestSampleLatent:
             W=np.zeros((0, 1)), X=np.zeros((0, 1)), y=np.zeros(0),
             censored=np.zeros(0, bool), column_names_w=("w",), column_names_x=("x",),
         )
-        assert sample_latent(ds, CoefVector.zeros(1, 1), SigmaParams(0.0, 1.0), rng).size == 0
+        assert sample_latent(ds, fitted_values(ds, CoefVector.zeros(1, 1)), SigmaParams(0.0, 1.0), rng).size == 0
 
     def test_all_censored_mean(self):
         rng = np.random.default_rng(3)
@@ -131,7 +133,7 @@ class TestSampleLatent:
             W=np.zeros((n, 1)), X=np.zeros((n, 1)), y=np.zeros(n),
             censored=np.ones(n, bool), column_names_w=("w",), column_names_x=("x",),
         )
-        z = sample_latent(ds, CoefVector.zeros(1, 1), SigmaParams(0.0, 1.0), rng)
+        z = sample_latent(ds, fitted_values(ds, CoefVector.zeros(1, 1)), SigmaParams(0.0, 1.0), rng)
         assert np.all(z < 0)
         assert abs(z.mean() + np.sqrt(2.0 / np.pi)) < 0.01
 
@@ -140,7 +142,7 @@ class TestSampleLatent:
         ds = make_dataset(n=200, seed=seed)
         rng = np.random.default_rng(seed + 10)
         psi = CoefVector(np.array([0.4, -0.8]), np.array([1.0, 0.2]))
-        z = sample_latent(ds, psi, SigmaParams(0.7, 0.6), rng)
+        z = sample_latent(ds, fitted_values(ds, psi), SigmaParams(0.7, 0.6), rng)
         assert np.array_equal(z < 0, ds.censored)
 
 
@@ -204,6 +206,30 @@ class TestPsiPosterior:
         assert np.allclose(post.Psi1 @ (post.chol @ post.chol.T), np.eye(4), atol=1e-10)
 
 
+class TestScoringErrors:
+    """Faults of the coefficient conditional, from statistics built by hand."""
+
+    model = ModelIndicator.full_model(2, 2)
+
+    def test_large_negative_eigenvalue_is_not_positive_definite(self):
+        v = np.array([0.5, -0.5, 0.5, 0.5])
+        gram = np.eye(4) - 1e6 * np.outer(v, v)
+        stats = SweepStatistics(gram, np.ones(4))
+        with pytest.raises(NumericalError, match="coefficient precision matrix is not positive definite"):
+            conditional_log_marginal(stats, unit_prior(2, 2), self.model)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["lin", "gram"])
+    def test_non_finite_statistics(self, where, bad):
+        gram, lin = np.eye(4), np.ones(4)
+        if where == "lin":
+            lin[1] = bad
+        else:
+            gram[2, 3] = gram[3, 2] = bad
+        with pytest.raises(NumericalError, match="non-finite values in the coefficient precision system"):
+            conditional_log_marginal(SweepStatistics(gram, lin), unit_prior(2, 2), self.model)
+
+
 class TestGammaPhiPosteriors:
     def test_gamma_no_uncensored_returns_prior(self):
         ds = make_dataset(n=10, seed=8, censored_fraction=1.1)
@@ -211,7 +237,7 @@ class TestGammaPhiPosteriors:
         # G0 = 3 would expose any reciprocal round trip; the empty case must
         # hand back the prior exactly.
         prior = unit_prior(2, 2, gamma0=0.7, G0=3.0)
-        post = gamma_posterior_params(ds, z, CoefVector.zeros(2, 2), 1.0, prior)
+        post = gamma_posterior_params(ds, z, fitted_values(ds, CoefVector.zeros(2, 2)), 1.0, prior)
         assert (post.gamma1, post.G1) == (0.7, 3.0)
 
     def test_gamma_diffuse_single_row(self):
@@ -221,7 +247,7 @@ class TestGammaPhiPosteriors:
             censored=np.array([False]), column_names_w=("w",), column_names_x=("x",),
         )
         prior = unit_prior(1, 1, gamma0=0.0, G0=1e6)
-        post = gamma_posterior_params(ds, np.array([1.0]), CoefVector.zeros(1, 1), 1.0, prior)
+        post = gamma_posterior_params(ds, np.array([1.0]), fitted_values(ds, CoefVector.zeros(1, 1)), 1.0, prior)
         assert post.gamma1 == pytest.approx(2.0, rel=1e-3)
         assert post.G1 == pytest.approx(1.0, rel=1e-3)
 
@@ -231,14 +257,44 @@ class TestGammaPhiPosteriors:
         ds = make_dataset(n=20, seed=seed % 7)
         z = consistent_z(ds, seed=seed)
         prior = unit_prior(2, 2, G0=3.0)
-        post = gamma_posterior_params(ds, z, CoefVector.zeros(2, 2), phi, prior)
+        post = gamma_posterior_params(ds, z, fitted_values(ds, CoefVector.zeros(2, 2)), phi, prior)
         assert post.G1 <= prior.G0 + 1e-15
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 9999),
+        coefs=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+        gamma=st.floats(-5.0, 5.0),
+        phi=st.floats(0.05, 20.0),
+    )
+    def test_gamma_and_phi_match_direct_residuals(self, seed, coefs, gamma, phi):
+        ds = make_dataset(n=25, seed=seed % 7)
+        z = consistent_z(ds, seed=seed)
+        psi = CoefVector(np.array(coefs[:2]), np.array(coefs[2:]))
+        prior = unit_prior(2, 2, gamma0=0.3, G0=2.0, s0=4.0, S0=3.0)
+        unc = ~ds.censored
+        e_z = z[unc] - ds.W[unc] @ psi.theta
+        e_y = ds.y[unc] - ds.X[unc] @ psi.beta
+        G1 = 1.0 / (1.0 / prior.G0 + float(e_z @ e_z) / phi)
+        gamma1 = G1 * (prior.gamma0 / prior.G0 + float(e_z @ e_y) / phi)
+        # gamma1 can cancel towards zero, so its tolerance also scales with
+        # the magnitude of the terms it sums.
+        terms = G1 * (abs(prior.gamma0 / prior.G0) + float(np.abs(e_z) @ np.abs(e_y)) / phi)
+        resid = gamma * e_z - e_y
+
+        fit = fitted_values(ds, psi)
+        post_gamma = gamma_posterior_params(ds, z, fit, phi, prior)
+        post_phi = phi_posterior_params(ds, z, fit, gamma, prior)
+        assert post_gamma.G1 == pytest.approx(G1, rel=1e-12)
+        assert post_gamma.gamma1 == pytest.approx(gamma1, rel=1e-12, abs=1e-12 * terms)
+        assert post_phi.s1 == prior.s0 + ds.n_o
+        assert post_phi.S1 == pytest.approx(prior.S0 + float(resid @ resid), rel=1e-12)
 
     def test_phi_no_uncensored_returns_prior(self):
         ds = make_dataset(n=10, seed=8, censored_fraction=1.1)
         z = consistent_z(ds)
         prior = unit_prior(2, 2, s0=3.0, S0=9.0)
-        post = phi_posterior_params(ds, z, CoefVector.zeros(2, 2), 0.4, prior)
+        post = phi_posterior_params(ds, z, fitted_values(ds, CoefVector.zeros(2, 2)), 0.4, prior)
         assert (post.s1, post.S1) == (3.0, 9.0)
 
     def test_phi_gamma_zero_is_outcome_rss(self):
@@ -246,7 +302,7 @@ class TestGammaPhiPosteriors:
         z = consistent_z(ds)
         psi = CoefVector(np.array([0.1, 0.2]), np.array([-0.3, 0.5]))
         prior = unit_prior(2, 2, s0=5.0, S0=2.0)
-        post = phi_posterior_params(ds, z, psi, 0.0, prior)
+        post = phi_posterior_params(ds, z, fitted_values(ds, psi), 0.0, prior)
         unc = ~ds.censored
         e_y = ds.y[unc] - ds.X[unc] @ psi.beta
         assert post.s1 == 5.0 + ds.n_o
@@ -259,7 +315,7 @@ class TestGammaPhiPosteriors:
         z = consistent_z(ds, seed=seed)
         psi = CoefVector(np.array([0.3, -0.4]), np.array([0.9, 0.0]))
         prior = unit_prior(2, 2, S0=1.0)
-        post = phi_posterior_params(ds, z, psi, gamma, prior)
+        post = phi_posterior_params(ds, z, fitted_values(ds, psi), gamma, prior)
         assert post.S1 >= prior.S0
 
 
@@ -351,9 +407,10 @@ class TestJointDistributionConsistency:
         samples = np.empty((iters, p + q + 2))
         for it in range(iters):
             ds = regenerate(psi, sp)
-            z = sample_latent(ds, psi, sp, rng)
-            gamma = draw_gamma(gamma_posterior_params(ds, z, psi, sp.phi, prior), rng)
-            phi = draw_phi(phi_posterior_params(ds, z, psi, gamma, prior), rng)
+            fit = fitted_values(ds, psi)
+            z = sample_latent(ds, fit, sp, rng)
+            gamma = draw_gamma(gamma_posterior_params(ds, z, fit, sp.phi, prior), rng)
+            phi = draw_phi(phi_posterior_params(ds, z, fit, gamma, prior), rng)
             sp = SigmaParams(gamma, phi)
             psi = draw_psi(conditional_log_marginal(sweep_statistics(ds, z, sp), prior, model), rng)
             samples[it] = np.concatenate([psi.psi, [gamma, phi]])
