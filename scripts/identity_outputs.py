@@ -1,0 +1,103 @@
+"""Write the outputs of four fixed ``tbma synth`` + ``tbma run`` setups, so
+that two checkouts can be compared for byte-identical chains:
+
+    python3 scripts/identity_outputs.py OUTDIR
+
+Run it once from each checkout (the package is imported from the ``src``
+directory next to this script) and compare with ``diff -r OUTDIR_A OUTDIR_B``.
+Chains at paper scale depend on the BLAS thread count, so compare runs made
+at the same ``OPENBLAS_NUM_THREADS``.
+
+Setups, one subdirectory each:
+
+* ``readme``: the README example (n = 2000, 6 + 6 columns plus intercepts),
+  3000 sweeps, 2 chains, 4 model moves per sweep;
+* ``paper-null``: paper shape (n = 14 863, 55 + 55 columns plus intercepts,
+  4 true effects per equation), null-model start, 300 sweeps;
+* ``paper-full``: the same data, full-model start, 30 sweeps;
+* ``readme-prior``: the README data with forced intercepts, prior-draw start
+  and a Bernoulli model prior with pi = 0.3, 2000 sweeps, 2 chains.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+README_DATA = ["--n", "2000", "--p", "6", "--q", "6", "--theta", "0.8,-0.7,0.6,0,0,0",
+               "--beta", "1.0,-0.8,0.5,0,0,0", "--gamma", "0.5", "--phi", "1.0", "--seed", "1"]
+PAPER_WIDTH = 55
+PAPER_DATA = ["--n", "14863", "--p", str(PAPER_WIDTH), "--q", str(PAPER_WIDTH),
+              "--theta=" + ",".join(["-0.5", "0.5", "-0.5", "0.4"] + ["0"] * (PAPER_WIDTH - 4)),
+              "--beta=" + ",".join(["0.8", "-0.6", "0.5", "0.3"] + ["0"] * (PAPER_WIDTH - 4)),
+              "--gamma", "0.5", "--seed", "7"]
+
+# (name, data set, run flags, prior config lines or None)
+SETUPS = (
+    ("readme", "readme",
+     ["--iterations", "3000", "--burn-in", "500", "--chains", "2", "--seed", "1", "--inner-model-moves", "4"], None),
+    ("paper-null", "paper",
+     ["--iterations", "300", "--burn-in", "100", "--chains", "1", "--seed", "3", "--init", "null-model"], None),
+    ("paper-full", "paper",
+     ["--iterations", "30", "--burn-in", "10", "--chains", "1", "--seed", "3", "--init", "full-model"], None),
+    ("readme-prior", "readme",
+     ["--iterations", "2000", "--burn-in", "500", "--chains", "2", "--seed", "5", "--init", "prior-draw"],
+     ["model_prior = bernoulli", "bernoulli_pi = 0.3"]),
+)
+
+
+def _schema(p: int, q: int) -> str:
+    return "\n".join([
+        "response = y",
+        "censored = censored",
+        "selection = " + ", ".join(f"w{j}" for j in range(1, p + 1)),
+        "outcome = " + ", ".join(f"x{j}" for j in range(1, q + 1)),
+        "add_intercept_selection = true",
+        "add_intercept_outcome = true",
+    ]) + "\n"
+
+
+def _cli(argv: list[str]) -> None:
+    from tbma.cli import main
+
+    code = main(argv)
+    if code != 0:
+        raise SystemExit(f"tbma {' '.join(argv)} exited with {code}")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    # Relative paths keep OUTDIR's own name out of the files (the .truth header).
+    os.chdir(out)
+
+    data = {}
+    for name, flags, width in (("readme", README_DATA, 6), ("paper", PAPER_DATA, PAPER_WIDTH)):
+        folder = Path(f"data-{name}")
+        folder.mkdir(exist_ok=True)
+        _cli(["synth", *flags, "--out", str(folder / "data.csv")])
+        (folder / "schema.cfg").write_text(_schema(width, width), encoding="utf-8")
+        data[name] = folder
+
+    for name, data_name, flags, prior_lines in SETUPS:
+        folder = Path(name)
+        folder.mkdir(exist_ok=True)
+        argv_run = ["run", "--data", str(data[data_name] / "data.csv"),
+                    "--schema", str(data[data_name] / "schema.cfg"), *flags, "--out-dir", str(folder)]
+        if prior_lines is not None:
+            prior = folder / "prior.cfg"
+            prior.write_text("\n".join(prior_lines) + "\n", encoding="utf-8")
+            argv_run += ["--prior-config", str(prior)]
+        _cli(argv_run)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -34,7 +34,6 @@ from .conditionals import (
     gamma_posterior_params,
     phi_posterior_params,
     sample_latent,
-    sample_truncated_normal,
     sweep_statistics,
 )
 from .core import (

@@ -8,7 +8,8 @@ three draws read the fitted values of the sweep's starting coefficients,
 formed once at the top of the sweep.  Before the moves, the sweep builds
 the coefficient conditional's data statistics once and scores its starting
 model once; each move then scores only its proposal and passes the retained
-model's posterior on to the next move and to the coefficient draw.
+model's posterior on to the next move and to the coefficient draw.  The
+sweep loop runs scipy's OpenBLAS on one thread (see ``tbma.blas``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search
+from .blas import scipy_blas_single_thread
 from .conditionals import (
     draw_gamma,
     draw_phi,
@@ -231,31 +233,34 @@ def run_chain(
     phis = np.zeros(kept)
     accepted_flags = np.zeros(kept, dtype=bool)
 
-    for sweep in range(config.iterations):
-        try:
-            fit = fitted_values(dataset, psi)
-            z = sample_latent(dataset, fit, sigma, rng)
-            gamma = draw_gamma(gamma_posterior_params(dataset, z, fit, sigma.phi, prior), rng)
-            phi = draw_phi(phi_posterior_params(dataset, z, fit, gamma, prior), rng)
-            sigma = SigmaParams(gamma, phi)
-            stats = sweep_statistics(dataset, z, sigma)
-            # Looked up on ``search`` so that every scored model goes through one name.
-            psi_post = search.conditional_log_marginal(stats, prior, model)
-            accepted_any = False
-            for _ in range(config.inner_model_moves):
-                model, accepted, psi_post = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
-                accepted_any = accepted_any or accepted
-            psi = draw_psi(psi_post, rng)
-        except NumericalError as exc:
-            raise NumericalError(f"chain {chain_id} aborted at sweep {sweep}: {exc}") from exc
+    # scipy's LAPACK scores models of at most p + q covariates; its own
+    # thread pool only takes cores from numpy's matrix-vector products.
+    with scipy_blas_single_thread():
+        for sweep in range(config.iterations):
+            try:
+                fit = fitted_values(dataset, psi)
+                z = sample_latent(dataset, fit, sigma, rng)
+                gamma = draw_gamma(gamma_posterior_params(dataset, z, fit, sigma.phi, prior), rng)
+                phi = draw_phi(phi_posterior_params(dataset, z, fit, gamma, prior), rng)
+                sigma = SigmaParams(gamma, phi)
+                stats = sweep_statistics(dataset, z, sigma)
+                # Looked up on ``search`` so that every scored model goes through one name.
+                psi_post = search.conditional_log_marginal(stats, prior, model)
+                accepted_any = False
+                for _ in range(config.inner_model_moves):
+                    model, accepted, psi_post = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
+                    accepted_any = accepted_any or accepted
+                psi = draw_psi(psi_post, rng)
+            except NumericalError as exc:
+                raise NumericalError(f"chain {chain_id} aborted at sweep {sweep}: {exc}") from exc
 
-        if keep_mask[sweep]:
-            row = row_of_sweep[sweep]
-            models[row] = model.include
-            psis[row] = psi.psi
-            gammas[row] = sigma.gamma
-            phis[row] = sigma.phi
-            accepted_flags[row] = accepted_any
+            if keep_mask[sweep]:
+                row = row_of_sweep[sweep]
+                models[row] = model.include
+                psis[row] = psi.psi
+                gammas[row] = sigma.gamma
+                phis[row] = sigma.phi
+                accepted_flags[row] = accepted_any
 
     return ChainOutput(
         column_names_w=dataset.column_names_w,

@@ -42,7 +42,6 @@ __all__ = [
     "PsiPosterior",
     "GammaPosterior",
     "PhiPosterior",
-    "sample_truncated_normal",
     "fitted_values",
     "sample_latent",
     "sweep_statistics",
@@ -58,17 +57,16 @@ __all__ = [
 # an exponential-proposal rejection sampler.
 _TAIL_SWITCH = 5.0
 
-NEGATIVE = "negative"
-NONNEGATIVE = "nonnegative"
-
 
 @dataclass(frozen=True, eq=False)
 class FittedValues:
-    """Fitted values of one coefficient vector: ``sel`` = W theta over every
-    row, ``out_unc`` = X beta over the uncensored rows."""
+    """Products of one coefficient vector with the design, split by row half:
+    ``sel_unc``/``sel_cen`` = W theta over the uncensored/censored rows, and
+    ``resid_unc`` = y - X beta over the uncensored rows."""
 
-    sel: np.ndarray
-    out_unc: np.ndarray
+    sel_unc: np.ndarray
+    sel_cen: np.ndarray
+    resid_unc: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,81 +141,85 @@ def _tail_rejection(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _std_trunc_lower(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draws of u ~ N(0, 1) conditioned on u >= a, elementwise."""
-    a = np.asarray(a, dtype=np.float64)
-    out = np.empty_like(a)
+    """Draws of u ~ N(0, 1) conditioned on u >= a, elementwise; may overwrite ``a``.
+
+    Rows with a <= ``_TAIL_SWITCH`` take the survival-form inverse CDF, with
+    one uniform per such row in row order; the rest take the tail rejection
+    sampler afterwards.  When every row takes the inverse CDF, the work runs
+    in place in ``a`` and the uniforms' buffer.
+    """
     easy = a <= _TAIL_SWITCH
+    # Survival-form inverse CDF: P(u >= x) = ndtr(-x) stays well conditioned
+    # where the inverse of the plain CDF would saturate.  uniform() covers
+    # [0, 1); flip it so the quantile argument never hits 0, which would map
+    # to an infinite draw.
+    if easy.all():
+        tail_mass = ndtr(np.negative(a, out=a), out=a)
+        u = rng.uniform(size=a.size)
+        np.subtract(1.0, u, out=u)
+        u *= tail_mass
+        return np.negative(ndtri(u, out=u), out=u)
+    out = np.empty_like(a)
     if np.any(easy):
-        # Survival-form inverse CDF: P(u >= x) = ndtr(-x) stays well
-        # conditioned where the inverse of the plain CDF would saturate.
-        # uniform() covers [0, 1); flip it so the quantile argument never
-        # hits 0, which would map to an infinite draw.
         tail_mass = ndtr(-a[easy])
         u = 1.0 - rng.uniform(size=int(np.count_nonzero(easy)))
         out[easy] = -ndtri(u * tail_mass)
     hard = ~easy
-    if np.any(hard):
-        out[hard] = _tail_rejection(a[hard], rng)
+    out[hard] = _tail_rejection(a[hard], rng)
     return out
-
-
-def _truncated_draws(
-    mu: np.ndarray, sd: np.ndarray, negative: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Vector of N(mu, sd^2) draws restricted to (-inf, 0) or [0, inf) per row."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sd = np.broadcast_to(np.asarray(sd, dtype=np.float64), mu.shape)
-    negative = np.broadcast_to(np.asarray(negative, dtype=bool), mu.shape)
-    # x >= 0 corresponds to the standardized lower cut -mu/sd; x < 0 is the
-    # mirror image, sampled as -(u >= mu/sd).
-    a = np.where(negative, mu, -mu) / sd
-    u = _std_trunc_lower(a, rng)
-    x = np.where(negative, mu - sd * u, mu + sd * u)
-    # Rounding at the boundary must never break the sign contract.
-    tiny = np.finfo(np.float64).tiny
-    x = np.where(negative, np.minimum(x, -tiny), np.maximum(x, 0.0))
-    return x
-
-
-def sample_truncated_normal(mu: float, var: float, side: str, rng: np.random.Generator) -> float:
-    """One draw from N(mu, var) restricted to (-inf, 0) or [0, inf)."""
-    if not var > 0.0:
-        raise InvalidParameter(f"var must be positive, got {var}")
-    if side not in (NEGATIVE, NONNEGATIVE):
-        raise InvalidParameter(f"side must be {NEGATIVE!r} or {NONNEGATIVE!r}")
-    out = _truncated_draws(
-        np.array([mu]), np.array([np.sqrt(var)]), np.array([side == NEGATIVE]), rng
-    )
-    return float(out[0])
 
 
 def fitted_values(dataset: TobitDataset, psi: CoefVector) -> FittedValues:
     """The products of ``psi`` with the design that the latent, gamma and phi
-    conditionals share; read-only, so every reader sees the same values."""
+    conditionals share, formed once per sweep; read-only, so every reader
+    sees the same values.
+
+    The selection halves are gathered from the full product W theta.  The
+    row-split products W_unc theta and W_cen theta are not used: they can
+    differ from the matching rows of the full product in the last bit.
+    """
+    split = dataset.split
     sel = dataset.W @ psi.theta
-    out_unc = dataset.split.X_unc @ psi.beta
-    sel.setflags(write=False)
-    out_unc.setflags(write=False)
-    return FittedValues(sel, out_unc)
+    fit = FittedValues(
+        sel_unc=sel[split.uncensored_idx],
+        sel_cen=sel[split.censored_idx],
+        resid_unc=split.y_unc - split.X_unc @ psi.beta,
+    )
+    for values in (fit.sel_unc, fit.sel_cen, fit.resid_unc):
+        values.setflags(write=False)
+    return fit
 
 
 def sample_latent(
     dataset: TobitDataset, fit: FittedValues, sp: SigmaParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """Joint draw of all latent scores; sign pattern equals the censoring pattern."""
+    """Joint draw of all latent scores; sign pattern equals the censoring pattern.
+
+    A censored row's score is N(W theta, 1) restricted to (-inf, 0); an
+    uncensored row's is N(mu, c^2) restricted to [0, inf), with
+    mu = W theta + gamma / (phi + gamma^2) (y - X beta) and
+    c^2 = phi / (phi + gamma^2), one scale for the whole half.  Both halves
+    share one standardized draw u >= cut over all rows in row order: the
+    cut is W theta on censored rows, whose score is the mirror image
+    W theta - u, and -mu / c on uncensored rows, whose score is mu + c u.
+    """
     if dataset.n == 0:
         return np.empty(0)
     split = dataset.split
-    mu = fit.sel.copy()
-    sd = np.ones(dataset.n)
-    unc = split.uncensored_idx
-    if unc.size:
-        g, phi = sp.gamma, sp.phi
-        denom = phi + g * g
-        resid = split.y_unc - fit.out_unc
-        mu[unc] += (g / denom) * resid
-        sd[unc] = np.sqrt(phi / denom)
-    return _truncated_draws(mu, sd, dataset.censored, rng)
+    unc, cen = split.uncensored_idx, split.censored_idx
+    g, phi = sp.gamma, sp.phi
+    denom = phi + g * g
+    mu_unc = fit.sel_unc + (g / denom) * fit.resid_unc
+    c = np.sqrt(phi / denom)
+    cut = np.empty(dataset.n)
+    cut[cen] = fit.sel_cen
+    cut[unc] = -mu_unc / c
+    u = _std_trunc_lower(cut, rng)
+    # Rounding at the boundary must never break the sign contract.
+    z = np.empty(dataset.n)
+    z[cen] = np.minimum(fit.sel_cen - u[cen], -np.finfo(np.float64).tiny)
+    z[unc] = np.maximum(mu_unc + c * u[unc], 0.0)
+    return z
 
 
 def sweep_statistics(dataset: TobitDataset, z: np.ndarray, sp: SigmaParams) -> SweepStatistics:
@@ -309,12 +311,11 @@ def gamma_posterior_params(
     """Conditional posterior N(gamma1, G1); sums run over uncensored rows only."""
     if not phi > 0.0:
         raise InvalidParameter(f"phi must be positive, got {phi}")
-    if dataset.n_o == 0:
+    unc = dataset.split.uncensored_idx
+    if unc.size == 0:
         return GammaPosterior(gamma1=prior.gamma0, G1=prior.G0)
-    split = dataset.split
-    unc = split.uncensored_idx
-    e_z = z[unc] - fit.sel[unc]
-    e_y = split.y_unc - fit.out_unc
+    e_z = z[unc] - fit.sel_unc
+    e_y = fit.resid_unc
     g1_inv = 1.0 / prior.G0 + float(np.dot(e_z, e_z)) / phi
     G1 = 1.0 / g1_inv
     gamma1 = G1 * (prior.gamma0 / prior.G0 + float(np.dot(e_z, e_y)) / phi)
@@ -329,13 +330,11 @@ def phi_posterior_params(
     prior: PriorSpec,
 ) -> PhiPosterior:
     """Conditional inverse-gamma parameters (s1, S1) for phi."""
-    split = dataset.split
-    unc = split.uncensored_idx
-    e_z = z[unc] - fit.sel[unc]
-    e_y = split.y_unc - fit.out_unc
+    e_z = z[dataset.split.uncensored_idx] - fit.sel_unc
+    e_y = fit.resid_unc
     # Squared-residual form of S1 - S0 keeps the update nonnegative exactly.
     resid = gamma * e_z - e_y
-    return PhiPosterior(s1=prior.s0 + dataset.n_o, S1=prior.S0 + float(np.dot(resid, resid)))
+    return PhiPosterior(s1=prior.s0 + e_y.size, S1=prior.S0 + float(np.dot(resid, resid)))
 
 
 def draw_psi(post: PsiPosterior, rng: np.random.Generator) -> CoefVector:

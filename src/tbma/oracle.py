@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from .conditionals import NEGATIVE, NONNEGATIVE, conditional_log_marginal, sweep_statistics
+from .conditionals import conditional_log_marginal, sweep_statistics
 from .core import (
     CoefVector,
     ModelIndicator,
@@ -58,6 +58,10 @@ __all__ = [
 
 CBF_RATIO_TOL = 1e-3
 RSS_FORM_TOL = 1e-9
+
+# Truncation sides of a latent score's conditional.
+NEGATIVE = "negative"
+NONNEGATIVE = "nonnegative"
 
 # Fixtures pin the coefficient prior to standard normal per active column.
 _FIXTURE_PRIOR_HYPERS = dict(gamma0=0.0, G0=1.0, s0=4.0, S0=4.0)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import tbma.search
-from tbma.core import ModelIndicator, PriorSpec, TobitDataset
+from tbma.conditionals import fitted_values, sample_latent
+from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 
 
 @pytest.fixture
@@ -81,3 +82,19 @@ def consistent_z(dataset, seed=1):
 
 def full_model(p, q):
     return ModelIndicator.full_model(p, q)
+
+
+def truncated_normal_draws(mu, n, negative, rng):
+    """n draws of N(mu, 1) restricted to (-inf, 0) if ``negative``, else to
+    [0, inf), through the sampler's own latent draw.
+
+    One constant column gives every row the selection mean mu.  Censored
+    rows draw below zero at unit scale; uncensored rows with gamma = 0 and
+    phi = 1 draw at or above zero with sd 1.
+    """
+    dataset = TobitDataset(
+        W=np.ones((n, 1)), X=np.zeros((n, 1)), y=np.zeros(n), censored=np.full(n, bool(negative)),
+        column_names_w=("w",), column_names_x=("x",),
+    )
+    psi = CoefVector(np.array([float(mu)]), np.zeros(1))
+    return sample_latent(dataset, fitted_values(dataset, psi), SigmaParams(0.0, 1.0), rng)

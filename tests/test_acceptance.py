@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import truncnorm
 
 import tbma.search
-from conftest import consistent_z, make_dataset, unit_prior
+from conftest import consistent_z, make_dataset, truncated_normal_draws, unit_prior
 from tbma.chain import (
     ChainConfig,
     inclusion_probabilities,
@@ -23,7 +23,6 @@ from tbma.chain import (
 )
 from tbma.cli import main as cli_main
 from tbma.conditionals import (
-    _truncated_draws,
     conditional_log_marginal,
     draw_phi,
     draw_psi,
@@ -246,7 +245,7 @@ def test_c5_truncated_normal_moments():
     for cut in (-8.0, -2.0, 0.0, 2.0, 8.0):
         for negative in (False, True):
             mu = -cut
-            draws = _truncated_draws(np.full(n, mu), 1.0, negative, rng)
+            draws = truncated_normal_draws(mu, n, negative, rng)
             if negative:
                 assert np.all(draws < 0.0)
                 ref = truncnorm(a=-np.inf, b=-mu, loc=mu, scale=1.0)

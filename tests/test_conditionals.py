@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 from scipy.stats import truncnorm
 
-from conftest import consistent_z, make_dataset, unit_prior
+from conftest import consistent_z, make_dataset, truncated_normal_draws, unit_prior
 from tbma.conditionals import (
     PsiPosterior,
     SweepStatistics,
@@ -16,11 +17,11 @@ from tbma.conditionals import (
     gamma_posterior_params,
     phi_posterior_params,
     sample_latent,
-    sample_truncated_normal,
     sweep_statistics,
 )
+from tbma.conditionals import _TAIL_SWITCH
 from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
-from tbma.errors import InvalidParameter, NumericalError
+from tbma.errors import NumericalError
 from tbma.oracle import latent_conditional_params
 
 
@@ -31,46 +32,39 @@ def posterior_with_covariance(model, mean, cov):
 
 
 class TestTruncatedNormal:
-    def test_invalid_inputs(self, rng):
-        with pytest.raises(InvalidParameter):
-            sample_truncated_normal(0.0, 0.0, "negative", rng)
-        with pytest.raises(InvalidParameter):
-            sample_truncated_normal(0.0, 1.0, "both", rng)
+    """The latent draw's truncated normal, on one-column datasets whose rows
+    share one mean (``truncated_normal_draws``)."""
 
     @pytest.mark.parametrize("mu", [-8.0, -1.0, 0.0, 1.0, 8.0])
     def test_sign_constraint_negative(self, mu, rng):
-        draws = np.array([sample_truncated_normal(mu, 1.0, "negative", rng) for _ in range(500)])
+        draws = truncated_normal_draws(mu, 500, True, rng)
         assert np.all(draws < 0.0)
 
     @pytest.mark.parametrize("mu", [-8.0, 0.0, 8.0])
     def test_sign_constraint_nonnegative(self, mu, rng):
-        draws = np.array([sample_truncated_normal(mu, 2.5, "nonnegative", rng) for _ in range(500)])
+        # N(mu, 2.5) has the standardized cut of N(mu / sqrt(2.5), 1); at
+        # mu = -8 it lies past the tail switch.
+        draws = truncated_normal_draws(mu / np.sqrt(2.5), 500, False, rng)
         assert np.all(draws >= 0.0)
 
     def test_half_normal_mean(self):
         # Analytic mean of N(0,1) restricted to the negative axis is -sqrt(2/pi).
         rng = np.random.default_rng(2024)
-        from tbma.conditionals import _truncated_draws
-
-        draws = _truncated_draws(np.zeros(1_000_000), 1.0, True, rng)
+        draws = truncated_normal_draws(0.0, 1_000_000, True, rng)
         assert abs(draws.mean() - (-np.sqrt(2.0 / np.pi))) < 0.003
 
     def test_negligible_truncation_regime(self):
         # Mass below zero for N(8, 1) is ~6e-16, so moments match the
         # untruncated normal.
         rng = np.random.default_rng(7)
-        from tbma.conditionals import _truncated_draws
-
-        draws = _truncated_draws(np.full(1_000_000, 8.0), 1.0, False, rng)
+        draws = truncated_normal_draws(8.0, 1_000_000, False, rng)
         assert abs(draws.mean() - 8.0) < 0.01
 
     @pytest.mark.parametrize("cut", [-2.0, 2.0])
     def test_moments_against_scipy(self, cut):
         rng = np.random.default_rng(99)
-        from tbma.conditionals import _truncated_draws
-
         n = 400_000
-        draws = _truncated_draws(np.full(n, -cut), 1.0, False, rng)
+        draws = truncated_normal_draws(-cut, n, False, rng)
         ref = truncnorm(a=cut, b=np.inf, loc=-cut, scale=1.0)
         assert abs(draws.mean() - ref.mean()) < 4.0 * ref.std() / np.sqrt(n)
         assert abs(draws.var(ddof=1) - ref.var()) < 0.02 * ref.var()
@@ -78,9 +72,7 @@ class TestTruncatedNormal:
     def test_deep_tail_uses_rejection_correctly(self):
         # Cut 7 sd into the tail; compare the conditional mean with scipy.
         rng = np.random.default_rng(41)
-        from tbma.conditionals import _truncated_draws
-
-        draws = _truncated_draws(np.full(200_000, -7.0), 1.0, False, rng)
+        draws = truncated_normal_draws(-7.0, 200_000, False, rng)
         ref = truncnorm(a=7.0, b=np.inf, loc=-7.0, scale=1.0)
         assert np.all(draws >= 0.0)
         assert abs(draws.mean() - ref.mean()) < 5.0 * ref.std() / np.sqrt(draws.size)
@@ -118,6 +110,68 @@ class TestLatentConditional:
         assert var > 0.0
 
 
+def reference_latent(dataset, psi, sp, rng):
+    """The latent draw in its per-row form: a mean and an sd for every row,
+    mirrored by the censoring side, then inverse-CDF draws in row order for
+    cuts up to ``_TAIL_SWITCH`` and exponential-proposal rejection for the
+    rest.  Takes the same two design products as ``fitted_values``."""
+    mu = dataset.W @ psi.theta
+    sd = np.ones(dataset.n)
+    unc = np.flatnonzero(~dataset.censored)
+    if unc.size:
+        g, phi = sp.gamma, sp.phi
+        denom = phi + g * g
+        mu[unc] += (g / denom) * (dataset.split.y_unc - dataset.split.X_unc @ psi.beta)
+        sd[unc] = np.sqrt(phi / denom)
+    negative = dataset.censored
+    a = np.where(negative, mu, -mu) / sd
+    u = np.empty_like(a)
+    easy = a <= _TAIL_SWITCH
+    if np.any(easy):
+        tail_mass = ndtr(-a[easy])
+        uniform = 1.0 - rng.uniform(size=int(np.count_nonzero(easy)))
+        u[easy] = -ndtri(uniform * tail_mass)
+    hard = ~easy
+    if np.any(hard):
+        cut = a[hard]
+        lam = 0.5 * cut * (1.0 + np.sqrt(1.0 + 4.0 / (cut * cut)))
+        tail = np.empty_like(cut)
+        todo = np.ones(cut.shape, dtype=bool)
+        while np.any(todo):
+            idx = np.flatnonzero(todo)
+            x = cut[idx] + rng.exponential(size=idx.size) / lam[idx]
+            accept = rng.uniform(size=idx.size) < np.exp(-0.5 * (x - lam[idx]) ** 2)
+            tail[idx[accept]] = x[accept]
+            todo[idx[accept]] = False
+        u[hard] = tail
+    x = np.where(negative, mu - sd * u, mu + sd * u)
+    tiny = np.finfo(np.float64).tiny
+    return np.where(negative, np.minimum(x, -tiny), np.maximum(x, 0.0))
+
+
+def latent_problem(seed, n, censoring, scale, gamma, phi):
+    """A dataset and a coefficient vector whose selection means have spread
+    ``scale``; at large spread some rows' cuts lie past ``_TAIL_SWITCH``."""
+    gen = np.random.default_rng(seed)
+    if censoring == "none":
+        censored = np.zeros(n, bool)
+    elif censoring == "all":
+        censored = np.ones(n, bool)
+    else:
+        censored = gen.uniform(size=n) < 0.5
+    ds = TobitDataset(
+        W=gen.standard_normal((n, 3)), X=gen.standard_normal((n, 2)),
+        y=np.where(censored, 0.0, 2.0 * gen.standard_normal(n)), censored=censored,
+        column_names_w=("w0", "w1", "w2"), column_names_x=("x0", "x1"),
+    )
+    psi = CoefVector(scale * gen.standard_normal(3), gen.standard_normal(2))
+    return ds, psi, SigmaParams(gamma, phi)
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
 class TestSampleLatent:
     def test_empty(self, rng):
         ds = TobitDataset(
@@ -144,6 +198,49 @@ class TestSampleLatent:
         psi = CoefVector(np.array([0.4, -0.8]), np.array([1.0, 0.2]))
         z = sample_latent(ds, fitted_values(ds, psi), SigmaParams(0.7, 0.6), rng)
         assert np.array_equal(z < 0, ds.censored)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 80),
+        censoring=st.sampled_from(["mixed", "none", "all"]),
+        scale=st.sampled_from([0.3, 2.0, 8.0]),
+        gamma=st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+        phi=st.floats(0.01, 10.0),
+    )
+    def test_matches_per_row_reference_bit_for_bit(self, seed, n, censoring, scale, gamma, phi):
+        ds, psi, sp = latent_problem(seed, n, censoring, scale, gamma, phi)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        z = sample_latent(ds, fitted_values(ds, psi), sp, rng)
+        assert np.array_equal(bits(z), bits(reference_latent(ds, psi, sp, ref_rng)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("censoring", ["mixed", "none", "all"])
+    def test_rows_past_tail_switch_match_reference(self, censoring):
+        ds, psi, sp = latent_problem(5, 400, censoring, 8.0, 0.6, 0.8)
+        mu = ds.W @ psi.theta
+        denom = sp.phi + sp.gamma**2
+        mu_unc = mu[~ds.censored] + sp.gamma / denom * (ds.y - ds.X @ psi.beta)[~ds.censored]
+        cuts = np.concatenate([mu[ds.censored], -mu_unc / np.sqrt(sp.phi / denom)])
+        assert np.count_nonzero(cuts > _TAIL_SWITCH) >= 10
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        z = sample_latent(ds, fitted_values(ds, psi), sp, rng)
+        assert np.array_equal(bits(z), bits(reference_latent(ds, psi, sp, ref_rng)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 80),
+        censoring=st.sampled_from(["mixed", "none", "all"]),
+    )
+    def test_fitted_halves_are_rows_of_the_full_product(self, seed, n, censoring):
+        ds, psi, _ = latent_problem(seed, n, censoring, 2.0, 0.0, 1.0)
+        fit = fitted_values(ds, psi)
+        sel = ds.W @ psi.theta
+        assert np.array_equal(bits(fit.sel_unc), bits(sel[~ds.censored]))
+        assert np.array_equal(bits(fit.sel_cen), bits(sel[ds.censored]))
+        assert np.array_equal(bits(fit.resid_unc), bits(ds.split.y_unc - ds.split.X_unc @ psi.beta))
 
 
 class TestPsiPosterior:
