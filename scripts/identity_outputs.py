@@ -1,5 +1,7 @@
-"""Write the outputs of four fixed ``tbma synth`` + ``tbma run`` setups, so
-that two checkouts can be compared for byte-identical chains:
+"""Write the outputs of four fixed ``tbma synth`` + ``tbma run`` setups, and
+of ``tbma summarize`` on each setup's traces, so that two checkouts can be
+compared for byte-identical chains and for a trace reader that rebuilds the
+same summaries:
 
     python3 scripts/identity_outputs.py OUTDIR
 
@@ -17,6 +19,9 @@ Setups, one subdirectory each:
 * ``paper-full``: the same data, full-model start, 30 sweeps;
 * ``readme-prior``: the README data with forced intercepts, prior-draw start
   and a Bernoulli model prior with pi = 0.3, 2000 sweeps, 2 chains.
+
+Each setup's ``summarize/`` subdirectory holds the summary and diagnostics
+that ``tbma summarize`` rebuilds from that setup's traces.
 """
 
 from __future__ import annotations
@@ -96,6 +101,8 @@ def main(argv: list[str]) -> int:
             prior.write_text("\n".join(prior_lines) + "\n", encoding="utf-8")
             argv_run += ["--prior-config", str(prior)]
         _cli(argv_run)
+        traces = sorted(str(path) for path in folder.glob("trace_chain*.csv"))
+        _cli(["summarize", "--traces", *traces, "--out-dir", str(folder / "summarize")])
     return 0
 
 

@@ -176,7 +176,8 @@ def _cmd_run(args) -> int:
         # A flag overrides the file, so only keys no flag set can be at fault.
         _locate(config_raw, exc, {key: key for key in config_raw if getattr(args, key) is None})
         raise
-    loaded = io_mod.load_csv(args.data, _load_schema(args.schema))
+    schema = _load_schema(args.schema)
+    loaded = io_mod.load_csv(args.data, schema)
     dataset = loaded.dataset
     if dataset.n == 0:
         raise SchemaError(f"{args.data} has no data rows")
@@ -189,6 +190,9 @@ def _cmd_run(args) -> int:
     prior = _load_prior(args.prior_config, dataset.p, dataset.q)
 
     out_dir = Path(args.out_dir)
+    if loaded.standardization is not None:
+        io_mod.write_standardization(loaded, schema.response, out_dir / "standardization.csv")
+        print(f"coefficients are on the standardized scale; {out_dir / 'standardization.csv'} maps them back")
     outputs = []
     for cid in range(config.chains):
         out = chain_mod.run_chain(dataset, prior, config, chain_id=cid, model_template=loaded.model_template)

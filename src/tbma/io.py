@@ -4,7 +4,7 @@ per-sweep traces and diagnostic series."""
 from __future__ import annotations
 
 import csv
-import dataclasses
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +20,10 @@ __all__ = [
     "Standardization",
     "LoadedData",
     "load_csv",
+    "write_csv",
+    "read_tagged_csv",
     "write_dataset",
+    "write_standardization",
     "write_summary",
     "write_trace",
     "load_trace",
@@ -131,11 +134,16 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
         for name in sorted(needed):
             if name not in col:
                 raise SchemaError(f"column {name!r} not found in {path}")
+        # Columns the schema reads, in file order; a row may stop after the last.
+        used = sorted((col[name], name) for name in needed)
 
         w_rows, x_rows, ys, flags = [], [], [], []
         for row_num, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) <= used[-1][0]:
+                lacking = next(name for i, name in used if i >= len(row))
+                raise ParseError(f"{path}: row {row_num} has {len(row)} cells and lacks column {lacking!r}")
             y_val = _parse_cell(row[col[schema.response]].strip(), row_num, schema.response)
             if schema.censored is not None:
                 raw_flag = row[col[schema.censored]].strip()
@@ -159,7 +167,6 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
     censored = np.array(flags, dtype=bool)
     names_w, names_x = list(schema.selection), list(schema.outcome)
 
-    standardization = None
     if schema.standardize:
         if n == 0:
             raise SchemaError("cannot standardize an empty file")
@@ -174,46 +181,35 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
         W = (W - w_center) / w_scale
         X = (X - x_center) / x_scale
         y = np.where(unc, (y - y_center) / y_scale, 0.0)
+
+    # An added intercept is the first column of its equation and always
+    # included; the transforms give it center 0 and scale 1.
+    add_w, add_x = schema.add_intercept_selection, schema.add_intercept_outcome
+    if add_w:
+        W = np.column_stack([np.ones(n), W])
+        names_w = [INTERCEPT_NAME] + names_w
+    if add_x:
+        X = np.column_stack([np.ones(n), X])
+        names_x = [INTERCEPT_NAME] + names_x
+    standardization = None
+    if schema.standardize:
         standardization = Standardization(
-            w_center=w_center,
-            w_scale=w_scale,
-            x_center=x_center,
-            x_scale=x_scale,
+            w_center=np.concatenate([[0.0] * add_w, w_center]),
+            w_scale=np.concatenate([[1.0] * add_w, w_scale]),
+            x_center=np.concatenate([[0.0] * add_x, x_center]),
+            x_scale=np.concatenate([[1.0] * add_x, x_scale]),
             y_center=y_center,
             y_scale=y_scale,
+            w_intercept=0 if add_w else None,
+            x_intercept=0 if add_x else None,
         )
-
-    if schema.add_intercept_selection:
-        W = np.column_stack([np.ones(n), W]) if n else np.ones((0, len(names_w) + 1))
-        names_w = [INTERCEPT_NAME] + names_w
-        if standardization is not None:
-            standardization = dataclasses.replace(
-                standardization,
-                w_center=np.concatenate([[0.0], standardization.w_center]),
-                w_scale=np.concatenate([[1.0], standardization.w_scale]),
-                w_intercept=0,
-            )
-    if schema.add_intercept_outcome:
-        X = np.column_stack([np.ones(n), X]) if n else np.ones((0, len(names_x) + 1))
-        names_x = [INTERCEPT_NAME] + names_x
-        if standardization is not None:
-            standardization = dataclasses.replace(
-                standardization,
-                x_center=np.concatenate([[0.0], standardization.x_center]),
-                x_scale=np.concatenate([[1.0], standardization.x_scale]),
-                x_intercept=0,
-            )
 
     dataset = TobitDataset(
         W=W, X=X, y=y, censored=censored,
         column_names_w=tuple(names_w), column_names_x=tuple(names_x),
     )
-    # An added intercept is the first column of its equation and always included.
     forced = np.zeros(dataset.p + dataset.q, dtype=bool)
-    if schema.add_intercept_selection:
-        forced[0] = True
-    if schema.add_intercept_outcome:
-        forced[dataset.p] = True
+    forced[0], forced[dataset.p] = add_w, add_x
     template = ModelIndicator.full_model(dataset.p, dataset.q, forced)
     return LoadedData(dataset=dataset, model_template=template, standardization=standardization)
 
@@ -225,13 +221,68 @@ def _column_moments(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return center, scale
 
 
-def _open_out(path) -> Path:
+def write_csv(path, header, rows, preamble) -> None:
+    """Write one ``# <entry>`` line per preamble entry, then the header and
+    the rows through ``csv.writer``; ``rows`` may be any iterable and is
+    consumed as it is written.  Parent directories are created."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        return path
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            for entry in preamble:
+                fh.write(f"# {entry}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
-        raise IoError(f"cannot prepare output path {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def read_tagged_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """The ``# key = value`` lines before the header, the header and the data
+    rows of a file written by ``write_csv``; ``path`` may also be an
+    ``importlib.resources`` traversable.  Other ``#`` lines and blank lines
+    are skipped.  A row whose cell count differs from the header's, or a last
+    line without a line ending (a file cut short), is a ParseError naming
+    ``file:line``."""
+    path = path if hasattr(path, "open") else Path(path)
+    meta: dict[str, str] = {}
+    rows: list[list[str]] = []
+    last = ""  # the last physical line: its line ending shows the file is whole
+
+    def lines(fh):
+        nonlocal last
+        for last in fh:
+            yield last
+
+    with path.open(newline="", encoding="utf-8") as fh:
+        source = lines(fh)
+        preamble = 0
+        for line in source:
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = value.strip()
+            elif line.strip("\r\n"):
+                break
+            preamble += 1
+        else:
+            raise ParseError(f"{path} has no header row")
+        reader = csv.reader(itertools.chain([line], source))
+        header = next(reader)
+        for cells in reader:
+            if len(cells) == len(header):
+                rows.append(cells)
+            elif cells:
+                raise ParseError(
+                    f"{path}:{preamble + reader.line_num}: "
+                    f"{len(cells)} cells where the header has {len(header)}"
+                )
+    if not last.endswith(("\n", "\r")):
+        raise ParseError(
+            f"{path}:{preamble + reader.line_num}: last line has no line ending; the file is cut short"
+        )
+    return meta, header, rows
 
 
 def write_dataset(dataset: TobitDataset, path) -> None:
@@ -240,19 +291,34 @@ def write_dataset(dataset: TobitDataset, path) -> None:
     Reals carry 17 significant digits so a load/write cycle round-trips
     every double exactly.
     """
-    path = _open_out(path)
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(dataset.column_names_w) + list(dataset.column_names_x) + ["y", "censored"])
-            for i in range(dataset.n):
-                row = [_TRACE_FMT % v for v in dataset.W[i]]
-                row += [_TRACE_FMT % v for v in dataset.X[i]]
-                row.append(_TRACE_FMT % dataset.y[i])
-                row.append("1" if dataset.censored[i] else "0")
-                writer.writerow(row)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    def rows():
+        for i in range(dataset.n):
+            row = [_TRACE_FMT % v for v in dataset.W[i]]
+            row += [_TRACE_FMT % v for v in dataset.X[i]]
+            row.append(_TRACE_FMT % dataset.y[i])
+            row.append("1" if dataset.censored[i] else "0")
+            yield row
+
+    header = list(dataset.column_names_w) + list(dataset.column_names_x) + ["y", "censored"]
+    write_csv(path, header, rows(), ())
+
+
+def write_standardization(loaded: LoadedData, response: str, path) -> None:
+    """The loader's transforms of standardized data, one row per selection
+    column, per outcome column and for the response: coefficients drawn on the
+    standardized data map back to the original units through these centers
+    and scales (see ``Standardization.unscale_psi``)."""
+    tr, ds = loaded.standardization, loaded.dataset
+    rows = [
+        [equation, name, _TRACE_FMT % center, _TRACE_FMT % scale]
+        for equation, names, centers, scales in (
+            ("selection", ds.column_names_w, tr.w_center, tr.w_scale),
+            ("outcome", ds.column_names_x, tr.x_center, tr.x_scale),
+            ("response", (response,), (tr.y_center,), (tr.y_scale,)),
+        )
+        for name, center, scale in zip(names, centers, scales)
+    ]
+    write_csv(path, ["equation", "column", "center", "scale"], rows, ())
 
 
 def write_summary(summaries: list[PosteriorSummary], path) -> None:
@@ -263,33 +329,14 @@ def write_summary(summaries: list[PosteriorSummary], path) -> None:
     """
     if not summaries:
         raise EmptyChain("refusing to write an empty summary")
-    path = _open_out(path)
-    outcome = sorted(
-        (s for s in summaries if s.equation == "outcome"), key=lambda s: (-s.incl_prob, s.name)
-    )
-    selection = sorted(
-        (s for s in summaries if s.equation == "selection"), key=lambda s: (-s.incl_prob, s.name)
-    )
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["covariate", "equation", "incl_prob", "post_mean", "post_sd", "cond_mean", "cond_sd"]
-            )
-            for s in outcome + selection:
-                writer.writerow(
-                    [
-                        s.name,
-                        s.equation,
-                        _SUMMARY_FMT % s.incl_prob,
-                        _SUMMARY_FMT % s.post_mean,
-                        _SUMMARY_FMT % s.post_sd,
-                        "" if s.cond_mean is None else _SUMMARY_FMT % s.cond_mean,
-                        "" if s.cond_sd is None else _SUMMARY_FMT % s.cond_sd,
-                    ]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    ordered = sorted(summaries, key=lambda s: (s.equation != "outcome", -s.incl_prob, s.name))
+
+    def cells(s):
+        moments = (s.incl_prob, s.post_mean, s.post_sd, s.cond_mean, s.cond_sd)
+        return [s.name, s.equation] + ["" if v is None else _SUMMARY_FMT % v for v in moments]
+
+    header = ["covariate", "equation", "incl_prob", "post_mean", "post_sd", "cond_mean", "cond_sd"]
+    write_csv(path, header, map(cells, ordered), ())
 
 
 def write_trace(output: ChainOutput, path) -> None:
@@ -297,78 +344,55 @@ def write_trace(output: ChainOutput, path) -> None:
     carried in leading comment lines."""
     if output.kept == 0:
         raise EmptyChain("refusing to write an empty trace")
-    path = _open_out(path)
-    in_cols = [f"in_sel_{c}" for c in output.column_names_w] + [
-        f"in_out_{c}" for c in output.column_names_x
-    ]
-    coef_cols = [f"coef_sel_{c}" for c in output.column_names_w] + [
-        f"coef_out_{c}" for c in output.column_names_x
-    ]
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            fh.write("# tbma-trace-v1\n")
-            fh.write(f"# chain_id = {output.chain_id}\n")
-            fh.write(f"# p = {output.p}\n")
-            fh.write(f"# q = {output.q}\n")
-            fh.write(f"# dataset_fingerprint = {output.dataset_fingerprint}\n")
-            fh.write(f"# config_fingerprint = {output.config_fingerprint}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["sweep", "burnin", "accepted", "gamma", "phi"] + in_cols + coef_cols)
-            for i in range(output.kept):
-                row = [
-                    str(int(output.sweeps[i])),
-                    "1" if output.is_burnin[i] else "0",
-                    "1" if output.accepted[i] else "0",
-                    _TRACE_FMT % output.gammas[i],
-                    _TRACE_FMT % output.phis[i],
-                ]
-                row += ["1" if b else "0" for b in output.models[i]]
-                row += [_TRACE_FMT % v for v in output.psis[i]]
-                writer.writerow(row)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    names = [f"sel_{c}" for c in output.column_names_w] + [f"out_{c}" for c in output.column_names_x]
+    header = ["sweep", "burnin", "accepted", "gamma", "phi"]
+    header += [f"in_{c}" for c in names] + [f"coef_{c}" for c in names]
+    preamble = ["tbma-trace-v1", f"chain_id = {output.chain_id}", f"p = {output.p}", f"q = {output.q}",
+                f"dataset_fingerprint = {output.dataset_fingerprint}",
+                f"config_fingerprint = {output.config_fingerprint}"]
+
+    def rows():
+        for i in range(output.kept):
+            row = [
+                str(int(output.sweeps[i])),
+                "1" if output.is_burnin[i] else "0",
+                "1" if output.accepted[i] else "0",
+                _TRACE_FMT % output.gammas[i],
+                _TRACE_FMT % output.phis[i],
+            ]
+            row += ["1" if b else "0" for b in output.models[i]]
+            row += [_TRACE_FMT % v for v in output.psis[i]]
+            yield row
+
+    write_csv(path, header, rows(), preamble)
 
 
 def load_trace(path) -> ChainOutput:
     """Rebuild a ChainOutput from a trace file written by write_trace."""
-    path = Path(path)
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[list[str]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = cells
-            else:
-                rows.append(cells)
-    if header is None:
-        raise ParseError(f"{path} contains no trace header")
+    meta, header, rows = read_tagged_csv(path)
     try:
         p, q = int(meta["p"]), int(meta["q"])
     except KeyError as exc:
         raise ParseError(f"{path} is missing trace metadata {exc}") from None
+    if len(header) != 5 + 2 * (p + q):
+        raise ParseError(f"{path}: {len(header)} columns where p = {p}, q = {q} need {5 + 2 * (p + q)}")
+    if not rows:
+        raise ParseError(f"{path} contains no sweep records")
     names_w = tuple(c[len("in_sel_") :] for c in header[5 : 5 + p])
     names_x = tuple(c[len("in_out_") :] for c in header[5 + p : 5 + p + q])
     data = np.array(rows, dtype=object)
-    if data.size == 0:
-        raise ParseError(f"{path} contains no sweep records")
-    as_float = data[:, 3 : 5 + 2 * (p + q)].astype(np.float64)
+    try:
+        as_float = data[:, 3:].astype(np.float64)
+        sweeps = data[:, 0].astype(np.int64)
+        flags = data[:, 1:3].astype(np.int64).astype(bool)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return ChainOutput(
         column_names_w=names_w,
         column_names_x=names_x,
-        sweeps=data[:, 0].astype(np.int64),
-        is_burnin=data[:, 1].astype(np.int64).astype(bool),
-        accepted=data[:, 2].astype(np.int64).astype(bool),
+        sweeps=sweeps,
+        is_burnin=flags[:, 0],
+        accepted=flags[:, 1],
         gammas=as_float[:, 0],
         phis=as_float[:, 1],
         models=as_float[:, 2 : 2 + p + q].astype(bool),
@@ -384,17 +408,9 @@ def write_diagnostics(series: np.ndarray, path) -> None:
     series = np.asarray(series)
     if series.size == 0:
         raise EmptyChain("refusing to write empty diagnostics")
-    path = _open_out(path)
-    try:
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["sweep", "running_size_selection", "running_size_outcome", "cumulative_jump_rate"]
-            )
-            for row in series:
-                writer.writerow([str(int(row[0]))] + [_SUMMARY_FMT % v for v in row[1:]])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    header = ["sweep", "running_size_selection", "running_size_outcome", "cumulative_jump_rate"]
+    rows = ([str(int(row[0]))] + [_SUMMARY_FMT % v for v in row[1:]] for row in series)
+    write_csv(path, header, rows, ())
 
 
 def parse_bool(raw: str) -> bool:

@@ -33,6 +33,7 @@ from .core import (
     check_sign_consistency,
 )
 from .errors import DimensionError, InvalidParameter, ParseError
+from .io import read_tagged_csv
 
 __all__ = [
     "build_sigma",
@@ -547,27 +548,7 @@ def _parse_bits(text: str) -> np.ndarray:
 
 
 def load_fixture(path) -> CbfFixture:
-    text = Path(path).read_text(encoding="utf-8") if not hasattr(path, "read_text") else path.read_text(encoding="utf-8")
-    meta: dict[str, str] = {}
-    rows = []
-    header: list[str] | None = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if header is None:
-            header = [c.strip() for c in line.split(",")]
-        else:
-            rows.append([c.strip() for c in line.split(",")])
-    if header is None:
-        raise ParseError(f"fixture {path} has no data header")
-
+    meta, header, rows = read_tagged_csv(path)
     names_w = [c for c in header if c.startswith("w")]
     names_x = [c for c in header if c.startswith("x")]
     col = {name: i for i, name in enumerate(header)}
@@ -608,11 +589,8 @@ def load_fixture(path) -> CbfFixture:
 
 def iter_fixtures(directory=None) -> list[CbfFixture]:
     """Load every committed fixture, or those in an explicit directory."""
-    if directory is not None:
-        paths = sorted(Path(directory).glob("*.csv"))
-    else:
-        root = resources.files("tbma").joinpath("fixtures")
-        paths = sorted((p for p in root.iterdir() if p.name.endswith(".csv")), key=lambda p: p.name)
+    root = resources.files("tbma").joinpath("fixtures") if directory is None else Path(directory)
+    paths = sorted((p for p in root.iterdir() if p.name.endswith(".csv")), key=lambda p: p.name)
     return [load_fixture(p) for p in paths]
 
 

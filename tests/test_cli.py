@@ -1,7 +1,10 @@
+import csv
+
+import numpy as np
 import pytest
 
 from tbma.cli import main
-from tbma.io import load_trace, read_config
+from tbma.io import DataSchema, load_csv, load_trace, read_config
 
 
 def write(path, lines):
@@ -80,6 +83,63 @@ class TestSynthRunSummarize:
         assert out.kept == 20
         assert int(out.official.sum()) == 15
 
+    def test_trace_cut_mid_row_exits_2_naming_file_and_line(self, tmp_path, schema_file, capsys):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 50, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        out_dir = tmp_path / "run"
+        run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 20,
+                "--burn-in", 5, "--chains", 1, "--seed", 2, "--out-dir", out_dir)
+        trace = out_dir / "trace_chain0.csv"
+        content = trace.read_bytes()
+        # An interrupted run stops inside its last row, here before that row's last cells.
+        cut = content.rindex(b",", 0, content.rindex(b",", 0, len(content) - 2))
+        trace.write_bytes(content[:cut])
+        line = content[:cut].count(b"\n") + 1
+        code = run_cli("summarize", "--traces", trace, "--out-dir", tmp_path / "s")
+        assert code == 2
+        assert f"{trace}:{line}: 11 cells where the header has 13" in capsys.readouterr().err
+
+
+class TestStandardization:
+    @pytest.fixture
+    def data(self, tmp_path):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 80, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        return data
+
+    def test_run_writes_the_loader_transforms(self, tmp_path, data):
+        schema = write(tmp_path / "schema.cfg", [
+            "response = y", "censored = censored", "selection = w1, w2", "outcome = x2",
+            "standardize = true",
+        ])
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--data", data, "--schema", schema, "--iterations", 10,
+                       "--burn-in", 2, "--chains", 1, "--out-dir", out_dir) == 0
+        with (out_dir / "standardization.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["equation", "column", "center", "scale"]
+        tr = load_csv(data, DataSchema(
+            response="y", censored="censored", selection=("w1", "w2"), outcome=("x2",), standardize=True,
+        )).standardization
+        assert [row[:2] for row in rows] == [
+            ["selection", "(intercept)"], ["selection", "w1"], ["selection", "w2"],
+            ["outcome", "(intercept)"], ["outcome", "x2"], ["response", "y"],
+        ]
+        values = np.array([[float(row[2]), float(row[3])] for row in rows])
+        assert np.array_equal(values[:3], np.column_stack([tr.w_center, tr.w_scale]))
+        assert np.array_equal(values[3:5], np.column_stack([tr.x_center, tr.x_scale]))
+        assert np.array_equal(values[5], [tr.y_center, tr.y_scale])
+        assert values[0].tolist() == values[3].tolist() == [0.0, 1.0]
+
+    def test_run_without_standardize_writes_no_transforms(self, tmp_path, schema_file, data):
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 10,
+                       "--burn-in", 2, "--chains", 1, "--out-dir", out_dir) == 0
+        assert (out_dir / "summary.csv").exists()
+        assert not (out_dir / "standardization.csv").exists()
+
 
 class TestValidate:
     def test_packaged_fixtures_pass(self, capsys):
@@ -156,6 +216,16 @@ class TestErrorPaths:
         assert code == 2
         assert f"{config}:2: key 'burn_in': burn_in must satisfy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_short_data_row_exits_2_naming_row_and_column(self, tmp_path, capsys):
+        data = write(tmp_path / "short.csv", ["y,censored,w1,x1", "1.5,1,0.3,0.2", "2.0,0,0.1"])
+        schema = write(tmp_path / "schema.cfg", [
+            "response = y", "censored = censored", "selection = w1", "outcome = x1",
+        ])
+        code = run_cli("run", "--data", data, "--schema", schema, "--iterations", 10,
+                       "--burn-in", 1, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert f"{data}: row 2 has 3 cells and lacks column 'x1'" in capsys.readouterr().err
 
     def test_header_only_csv_exits_2_naming_the_file(self, tmp_path, schema_file, capsys):
         data = write(tmp_path / "empty.csv", ["w1,w2,x1,x2,y,censored"])

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, unit_prior
-from tbma.chain import ChainConfig, PosteriorSummary, diagnostics_series, inclusion_probabilities, run_chain
+from tbma.chain import (
+    ChainConfig,
+    ChainOutput,
+    PosteriorSummary,
+    diagnostics_series,
+    inclusion_probabilities,
+    posterior_summaries,
+    run_chain,
+)
 from tbma.errors import EmptyChain, ParseError, SchemaError
 from tbma.io import (
     INTERCEPT_NAME,
@@ -11,6 +21,8 @@ from tbma.io import (
     load_trace,
     parse_bool,
     read_config,
+    read_tagged_csv,
+    write_csv,
     write_dataset,
     write_diagnostics,
     write_summary,
@@ -85,6 +97,17 @@ class TestLoadCsv:
         path = write_lines(tmp_path / "d.csv", rows)
         with pytest.raises(ParseError, match="row 7"):
             load_csv(path, basic_schema())
+
+    def test_short_row_names_row_and_lacking_column(self, tmp_path):
+        path = write_lines(tmp_path / "d.csv", ["y,censored,w1,x1", "1.0,1,0.3,0.2", "2.0,0,0.1"])
+        schema = DataSchema(response="y", selection=("w1",), outcome=("x1",), censored="censored")
+        with pytest.raises(ParseError, match=r"row 2 has 3 cells and lacks column 'x1'"):
+            load_csv(path, schema)
+
+    def test_row_lacking_only_unused_trailing_cells_loads(self, tmp_path):
+        path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens,note", "1,2,3,9,0,first", "4,5,6,7,1"])
+        ds = load_csv(path, basic_schema()).dataset
+        assert ds.W.tolist() == [[1.0, 2.0], [4.0, 5.0]]
 
     def test_bad_censor_flag(self, tmp_path):
         path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens", "1,2,3,9,2"])
@@ -222,6 +245,19 @@ class TestTraceRoundTrip:
         assert back.dataset_fingerprint == out.dataset_fingerprint
         assert back.chain_id == out.chain_id
 
+    def test_non_numeric_cell_names_the_file(self, tmp_path):
+        ds = make_dataset(n=20, seed=9)
+        out = run_chain(ds, unit_prior(2, 2), ChainConfig(iterations=5, burn_in=1, seed=3, chains=1))
+        path = tmp_path / "trace.csv"
+        write_trace(out, path)
+        lines = path.read_bytes().split(b"\r\n")  # lines[0] holds the preamble and header
+        cells = lines[2].split(b",")
+        cells[3] = b"abc"
+        lines[2] = b",".join(cells)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ParseError, match=rf"{path}: .*'abc'"):
+            load_trace(path)
+
     def test_diagnostics_writer(self, tmp_path):
         ds = make_dataset(n=20, seed=9)
         out = run_chain(ds, unit_prior(2, 2), ChainConfig(iterations=10, burn_in=0, seed=3, chains=1))
@@ -230,6 +266,118 @@ class TestTraceRoundTrip:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("sweep,running_size_selection")
         assert len(lines) == 11
+
+
+class TestGoldenBytes:
+    """The exact bytes of the three run outputs (C9 at unit level): ``# ``
+    preamble lines end in ``\\n``, CSV rows in ``\\r\\n``; reals carry
+    17 significant digits in traces and 6 decimals elsewhere."""
+
+    TRACE = (
+        b"# tbma-trace-v1\n# chain_id = 4\n# p = 2\n# q = 2\n"
+        b"# dataset_fingerprint = abc123\n# config_fingerprint = def456\n"
+        b'sweep,burnin,accepted,gamma,phi,in_sel_(intercept),in_sel_w 1,"in_out_x,1",in_out_x2,'
+        b'coef_sel_(intercept),coef_sel_w 1,"coef_out_x,1",coef_out_x2\r\n'
+        b"1,1,0,0,1,1,0,1,1,0.5,0,0.30000000000000004,-2\r\n"
+        b"2,0,1,-0.10000000000000001,1.5,1,1,1,0,-1.25,0.33333333333333331,1e-300,0\r\n"
+        b"3,0,0,0.20000000000000001,0.66666666666666663,1,1,0,0,0.75,25000000000,0,0\r\n"
+    )
+    DIAGNOSTICS = (
+        b"sweep,running_size_selection,running_size_outcome,cumulative_jump_rate\r\n"
+        b"1,1.000000,2.000000,0.000000\r\n"
+        b"2,1.500000,1.500000,0.500000\r\n"
+        b"3,1.666667,1.000000,0.333333\r\n"
+    )
+    SUMMARY = (
+        b"covariate,equation,incl_prob,post_mean,post_sd,cond_mean,cond_sd\r\n"
+        b'"x,1",outcome,0.500000,0.000000,0.000000,0.000000,0.000000\r\n'
+        b"x2,outcome,0.000000,0.000000,0.000000,,\r\n"
+        b"(intercept),selection,1.000000,-0.250000,1.414214,-0.250000,1.414214\r\n"
+        b"w 1,selection,1.000000,12500000000.166666,17677669529.427986,"
+        b"12500000000.166666,17677669529.427986\r\n"
+    )
+
+    @staticmethod
+    def output():
+        return ChainOutput(
+            column_names_w=(INTERCEPT_NAME, "w 1"),
+            column_names_x=("x,1", "x2"),
+            sweeps=np.array([1, 2, 3]),
+            is_burnin=np.array([True, False, False]),
+            models=np.array([[1, 0, 1, 1], [1, 1, 1, 0], [1, 1, 0, 0]], dtype=bool),
+            psis=np.array([
+                [0.5, 0.0, 0.1 + 0.2, -2.0],
+                [-1.25, 1 / 3, 1e-300, 0.0],
+                [0.75, 2.5e10, 0.0, 0.0],
+            ]),
+            gammas=np.array([0.0, -0.1, 0.2]),
+            phis=np.array([1.0, 1.5, 2 / 3]),
+            accepted=np.array([False, True, False]),
+            chain_id=4,
+            dataset_fingerprint="abc123",
+            config_fingerprint="def456",
+        )
+
+    def test_writers_emit_pinned_bytes(self, tmp_path):
+        out = self.output()
+        write_trace(out, tmp_path / "trace.csv")
+        write_diagnostics(diagnostics_series(out), tmp_path / "diagnostics.csv")
+        write_summary(posterior_summaries(out), tmp_path / "summary.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == self.TRACE
+        assert (tmp_path / "diagnostics.csv").read_bytes() == self.DIAGNOSTICS
+        assert (tmp_path / "summary.csv").read_bytes() == self.SUMMARY
+
+
+# Cells may hold the CSV delimiter, quotes, spaces, line breaks and the
+# preamble's own marks; preamble text stays on one line.
+_CELL = st.text(alphabet='ab z,"\'#=\n\r', max_size=6)
+_KEY = st.text(alphabet="ab z#", max_size=5)
+_VALUE = st.text(alphabet="ab z=#,", max_size=6)
+
+
+@st.composite
+def _tagged_tables(draw):
+    # A header whose first name starts with '#' would read as a preamble line.
+    header = draw(st.lists(_CELL, min_size=1, max_size=4).filter(lambda h: not h[0].startswith("#")))
+    rows = draw(st.lists(st.lists(_CELL, min_size=len(header), max_size=len(header)), max_size=4))
+    pairs = draw(st.lists(st.tuples(_KEY, _VALUE), max_size=3))
+    tags = draw(st.lists(st.text(alphabet="ab z#-", max_size=6), max_size=2))
+    preamble = draw(st.permutations(tags + [f"{key} = {value}" for key, value in pairs]))
+    return header, rows, preamble
+
+
+class TestTaggedCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(table=_tagged_tables())
+    def test_round_trip(self, tmp_path_factory, table):
+        header, rows, preamble = table
+        path = tmp_path_factory.mktemp("rt") / "t.csv"
+        write_csv(path, header, iter(rows), preamble)
+        meta, header_back, rows_back = read_tagged_csv(path)
+        expected = {}
+        for entry in preamble:
+            if "=" in entry:
+                key, _, value = entry.partition("=")
+                expected[key.strip()] = value.strip()
+        assert meta == expected
+        assert header_back == header
+        assert rows_back == rows
+
+    def test_ragged_row_names_file_and_line(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", ["# a = 1", "", "h1,h2", "1,2", "", "3", "4,5"])
+        with pytest.raises(ParseError, match=rf"{path}:6: 1 cells where the header has 2"):
+            read_tagged_csv(path)
+
+    def test_file_cut_after_a_full_row_is_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"# a = 1\nh1,h2\r\n1,2\r\n3,4")
+        with pytest.raises(ParseError, match=rf"{path}:4: last line has no line ending"):
+            read_tagged_csv(path)
+
+    def test_preamble_without_header_is_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "t.csv", ["# a = 1", ""])
+        with pytest.raises(ParseError, match="no header row"):
+            read_tagged_csv(path)
 
 
 class TestConfigFiles:
