@@ -7,6 +7,7 @@ import csv
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -105,18 +106,66 @@ class LoadedData:
     standardization: Standardization | None
 
 
-def _parse_cell(raw: str, row: int, column: str) -> float:
+def _blank(cells: list[str]) -> bool:
+    """A CSV row with no cells, or only empty or whitespace cells."""
+    return all(not c.strip() for c in cells)
+
+
+def _blank_line(line: str) -> bool:
+    """Whether ``csv`` reads ``line`` as a blank row.  A line that starts with
+    a cell's content is not one; a line with an odd count of quotes opens or
+    closes a cell that spans lines, and is kept whole."""
+    first = line[:1]
+    if not (first.isspace() or first in ',"') or line.count('"') % 2:
+        return False
+    return _blank(next(csv.reader([line])))
+
+
+def _number(raw: str) -> float | None:
+    """A stripped cell as ``np.loadtxt`` reads it, or None: ``float()``
+    without digit-group underscores or non-ASCII digits."""
+    if "_" in raw or not raw.isascii():
+        return None
     try:
         return float(raw)
     except ValueError:
-        raise ParseError(f"non-numeric value {raw!r} at row {row}, column {column!r}") from None
+        return None
+
+
+def _raise_first_bad_cell(
+    path: Path, schema: DataSchema, col: dict[str, int], used: list[tuple[int, str]], cause: str
+) -> NoReturn:
+    """Re-read the data rows after the numeric pass failed or met a bad
+    censored flag, and raise the ParseError for the first bad cell in row
+    order, and within a row in the order response, flag, selection columns,
+    outcome columns.  ``cause`` is the error raised should no cell be bad."""
+    order = [schema.response] + [schema.censored] * (schema.censored is not None)
+    order += list(schema.selection) + list(schema.outcome)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_num, row in enumerate(reader, start=1):
+            if _blank(row):
+                continue
+            if len(row) <= used[-1][0]:
+                lacking = next(name for i, name in used if i >= len(row))
+                raise ParseError(f"{path}: row {row_num} has {len(row)} cells and lacks column {lacking!r}")
+            for name in order:
+                raw = row[col[name]].strip()
+                value = _number(raw)
+                if value is None:
+                    raise ParseError(f"{path}: non-numeric value {raw!r} at row {row_num}, column {name!r}")
+                if name == schema.censored and value not in (0.0, 1.0):
+                    raise ParseError(f"{path}: censored flag must be 0 or 1, got {raw!r} at row {row_num}")
+    raise ParseError(f"{path}: {cause}")
 
 
 def load_csv(path, schema: DataSchema) -> LoadedData:
     """Parse a UTF-8 CSV with a header row into the model's design matrices.
 
-    Rows keep file order; censored rows store 0 for the response.  Data rows
-    are numbered from 1 in error messages.
+    The body is parsed in one ``np.loadtxt`` pass over the columns the schema
+    reads.  Rows keep file order; blank rows are skipped; censored rows store 0
+    for the response.  Data rows are numbered from 1 in error messages.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -136,35 +185,34 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
                 raise SchemaError(f"column {name!r} not found in {path}")
         # Columns the schema reads, in file order; a row may stop after the last.
         used = sorted((col[name], name) for name in needed)
+        at = {name: k for k, (_, name) in enumerate(used)}
 
-        w_rows, x_rows, ys, flags = [], [], [], []
-        for row_num, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) <= used[-1][0]:
-                lacking = next(name for i, name in used if i >= len(row))
-                raise ParseError(f"{path}: row {row_num} has {len(row)} cells and lacks column {lacking!r}")
-            y_val = _parse_cell(row[col[schema.response]].strip(), row_num, schema.response)
-            if schema.censored is not None:
-                raw_flag = row[col[schema.censored]].strip()
-                flag_val = _parse_cell(raw_flag, row_num, schema.censored)
-                if flag_val not in (0.0, 1.0):
-                    raise ParseError(
-                        f"censored flag must be 0 or 1, got {raw_flag!r} at row {row_num}"
-                    )
-                is_censored = bool(flag_val)
-            else:
-                is_censored = y_val == 0.0
-            flags.append(is_censored)
-            ys.append(0.0 if is_censored else y_val)
-            w_rows.append([_parse_cell(row[col[c]].strip(), row_num, c) for c in schema.selection])
-            x_rows.append([_parse_cell(row[col[c]].strip(), row_num, c) for c in schema.outcome])
+        # np.loadtxt skips empty lines but not whitespace or all-empty rows.
+        lines = (line for line in fh if not _blank_line(line))
+        first = next(lines, None)
+        if first is None:  # np.loadtxt warns on a body without data
+            table = np.empty((0, len(used)))
+        else:
+            try:
+                table = np.loadtxt(
+                    itertools.chain([first], lines), delimiter=",", quotechar='"', comments=None,
+                    usecols=[i for i, _ in used], dtype=np.float64, ndmin=2,
+                )
+            except ValueError as exc:
+                _raise_first_bad_cell(path, schema, col, used, str(exc))
 
-    n = len(ys)
-    W = np.array(w_rows, dtype=np.float64).reshape(n, len(schema.selection))
-    X = np.array(x_rows, dtype=np.float64).reshape(n, len(schema.outcome))
-    y = np.array(ys, dtype=np.float64)
-    censored = np.array(flags, dtype=bool)
+    y = table[:, at[schema.response]]
+    if schema.censored is not None:
+        flag = table[:, at[schema.censored]]
+        if not np.all((flag == 0.0) | (flag == 1.0)):
+            _raise_first_bad_cell(path, schema, col, used, "a censored flag is not 0 or 1")
+        censored = flag == 1.0
+    else:
+        censored = y == 0.0
+    y = np.where(censored, 0.0, y)
+    W = table.take([at[c] for c in schema.selection], axis=1)
+    X = table.take([at[c] for c in schema.outcome], axis=1)
+    n = len(y)
     names_w, names_x = list(schema.selection), list(schema.outcome)
 
     if schema.standardize:

@@ -227,6 +227,15 @@ class TestErrorPaths:
         assert code == 2
         assert f"{data}: row 2 has 3 cells and lacks column 'x1'" in capsys.readouterr().err
 
+    def test_bad_data_cell_exits_2_naming_file_row_and_column(self, tmp_path, schema_file, capsys):
+        data = write(tmp_path / "bad.csv", ["w1,w2,x1,x2,y,censored", "0.1,0.2,0.3,0.4,1.5,0", "0.1,n/a,0.3,0.4,1.5,0"])
+        code = run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 10,
+                       "--burn-in", 1, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert f"{data}: non-numeric value 'n/a' at row 2, column 'w2'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
     def test_header_only_csv_exits_2_naming_the_file(self, tmp_path, schema_file, capsys):
         data = write(tmp_path / "empty.csv", ["w1,w2,x1,x2,y,censored"])
         code = run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 10,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,32 @@ class TestLoadCsv:
         path = write_lines(tmp_path / "d.csv", rows)
         with pytest.raises(ParseError, match="row 7"):
             load_csv(path, basic_schema())
+
+    def test_cell_and_flag_errors_name_the_file(self, tmp_path):
+        path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens", "1,2,3,9,0", "1,oops,3,9,0"])
+        with pytest.raises(ParseError, match=rf"^{path}: non-numeric value 'oops' at row 2, column 'b'$"):
+            load_csv(path, basic_schema())
+        path = write_lines(tmp_path / "f.csv", ["a,b,c,y,cens", "1,2,3,9,0.5"])
+        with pytest.raises(ParseError, match=rf"^{path}: censored flag must be 0 or 1, got '0.5' at row 1$"):
+            load_csv(path, basic_schema())
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens", "1,2,3,9,0", "", "#1,2,3,9,0"])
+        with pytest.raises(ParseError, match=rf"^{path}: non-numeric value '#1' at row 3, column 'a'$"):
+            load_csv(path, basic_schema())
+
+    def test_digit_group_underscores_rejected(self, tmp_path):
+        path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens", "1,2,3,9,0", "1,2,3,1_000,0"])
+        with pytest.raises(ParseError, match=rf"^{path}: non-numeric value '1_000' at row 2, column 'y'$"):
+            load_csv(path, basic_schema())
+
+    def test_header_only_file_loads_empty_without_warning(self, tmp_path):
+        path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens", "", " , ,"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(path, basic_schema()).dataset
+        assert ds.n == 0
+        assert ds.W.shape == (0, 2) and ds.X.shape == (0, 2)
 
     def test_short_row_names_row_and_lacking_column(self, tmp_path):
         path = write_lines(tmp_path / "d.csv", ["y,censored,w1,x1", "1.0,1,0.3,0.2", "2.0,0,0.1"])
