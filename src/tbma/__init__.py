@@ -23,6 +23,7 @@ from .chain import (
 from .conditionals import (
     FittedValues,
     GammaPosterior,
+    ModelRows,
     PhiPosterior,
     PsiPosterior,
     SweepStatistics,
@@ -32,6 +33,7 @@ from .conditionals import (
     draw_psi,
     fitted_values,
     gamma_posterior_params,
+    model_rows,
     phi_posterior_params,
     sample_latent,
     sweep_statistics,

@@ -5,8 +5,12 @@ Each sweep draws the latent scores, then the covariance entry, then the
 conditional variance, applies the model move(s), and finally draws the
 coefficients for the retained model, in exactly that order.  The first
 three draws read the fitted values of the sweep's starting coefficients,
-formed once at the top of the sweep.  Before the moves, the sweep builds
-the coefficient conditional's data statistics once and scores its starting
+formed once at the top of the sweep from the retained model's rows of the
+design (``model_rows``): the starting coefficients are zero off that model,
+so the products sum only its d active terms per data row.  The loop keeps
+one such row block and gathers it again only after a sweep whose moves
+changed the retained model.  Before the moves, the sweep builds the
+coefficient conditional's data statistics once and scores its starting
 model once; each move then scores only its proposal and passes the retained
 model's posterior on to the next move and to the coefficient draw.  The
 sweep loop runs scipy's OpenBLAS on one thread (see ``tbma.blas``).
@@ -27,6 +31,7 @@ from .conditionals import (
     draw_psi,
     fitted_values,
     gamma_posterior_params,
+    model_rows,
     phi_posterior_params,
     sample_latent,
     sweep_statistics,
@@ -235,15 +240,16 @@ def run_chain(
 
     # scipy's LAPACK scores models of at most p + q covariates; its own
     # thread pool only takes cores from numpy's matrix-vector products.
+    rows = model_rows(dataset, model)
     with scipy_blas_single_thread():
         for sweep in range(config.iterations):
             try:
-                fit = fitted_values(dataset, psi)
+                fit = fitted_values(rows, psi)
                 z = sample_latent(dataset, fit, sigma, rng)
                 gamma = draw_gamma(gamma_posterior_params(dataset, z, fit, sigma.phi, prior), rng)
                 phi = draw_phi(phi_posterior_params(dataset, z, fit, gamma, prior), rng)
                 sigma = SigmaParams(gamma, phi)
-                stats = sweep_statistics(dataset, z, sigma)
+                stats = sweep_statistics(rows, z, sigma)
                 # Looked up on ``search`` so that every scored model goes through one name.
                 psi_post = search.conditional_log_marginal(stats, prior, model)
                 accepted_any = False
@@ -251,6 +257,8 @@ def run_chain(
                     model, accepted, psi_post = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
                     accepted_any = accepted_any or accepted
                 psi = draw_psi(psi_post, rng)
+                if accepted_any and model != rows.model:
+                    rows = model_rows(dataset, model)
             except NumericalError as exc:
                 raise NumericalError(f"chain {chain_id} aborted at sweep {sweep}: {exc}") from exc
 

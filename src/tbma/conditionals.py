@@ -6,20 +6,31 @@ covariance entry gamma (normal) and the conditional outcome variance phi
 (inverse gamma).  The coefficient conditional also yields the model's
 conditional log marginal, which the model move compares across models.
 
-The latent, gamma and phi conditionals all read the fitted values of the
-sweep's starting coefficients, which ``fitted_values`` forms once per sweep.
+The O(n) work of a sweep scales with the size d of the retained model, not
+with p + q.  The design halves are stored transposed, one row per covariate
+(``TobitDataset.split``).  ``model_rows`` gathers the rows at one model's
+active covariates; the sweep loop keeps one such block for the retained
+model and gathers it again only when a move changes that model.
 
-The coefficient conditional has two parts.  ``sweep_statistics`` does all
-the O(n) work once per sweep: at fixed latent scores and covariance, the
+The latent, gamma and phi conditionals all read the fitted values of the
+sweep's starting coefficients, which ``fitted_values`` forms once per sweep
+from the retained model's rows: those coefficients are zero off that model.
+
+The coefficient conditional has two parts.  ``sweep_statistics`` does the
+shared work once per sweep: at fixed latent scores and covariance, the
 weighted Gram matrix and linear term of every covariate are the same for
-every model.  ``conditional_log_marginal`` then scores one model from them
-by indexing its active rows and columns, adding the restricted prior and
-factoring once, with LAPACK's Cholesky routines called directly.
+every model.  The Gram blocks are fixed by the censoring pattern, so only
+their weights change.  The linear term is formed at the retained model's
+covariates, one dot product per row and half; a covariate a proposal adds
+gets its entry the first time a scored model reads it.
+``conditional_log_marginal`` scores one model from them by indexing its
+active rows and columns, adding the restricted prior and factoring once,
+with LAPACK's Cholesky routines called directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -33,15 +44,18 @@ from .core import (
     SigmaParams,
     TobitDataset,
     check_sign_consistency,
+    row_dots,
 )
 from .errors import InvalidParameter, NumericalError
 
 __all__ = [
+    "ModelRows",
     "FittedValues",
     "SweepStatistics",
     "PsiPosterior",
     "GammaPosterior",
     "PhiPosterior",
+    "model_rows",
     "fitted_values",
     "sample_latent",
     "sweep_statistics",
@@ -56,6 +70,21 @@ __all__ = [
 # Standardized truncation point beyond which the inverse CDF is replaced by
 # an exponential-proposal rejection sampler.
 _TAIL_SWITCH = 5.0
+
+
+@dataclass(frozen=True, eq=False)
+class ModelRows:
+    """One model's rows of the transposed design halves of ``dataset.split``:
+    ``wx_unc`` holds the rows of the active covariates, selection first,
+    over the uncensored rows of the data, and ``w_cen`` those of the active
+    selection covariates over the censored rows."""
+
+    dataset: TobitDataset
+    model: ModelIndicator
+    active_w: np.ndarray
+    active_x: np.ndarray
+    wx_unc: np.ndarray
+    w_cen: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +103,56 @@ class SweepStatistics:
     """Data terms of the coefficient conditional over all p + q covariates,
     at one sweep's latent scores and covariance.
 
-    ``gram`` is the weighted cross-product matrix and ``lin`` the weighted
-    design-response vector, both stacked selection block first.
+    ``gram`` is the weighted cross-product matrix, stacked selection block
+    first; (a11, a12, a22) are the entries of the inverse error covariance.
+    The weighted design-response vector (the linear term) is read through
+    ``linear_term``.  With u the stacked row of ``dataset.split.WX_unc`` and
+    c = u . y_unc its ``cross_y_unc`` entry, a selection covariate's entry
+    is a11 u . z_unc + W_cen[j] . z_cen + a12 c, and an outcome covariate's
+    is a12 u . z_unc + a22 c.  Each entry is formed once, when it is first
+    read or by ``sweep_statistics`` for the retained model, and then kept,
+    so a model scored twice from one sweep's statistics gets the same bits.
     """
 
     gram: np.ndarray
-    lin: np.ndarray
+    dataset: TobitDataset
+    z_unc: np.ndarray
+    z_cen: np.ndarray
+    a11: float
+    a12: float
+    a22: float
+    _lin: np.ndarray = field(init=False, repr=False)
+    _formed: set[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lin", np.empty(self.gram.shape[0]))
+        object.__setattr__(self, "_formed", set())
+
+    def linear_term(self, positions: np.ndarray) -> np.ndarray:
+        """The linear term at the stacked ``positions``, forming the entries
+        not formed before with one dot product per row half."""
+        formed = self._formed
+        for j in positions.tolist():
+            if j not in formed:
+                split = self.dataset.split
+                u, c = np.dot(split.WX_unc[j], self.z_unc), split.cross_y_unc[j]
+                if j < self.dataset.p:
+                    self._lin[j] = self.a11 * u + np.dot(split.W_cen[j], self.z_cen) + self.a12 * c
+                else:
+                    self._lin[j] = self.a12 * u + self.a22 * c
+                formed.add(j)
+        return self._lin[positions]
+
+    def _form_from_rows(self, rows: ModelRows) -> None:
+        """Form the linear term at every covariate of ``rows.model`` from its
+        gathered rows, each entry summed as ``linear_term`` sums it."""
+        positions = rows.model.active_positions
+        dw = rows.active_w.size
+        u = row_dots(rows.wx_unc, self.z_unc)
+        c = self.dataset.split.cross_y_unc[positions]
+        self._lin[positions[:dw]] = self.a11 * u[:dw] + row_dots(rows.w_cen, self.z_cen) + self.a12 * c[:dw]
+        self._lin[positions[dw:]] = self.a12 * u[dw:] + self.a22 * c[dw:]
+        self._formed.update(positions.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,21 +242,31 @@ def _std_trunc_lower(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def fitted_values(dataset: TobitDataset, psi: CoefVector) -> FittedValues:
+def model_rows(dataset: TobitDataset, model: ModelIndicator) -> ModelRows:
+    """Gather ``model``'s rows of the transposed design halves; read-only."""
+    split = dataset.split
+    aw = model.active_w
+    rows = ModelRows(dataset, model, aw, model.active_x, split.WX_unc[model.active_positions], split.W_cen[aw])
+    for values in (rows.active_w, rows.active_x, rows.wx_unc, rows.w_cen):
+        values.setflags(write=False)
+    return rows
+
+
+def fitted_values(rows: ModelRows, psi: CoefVector) -> FittedValues:
     """The products of ``psi`` with the design that the latent, gamma and phi
     conditionals share, formed once per sweep; read-only, so every reader
     sees the same values.
 
-    The selection halves are gathered from the full product W theta.  The
-    row-split products W_unc theta and W_cen theta are not used: they can
-    differ from the matching rows of the full product in the last bit.
+    Only the coefficients at ``rows.model``'s active covariates enter, so
+    ``psi`` must be zero elsewhere, as the coefficients a sweep draws for its
+    retained model are.  Each product sums d terms per data row.
     """
-    split = dataset.split
-    sel = dataset.W @ psi.theta
+    dw = rows.active_w.size
+    theta = psi.theta[rows.active_w]
     fit = FittedValues(
-        sel_unc=sel[split.uncensored_idx],
-        sel_cen=sel[split.censored_idx],
-        resid_unc=split.y_unc - split.X_unc @ psi.beta,
+        sel_unc=theta @ rows.wx_unc[:dw],
+        sel_cen=theta @ rows.w_cen,
+        resid_unc=rows.dataset.split.y_unc - psi.beta[rows.active_x] @ rows.wx_unc[dw:],
     )
     for values in (fit.sel_unc, fit.sel_cen, fit.resid_unc):
         values.setflags(write=False)
@@ -222,17 +305,21 @@ def sample_latent(
     return z
 
 
-def sweep_statistics(dataset: TobitDataset, z: np.ndarray, sp: SigmaParams) -> SweepStatistics:
-    """Everything the coefficient conditional takes from the data at fixed
-    latent scores and covariance, for all p + q covariates at once.
+def sweep_statistics(rows: ModelRows, z: np.ndarray, sp: SigmaParams) -> SweepStatistics:
+    """Everything the coefficient conditional takes from the data of
+    ``rows.dataset`` at fixed latent scores and covariance, for all p + q
+    covariates.
 
     With (a11, a12, a22) the entries of the inverse error covariance, the
     Gram matrix is [[a11 W_u'W_u + W_c'W_c, a12 W_u'X_u], [., a22 X_u'X_u]]
     over uncensored (u) and censored (c) rows, and the linear term is
-    [W_u'(a11 z_u + a12 y_u) + W_c'z_c ; X_u'(a12 z_u + a22 y_u)].  The
-    row-split Gram blocks are cached on the dataset, so only the two
-    matrix-vector products touch every row.
+    [a11 W_u'z_u + W_c'z_c + a12 W_u'y_u ; a12 X_u'z_u + a22 X_u'y_u].  The
+    row-split Gram blocks and W_u'y_u, X_u'y_u are cached on the dataset.
+    The linear term is formed here at the covariates of ``rows.model``, the
+    sweep's retained model, and elsewhere only when a scored model reads it
+    (``SweepStatistics.linear_term``).
     """
+    dataset = rows.dataset
     z = check_sign_consistency(dataset, z)
     split = dataset.split
     p, pq = dataset.p, dataset.p + dataset.q
@@ -245,15 +332,12 @@ def sweep_statistics(dataset: TobitDataset, z: np.ndarray, sp: SigmaParams) -> S
     gram[p:, :p] = gram[:p, p:].T
     gram[p:, p:] = a22 * split.gram_xx_unc
 
-    z_unc = z[split.uncensored_idx]
-    z_cen = z[split.censored_idx]
-    lin = np.concatenate([
-        split.W_unc.T @ (a11 * z_unc + a12 * split.y_unc) + split.W_cen.T @ z_cen,
-        split.X_unc.T @ (a12 * z_unc + a22 * split.y_unc),
-    ])
-    gram.setflags(write=False)
-    lin.setflags(write=False)
-    return SweepStatistics(gram, lin)
+    z_unc, z_cen = z[split.uncensored_idx], z[split.censored_idx]
+    for values in (gram, z_unc, z_cen):
+        values.setflags(write=False)
+    stats = SweepStatistics(gram, dataset, z_unc, z_cen, a11, a12, a22)
+    stats._form_from_rows(rows)
+    return stats
 
 
 def conditional_log_marginal(
@@ -287,7 +371,7 @@ def conditional_log_marginal(
 
     active = model.active_positions
     prec += stats.gram[active[:, None], active]
-    lin += stats.lin[active]
+    lin += stats.linear_term(active)
 
     if not np.all(np.isfinite(prec)) or not np.all(np.isfinite(lin)):
         raise NumericalError("non-finite values in the coefficient precision system")

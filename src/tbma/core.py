@@ -25,6 +25,7 @@ __all__ = [
     "ModelIndicator",
     "ModelPrior",
     "PriorSpec",
+    "row_dots",
 ]
 
 
@@ -39,24 +40,51 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return out
 
 
+def row_dots(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``rows @ vec`` as one BLAS dot product per row: numpy runs a stack of
+    1 x n by n products as ``ddot`` calls, each summing as ``np.dot(row, vec)``
+    does.  OpenBLAS sums one matrix-vector product over several rows in an
+    order that depends on the thread count; a ``ddot`` of at most 10 000
+    elements runs on one thread."""
+    return np.matmul(rows[:, None, :], vec)[:, 0]
+
+
 @dataclass(frozen=True)
 class _DesignSplit:
     """Row split and cross products that depend only on the censoring pattern.
 
     The latent sign pattern always equals the censoring pattern, so these
     sums are fixed for the lifetime of a dataset and shared by every sweep.
+    Each design half is stored transposed, one contiguous row per covariate,
+    in stacked order: ``WX_unc`` is (p + q) x n_unc, the rows of W over the
+    uncensored rows of the data followed by those of X, and ``W_cen`` is
+    p x n_cen.  ``cross_y_unc`` holds each row of ``WX_unc`` dotted with
+    ``y_unc``.
     """
 
     uncensored_idx: np.ndarray
     censored_idx: np.ndarray
-    W_unc: np.ndarray
-    X_unc: np.ndarray
+    WX_unc: np.ndarray
     y_unc: np.ndarray
     W_cen: np.ndarray
+    cross_y_unc: np.ndarray
     gram_ww_unc: np.ndarray
     gram_wx_unc: np.ndarray
     gram_xx_unc: np.ndarray
     gram_ww_cen: np.ndarray
+
+
+def _transposed_rows(mats: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
+    """``mats`` side by side, at ``rows``, transposed: a read-only C-contiguous
+    array gathered without a row-major intermediate."""
+    out = np.empty((sum(mat.shape[1] for mat in mats), rows.size))
+    start = 0
+    for mat in mats:
+        stop = start + mat.shape[1]
+        np.take(mat.T, rows, axis=1, out=out[start:stop], mode="clip")  # "raise" would buffer the output
+        start = stop
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,21 +147,26 @@ class TobitDataset:
     def split(self) -> _DesignSplit:
         unc = np.flatnonzero(~self.censored)
         cen = np.flatnonzero(self.censored)
-        W_unc = np.ascontiguousarray(self.W[unc])
-        X_unc = np.ascontiguousarray(self.X[unc])
-        y_unc = np.ascontiguousarray(self.y[unc])
-        W_cen = np.ascontiguousarray(self.W[cen])
+        p = self.p
+        # A @ A.T runs as one BLAS syrk.  OpenBLAS's threaded general matrix
+        # product sums in an order that depends on the thread count; its syrk
+        # gave the same bits at one and at two threads on the paper's shape.
+        WX_unc = _transposed_rows((self.W, self.X), unc)
+        gram_unc = WX_unc @ WX_unc.T
+        W_cen = _transposed_rows((self.W,), cen)
+        y_unc = self.y[unc]
+        y_unc.setflags(write=False)
         return _DesignSplit(
             uncensored_idx=unc,
             censored_idx=cen,
-            W_unc=W_unc,
-            X_unc=X_unc,
+            WX_unc=WX_unc,
             y_unc=y_unc,
             W_cen=W_cen,
-            gram_ww_unc=W_unc.T @ W_unc,
-            gram_wx_unc=W_unc.T @ X_unc,
-            gram_xx_unc=X_unc.T @ X_unc,
-            gram_ww_cen=W_cen.T @ W_cen,
+            cross_y_unc=row_dots(WX_unc, y_unc),
+            gram_ww_unc=gram_unc[:p, :p],
+            gram_wx_unc=gram_unc[:p, p:],
+            gram_xx_unc=gram_unc[p:, p:],
+            gram_ww_cen=W_cen @ W_cen.T,
         )
 
     @cached_property

@@ -201,44 +201,39 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
             except ValueError as exc:
                 _raise_first_bad_cell(path, schema, col, used, str(exc))
 
-    y = table[:, at[schema.response]]
     if schema.censored is not None:
-        flag = table[:, at[schema.censored]]
-        if not np.all((flag == 0.0) | (flag == 1.0)):
+        censored = table[:, at[schema.censored]] == 1.0
+        if not np.all(censored | (table[:, at[schema.censored]] == 0.0)):
             _raise_first_bad_cell(path, schema, col, used, "a censored flag is not 0 or 1")
-        censored = flag == 1.0
     else:
-        censored = y == 0.0
-    y = np.where(censored, 0.0, y)
-    W = table.take([at[c] for c in schema.selection], axis=1)
-    X = table.take([at[c] for c in schema.outcome], axis=1)
+        censored = table[:, at[schema.response]] == 0.0
+    y = np.where(censored, 0.0, table[:, at[schema.response]])
+    # An added intercept is the first column of its equation and always
+    # included; the transforms give it center 0 and scale 1.
+    add_w, add_x = schema.add_intercept_selection, schema.add_intercept_outcome
+    W = _design(table, [at[c] for c in schema.selection], add_w)
+    X = _design(table, [at[c] for c in schema.outcome], add_x)
+    del table
     n = len(y)
-    names_w, names_x = list(schema.selection), list(schema.outcome)
+    names_w = [INTERCEPT_NAME] * add_w + list(schema.selection)
+    names_x = [INTERCEPT_NAME] * add_x + list(schema.outcome)
 
     if schema.standardize:
         if n == 0:
             raise SchemaError("cannot standardize an empty file")
-        w_center, w_scale = _column_moments(W)
-        x_center, x_scale = _column_moments(X)
+        w_center, w_scale = _column_moments(W[:, add_w:])
+        x_center, x_scale = _column_moments(X[:, add_x:])
         unc = ~censored
         if np.any(unc):
             y_center = float(y[unc].mean())
             y_scale = float(y[unc].std(ddof=0)) or 1.0
         else:
             y_center, y_scale = 0.0, 1.0
-        W = (W - w_center) / w_scale
-        X = (X - x_center) / x_scale
+        for mat, start, center, scale in ((W, add_w, w_center, w_scale), (X, add_x, x_center, x_scale)):
+            mat[:, start:] -= center
+            mat[:, start:] /= scale
         y = np.where(unc, (y - y_center) / y_scale, 0.0)
 
-    # An added intercept is the first column of its equation and always
-    # included; the transforms give it center 0 and scale 1.
-    add_w, add_x = schema.add_intercept_selection, schema.add_intercept_outcome
-    if add_w:
-        W = np.column_stack([np.ones(n), W])
-        names_w = [INTERCEPT_NAME] + names_w
-    if add_x:
-        X = np.column_stack([np.ones(n), X])
-        names_x = [INTERCEPT_NAME] + names_x
     standardization = None
     if schema.standardize:
         standardization = Standardization(
@@ -252,6 +247,9 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
             x_intercept=0 if add_x else None,
         )
 
+    # Frozen here, the arrays are the dataset's own, not copies.
+    for values in (W, X, y, censored):
+        values.setflags(write=False)
     dataset = TobitDataset(
         W=W, X=X, y=y, censored=censored,
         column_names_w=tuple(names_w), column_names_x=tuple(names_x),
@@ -260,6 +258,17 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
     forced[0], forced[dataset.p] = add_w, add_x
     template = ModelIndicator.full_model(dataset.p, dataset.q, forced)
     return LoadedData(dataset=dataset, model_template=template, standardization=standardization)
+
+
+def _design(table: np.ndarray, columns: list[int], intercept: bool) -> np.ndarray:
+    """A design matrix: a column of ones when ``intercept`` is set, then the
+    ``columns`` of ``table``, each copied straight into the result."""
+    out = np.empty((table.shape[0], intercept + len(columns)))
+    if intercept:
+        out[:, 0] = 1.0
+    for k, c in enumerate(columns, start=int(intercept)):
+        out[:, k] = table[:, c]
+    return out
 
 
 def _column_moments(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

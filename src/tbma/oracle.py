@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from .conditionals import conditional_log_marginal, sweep_statistics
+from .conditionals import conditional_log_marginal, model_rows, sweep_statistics
 from .core import (
     CoefVector,
     ModelIndicator,
@@ -179,9 +179,9 @@ def _batched_log_density(
     beta = coords[:, dw:]
     g, phi = sp.gamma, sp.phi
 
-    e_z_cen = z[split.censored_idx][None, :] - theta @ split.W_cen[:, aw].T
-    e_z_unc = z[split.uncensored_idx][None, :] - theta @ split.W_unc[:, aw].T
-    e_y = split.y_unc[None, :] - beta @ split.X_unc[:, ax].T
+    e_z_cen = z[split.censored_idx][None, :] - theta @ split.W_cen[aw]
+    e_z_unc = z[split.uncensored_idx][None, :] - theta @ split.WX_unc[aw]
+    e_y = split.y_unc[None, :] - beta @ split.WX_unc[dataset.p + ax]
 
     quad = np.einsum("ij,ij->i", e_z_cen, e_z_cen)
     quad += (1.0 + g * g / phi) * np.einsum("ij,ij->i", e_z_unc, e_z_unc)
@@ -320,7 +320,7 @@ def enumerate_model_posterior(
     base = ModelIndicator.null_model(p, q, forced)
     free = base.free_positions()
 
-    stats = sweep_statistics(dataset, z, sp)
+    stats = sweep_statistics(model_rows(dataset, base), z, sp)
     keys, scores = [], []
     for bits in itertools.product((False, True), repeat=free.size):
         include = base.include.copy()
@@ -605,7 +605,7 @@ def run_fixture_suite(directory=None) -> list[FixtureCheck]:
     for fx in iter_fixtures(directory):
         start = perf_counter()
         prior = fx.prior
-        stats = sweep_statistics(fx.dataset, fx.z, fx.sp)
+        stats = sweep_statistics(model_rows(fx.dataset, fx.model_a), fx.z, fx.sp)
         log_a = conditional_log_marginal(stats, prior, fx.model_a)
         log_b = conditional_log_marginal(stats, prior, fx.model_b)
         quad_a = quadrature_conditional_marginal(fx.dataset, fx.z, fx.model_a, fx.sp, prior, fx.quadrature)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tbma.search
-from tbma.conditionals import fitted_values, sample_latent
+from tbma.conditionals import fitted_values, model_rows, sample_latent
 from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 
 
@@ -73,6 +73,18 @@ def make_dataset(n=30, p=2, q=2, seed=0, censored_fraction=0.4):
     )
 
 
+def full_fit(dataset, psi):
+    """Fitted values of coefficients that may be nonzero at any covariate,
+    from the full model's rows of the design."""
+    return fitted_values(model_rows(dataset, ModelIndicator.full_model(dataset.p, dataset.q)), psi)
+
+
+def null_rows(dataset):
+    """The null model's (empty) row block: sweep statistics built from it
+    form every linear-term entry on first read."""
+    return model_rows(dataset, ModelIndicator.null_model(dataset.p, dataset.q))
+
+
 def consistent_z(dataset, seed=1):
     """A latent vector whose sign pattern matches the censoring pattern."""
     rng = np.random.default_rng(seed)
@@ -97,4 +109,4 @@ def truncated_normal_draws(mu, n, negative, rng):
         column_names_w=("w",), column_names_x=("x",),
     )
     psi = CoefVector(np.array([float(mu)]), np.zeros(1))
-    return sample_latent(dataset, fitted_values(dataset, psi), SigmaParams(0.0, 1.0), rng)
+    return sample_latent(dataset, full_fit(dataset, psi), SigmaParams(0.0, 1.0), rng)

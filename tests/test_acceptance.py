@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import truncnorm
 
 import tbma.search
-from conftest import consistent_z, make_dataset, truncated_normal_draws, unit_prior
+from conftest import consistent_z, make_dataset, null_rows, truncated_normal_draws, unit_prior
 from tbma.chain import (
     ChainConfig,
     inclusion_probabilities,
@@ -27,6 +27,7 @@ from tbma.conditionals import (
     draw_phi,
     draw_psi,
     fitted_values,
+    model_rows,
     phi_posterior_params,
     sample_latent,
     sweep_statistics,
@@ -155,7 +156,7 @@ def test_c3_stationarity_against_exact_enumeration(memo_marginals):
     counts = dict.fromkeys(exact, 0)
     steps = 1_000_000
     memo_marginals()
-    stats = sweep_statistics(dataset, z, sp)
+    stats = sweep_statistics(null_rows(dataset), z, sp)
     current = tbma.search.conditional_log_marginal(stats, prior, model)
     for _ in range(steps):
         model, _, current = mc3_step(stats, prior, current, flat, rng)
@@ -202,6 +203,7 @@ def test_c4_conjugate_reduction_uncensored_decoupled():
         gamma0=0.0, G0=1.0, s0=6.0, S0=6.0,
     )
     model = ModelIndicator.full_model(p, q)
+    rows = model_rows(dataset, model)
 
     rng = np.random.default_rng(SEED + 5)
     sweeps, burn = 50_000, 1_000
@@ -210,10 +212,10 @@ def test_c4_conjugate_reduction_uncensored_decoupled():
     betas = np.empty((sweeps, q))
     for it in range(sweeps + burn):
         sp = SigmaParams(0.0, phi)
-        fit = fitted_values(dataset, psi)
+        fit = fitted_values(rows, psi)
         z = sample_latent(dataset, fit, sp, rng)
         phi = draw_phi(phi_posterior_params(dataset, z, fit, 0.0, prior), rng)
-        stats = sweep_statistics(dataset, z, SigmaParams(0.0, phi))
+        stats = sweep_statistics(rows, z, SigmaParams(0.0, phi))
         psi = draw_psi(conditional_log_marginal(stats, prior, model), rng)
         if it >= burn:
             betas[it - burn] = psi.beta

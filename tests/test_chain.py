@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,12 +146,20 @@ class TestRunChainBookkeeping:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda gram, lin: (gram, np.full_like(lin, np.nan)), "non-finite values"),
-            (lambda gram, lin: (gram - 1e6 * np.eye(gram.shape[0]), lin), "not positive definite"),
+            (
+                lambda stats: replace(stats, **{
+                    name: np.full_like(getattr(stats, name), np.nan)
+                    for name in ("z_unc", "z_cen")
+                }),
+                "non-finite values",
+            ),
+            (
+                lambda stats: replace(stats, gram=stats.gram - 1e6 * np.eye(stats.gram.shape[0])),
+                "not positive definite",
+            ),
         ],
     )
     def test_scoring_fault_names_chain_sweep_and_cause(self, monkeypatch, corrupt, message):
-        from tbma.conditionals import SweepStatistics
         from tbma.errors import NumericalError
 
         real = chain_mod.sweep_statistics
@@ -160,7 +170,7 @@ class TestRunChainBookkeeping:
             built["n"] += 1
             if built["n"] < 3:
                 return stats
-            return SweepStatistics(*corrupt(stats.gram, stats.lin))
+            return corrupt(stats)
 
         monkeypatch.setattr(chain_mod, "sweep_statistics", faulty)
         config = ChainConfig(iterations=10, burn_in=0, seed=1, chains=1)
@@ -191,7 +201,7 @@ class TestSweepOrder:
         assert events == per_sweep * 3
 
     def test_statistics_built_once_and_each_model_scored_once_per_sweep(self, monkeypatch):
-        counts = {"fitted": 0, "statistics": 0, "scores": 0}
+        counts = {"fitted": 0, "statistics": 0, "scores": 0, "rows": 0}
 
         def counting(name, fn):
             def inner(*args, **kwargs):
@@ -201,13 +211,19 @@ class TestSweepOrder:
 
         monkeypatch.setattr(chain_mod, "fitted_values", counting("fitted", chain_mod.fitted_values))
         monkeypatch.setattr(chain_mod, "sweep_statistics", counting("statistics", chain_mod.sweep_statistics))
+        monkeypatch.setattr(chain_mod, "model_rows", counting("rows", chain_mod.model_rows))
         monkeypatch.setattr(
             tbma.search, "conditional_log_marginal", counting("scores", tbma.search.conditional_log_marginal)
         )
         ds = make_dataset(n=10, seed=2)
-        config = ChainConfig(iterations=7, burn_in=0, seed=1, chains=1, inner_model_moves=3)
-        run_chain(ds, unit_prior(2, 2), config)
-        assert counts == {"fitted": 7, "statistics": 7, "scores": 7 * (1 + 3)}
+        config = ChainConfig(iterations=40, burn_in=0, seed=1, chains=1, inner_model_moves=3)
+        out = run_chain(ds, unit_prior(2, 2), config)
+        # The row block is gathered for the null-model start, then again after
+        # each sweep that ends on another model than it started from.
+        retained = np.vstack([np.zeros((1, 4), bool), out.models])
+        changed = int(np.count_nonzero(np.any(retained[1:] != retained[:-1], axis=1)))
+        assert 0 < changed < np.count_nonzero(out.accepted) < 40
+        assert counts == {"fitted": 40, "statistics": 40, "scores": 40 * (1 + 3), "rows": 1 + changed}
 
 
 class TestSummaries:

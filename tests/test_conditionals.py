@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import truncnorm
 
-from conftest import consistent_z, make_dataset, truncated_normal_draws, unit_prior
+from conftest import consistent_z, full_fit, make_dataset, null_rows, truncated_normal_draws, unit_prior
 from tbma.conditionals import (
     PsiPosterior,
     SweepStatistics,
@@ -15,6 +17,7 @@ from tbma.conditionals import (
     draw_psi,
     fitted_values,
     gamma_posterior_params,
+    model_rows,
     phi_posterior_params,
     sample_latent,
     sweep_statistics,
@@ -110,18 +113,20 @@ class TestLatentConditional:
         assert var > 0.0
 
 
-def reference_latent(dataset, psi, sp, rng):
+def reference_latent(dataset, fit, sp, rng):
     """The latent draw in its per-row form: a mean and an sd for every row,
     mirrored by the censoring side, then inverse-CDF draws in row order for
     cuts up to ``_TAIL_SWITCH`` and exponential-proposal rejection for the
-    rest.  Takes the same two design products as ``fitted_values``."""
-    mu = dataset.W @ psi.theta
+    rest.  Takes the design products from ``fit``, as ``sample_latent`` does."""
+    mu = np.empty(dataset.n)
+    mu[dataset.censored] = fit.sel_cen
     sd = np.ones(dataset.n)
     unc = np.flatnonzero(~dataset.censored)
+    mu[unc] = fit.sel_unc
     if unc.size:
         g, phi = sp.gamma, sp.phi
         denom = phi + g * g
-        mu[unc] += (g / denom) * (dataset.split.y_unc - dataset.split.X_unc @ psi.beta)
+        mu[unc] += (g / denom) * fit.resid_unc
         sd[unc] = np.sqrt(phi / denom)
     negative = dataset.censored
     a = np.where(negative, mu, -mu) / sd
@@ -178,7 +183,7 @@ class TestSampleLatent:
             W=np.zeros((0, 1)), X=np.zeros((0, 1)), y=np.zeros(0),
             censored=np.zeros(0, bool), column_names_w=("w",), column_names_x=("x",),
         )
-        assert sample_latent(ds, fitted_values(ds, CoefVector.zeros(1, 1)), SigmaParams(0.0, 1.0), rng).size == 0
+        assert sample_latent(ds, full_fit(ds, CoefVector.zeros(1, 1)), SigmaParams(0.0, 1.0), rng).size == 0
 
     def test_all_censored_mean(self):
         rng = np.random.default_rng(3)
@@ -187,7 +192,7 @@ class TestSampleLatent:
             W=np.zeros((n, 1)), X=np.zeros((n, 1)), y=np.zeros(n),
             censored=np.ones(n, bool), column_names_w=("w",), column_names_x=("x",),
         )
-        z = sample_latent(ds, fitted_values(ds, CoefVector.zeros(1, 1)), SigmaParams(0.0, 1.0), rng)
+        z = sample_latent(ds, full_fit(ds, CoefVector.zeros(1, 1)), SigmaParams(0.0, 1.0), rng)
         assert np.all(z < 0)
         assert abs(z.mean() + np.sqrt(2.0 / np.pi)) < 0.01
 
@@ -196,7 +201,7 @@ class TestSampleLatent:
         ds = make_dataset(n=200, seed=seed)
         rng = np.random.default_rng(seed + 10)
         psi = CoefVector(np.array([0.4, -0.8]), np.array([1.0, 0.2]))
-        z = sample_latent(ds, fitted_values(ds, psi), SigmaParams(0.7, 0.6), rng)
+        z = sample_latent(ds, full_fit(ds, psi), SigmaParams(0.7, 0.6), rng)
         assert np.array_equal(z < 0, ds.censored)
 
     @settings(max_examples=150, deadline=None)
@@ -211,8 +216,9 @@ class TestSampleLatent:
     def test_matches_per_row_reference_bit_for_bit(self, seed, n, censoring, scale, gamma, phi):
         ds, psi, sp = latent_problem(seed, n, censoring, scale, gamma, phi)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        z = sample_latent(ds, fitted_values(ds, psi), sp, rng)
-        assert np.array_equal(bits(z), bits(reference_latent(ds, psi, sp, ref_rng)))
+        fit = full_fit(ds, psi)
+        z = sample_latent(ds, fit, sp, rng)
+        assert np.array_equal(bits(z), bits(reference_latent(ds, fit, sp, ref_rng)))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("censoring", ["mixed", "none", "all"])
@@ -224,23 +230,35 @@ class TestSampleLatent:
         cuts = np.concatenate([mu[ds.censored], -mu_unc / np.sqrt(sp.phi / denom)])
         assert np.count_nonzero(cuts > _TAIL_SWITCH) >= 10
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-        z = sample_latent(ds, fitted_values(ds, psi), sp, rng)
-        assert np.array_equal(bits(z), bits(reference_latent(ds, psi, sp, ref_rng)))
+        fit = full_fit(ds, psi)
+        z = sample_latent(ds, fit, sp, rng)
+        assert np.array_equal(bits(z), bits(reference_latent(ds, fit, sp, ref_rng)))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(0, 80),
         censoring=st.sampled_from(["mixed", "none", "all"]),
+        data=st.data(),
     )
-    def test_fitted_halves_are_rows_of_the_full_product(self, seed, n, censoring):
+    def test_fitted_halves_match_the_full_products(self, seed, n, censoring, data):
         ds, psi, _ = latent_problem(seed, n, censoring, 2.0, 0.0, 1.0)
-        fit = fitted_values(ds, psi)
+        include = np.array(data.draw(st.lists(st.booleans(), min_size=5, max_size=5)))
+        model = ModelIndicator(include, np.zeros(5, bool), 3)
+        # Coefficients of a sweep's retained model: zero off its covariates.
+        psi = CoefVector.from_psi(np.where(include, psi.psi, 0.0), 3)
+        fit = fitted_values(model_rows(ds, model), psi)
+        unc = ~ds.censored
         sel = ds.W @ psi.theta
-        assert np.array_equal(bits(fit.sel_unc), bits(sel[~ds.censored]))
-        assert np.array_equal(bits(fit.sel_cen), bits(sel[ds.censored]))
-        assert np.array_equal(bits(fit.resid_unc), bits(ds.split.y_unc - ds.split.X_unc @ psi.beta))
+        sel_mag = np.abs(ds.W) @ np.abs(psi.theta)
+        resid = ds.y[unc] - ds.X[unc] @ psi.beta
+        resid_mag = np.abs(ds.y[unc]) + np.abs(ds.X[unc]) @ np.abs(psi.beta)
+        assert np.all(np.abs(fit.sel_unc - sel[unc]) <= 1e-12 * sel_mag[unc])
+        assert np.all(np.abs(fit.sel_cen - sel[~unc]) <= 1e-12 * sel_mag[~unc])
+        assert np.all(np.abs(fit.resid_unc - resid) <= 1e-12 * resid_mag)
+        for values in (fit.sel_unc, fit.sel_cen, fit.resid_unc):
+            assert not values.flags.writeable
 
 
 class TestPsiPosterior:
@@ -252,7 +270,7 @@ class TestPsiPosterior:
         prior = unit_prior(2, 2, Theta0=np.diag([2.0, 3.0]), B0=np.diag([4.0, 5.0]),
                            theta0=np.array([1.0, -1.0]), beta0=np.array([0.5, 0.0]))
         model = ModelIndicator(np.array([True, False, True, True]), np.zeros(4, bool), 2)
-        stats = sweep_statistics(ds, np.zeros(0), SigmaParams(0.2, 1.0))
+        stats = sweep_statistics(null_rows(ds), np.zeros(0), SigmaParams(0.2, 1.0))
         post = conditional_log_marginal(stats, prior, model)
         assert np.allclose(post.psi1, [1.0, 0.5, 0.0])
         assert np.allclose(post.Psi1, np.diag([2.0, 4.0, 5.0]))
@@ -262,7 +280,7 @@ class TestPsiPosterior:
         assert ds.n_o == 0
         z = consistent_z(ds)
         prior = unit_prior(2, 2, B0=np.diag([3.0, 7.0]), beta0=np.array([2.0, -2.0]))
-        stats = sweep_statistics(ds, z, SigmaParams(0.5, 2.0))
+        stats = sweep_statistics(null_rows(ds), z, SigmaParams(0.5, 2.0))
         post = conditional_log_marginal(stats, prior, ModelIndicator.full_model(2, 2))
         assert np.allclose(post.psi1[2:], [2.0, -2.0])
         assert np.allclose(post.Psi1[2:, 2:], np.diag([3.0, 7.0]))
@@ -276,7 +294,7 @@ class TestPsiPosterior:
         phi = 1.7
         prior = unit_prior(2, 2, Theta0=np.diag([2.0, 0.5]), B0=np.diag([1.5, 3.0]),
                            theta0=np.array([0.2, 0.0]), beta0=np.array([-0.1, 0.4]))
-        stats = sweep_statistics(ds, z, SigmaParams(0.0, phi))
+        stats = sweep_statistics(null_rows(ds), z, SigmaParams(0.0, phi))
         post = conditional_log_marginal(stats, prior, ModelIndicator.full_model(2, 2))
 
         prec_theta = np.linalg.inv(np.diag([2.0, 0.5])) + ds.W.T @ ds.W
@@ -299,32 +317,125 @@ class TestPsiPosterior:
         prior = unit_prior(2, 2)
         sp = SigmaParams(0.8, 0.9)
         model = ModelIndicator.full_model(2, 2)
-        post = conditional_log_marginal(sweep_statistics(ds, z, sp), prior, model)
+        post = conditional_log_marginal(sweep_statistics(null_rows(ds), z, sp), prior, model)
         assert np.allclose(post.Psi1 @ (post.chol @ post.chol.T), np.eye(4), atol=1e-10)
 
 
+def dense_linear_term(ds, z, sp):
+    """The linear term at every covariate from the full row-major design,
+    W_u'(a11 z_u + a12 y_u) + W_c'z_c over X_u'(a12 z_u + a22 y_u), with the
+    summed magnitude of the products it adds up."""
+    g, phi = sp.gamma, sp.phi
+    a11, a12, a22 = 1.0 + g * g / phi, -g / phi, 1.0 / phi
+    unc, cen = ~ds.censored, ds.censored
+    z_u, z_c, y_u = z[unc], z[cen], ds.y[unc]
+    lin = np.concatenate([
+        ds.W[unc].T @ (a11 * z_u + a12 * y_u) + ds.W[cen].T @ z_c,
+        ds.X[unc].T @ (a12 * z_u + a22 * y_u),
+    ])
+    W_u, W_c, X_u = np.abs(ds.W[unc]), np.abs(ds.W[cen]), np.abs(ds.X[unc])
+    mag = np.concatenate([
+        W_u.T @ (abs(a11) * np.abs(z_u) + abs(a12) * np.abs(y_u)) + W_c.T @ np.abs(z_c),
+        X_u.T @ (abs(a12) * np.abs(z_u) + a22 * np.abs(y_u)),
+    ])
+    return lin, mag
+
+
+@st.composite
+def scoring_problems(draw):
+    """A dataset, latent scores and covariance, a retained model, and a call
+    order over a few models that share one forced mask; models repeat in
+    the order."""
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    ds = make_dataset(n=draw(st.integers(0, 40)), p=p, q=q, seed=seed,
+                      censored_fraction=draw(st.sampled_from([0.0, 0.4, 1.1])))
+    z = consistent_z(ds, seed=seed % 1000)
+    sp = SigmaParams(float(gen.uniform(-2.0, 2.0)), float(gen.uniform(0.1, 3.0)))
+    forced = np.array(draw(st.lists(st.booleans(), min_size=p + q, max_size=p + q)))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=p + q, max_size=p + q), min_size=1, max_size=4))
+    models = [ModelIndicator(np.array(m) | forced, forced, p) for m in masks]
+    order = draw(st.lists(st.integers(0, len(models) - 1), min_size=1, max_size=8))
+    retained = models[draw(st.integers(0, len(models) - 1))]
+    return ds, z, sp, retained, [models[i] for i in order]
+
+
+class TestLinearTermOnDemand:
+    """The linear term is formed at the retained model's covariates up front
+    and at any other covariate the first time a scored model reads it, then
+    kept for the rest of the sweep."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=scoring_problems())
+    def test_every_entry_read_matches_the_dense_term(self, problem):
+        ds, z, sp, retained, order = problem
+        prior = unit_prior(ds.p, ds.q)
+        stats = sweep_statistics(model_rows(ds, retained), z, sp)
+        lin, mag = dense_linear_term(ds, z, sp)
+        for model in order:
+            post = conditional_log_marginal(stats, prior, model)
+            active = model.active_positions
+            assert np.all(np.abs(stats.linear_term(active) - lin[active]) <= 1e-12 * mag[active])
+            # The posterior mean solves the dense system on the active subspace.
+            prec = np.eye(model.d) + stats.gram[np.ix_(active, active)]
+            assert np.allclose(post.psi1, np.linalg.solve(prec, lin[active]), rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=scoring_problems())
+    def test_a_model_scored_again_is_bit_identical(self, problem):
+        ds, z, sp, retained, order = problem
+        prior = unit_prior(ds.p, ds.q)
+        stats = sweep_statistics(model_rows(ds, retained), z, sp)
+        first = conditional_log_marginal(stats, prior, order[0])
+        for model in order[1:]:
+            conditional_log_marginal(stats, prior, model)
+        again = conditional_log_marginal(stats, prior, order[0])
+        assert np.array_equal(bits(again.psi1), bits(first.psi1))
+        assert np.array_equal(bits(again.chol), bits(first.chol))
+        assert bits(again.log_conditional_marginal) == bits(first.log_conditional_marginal)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=scoring_problems())
+    def test_entries_formed_up_front_equal_those_formed_on_read(self, problem):
+        ds, z, sp, retained, _ = problem
+        every = np.arange(ds.p + ds.q)
+        up_front = sweep_statistics(model_rows(ds, retained), z, sp).linear_term(every)
+        on_read = sweep_statistics(null_rows(ds), z, sp).linear_term(every)
+        assert np.array_equal(bits(up_front), bits(on_read))
+
+
 class TestScoringErrors:
-    """Faults of the coefficient conditional, from statistics built by hand."""
+    """Faults of the coefficient conditional, from a sweep's statistics with
+    one part replaced."""
 
     model = ModelIndicator.full_model(2, 2)
 
+    @staticmethod
+    def statistics():
+        ds = make_dataset(n=20, seed=4)
+        return sweep_statistics(null_rows(ds), consistent_z(ds), SigmaParams(0.3, 1.2))
+
     def test_large_negative_eigenvalue_is_not_positive_definite(self):
         v = np.array([0.5, -0.5, 0.5, 0.5])
-        gram = np.eye(4) - 1e6 * np.outer(v, v)
-        stats = SweepStatistics(gram, np.ones(4))
+        stats = dataclasses.replace(self.statistics(), gram=np.eye(4) - 1e6 * np.outer(v, v))
         with pytest.raises(NumericalError, match="coefficient precision matrix is not positive definite"):
             conditional_log_marginal(stats, unit_prior(2, 2), self.model)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["lin", "gram"])
     def test_non_finite_statistics(self, where, bad):
-        gram, lin = np.eye(4), np.ones(4)
+        stats = self.statistics()
         if where == "lin":
-            lin[1] = bad
+            z_unc = stats.z_unc.copy()
+            z_unc[1] = bad
+            stats = dataclasses.replace(stats, z_unc=z_unc)
         else:
+            gram = stats.gram.copy()
             gram[2, 3] = gram[3, 2] = bad
+            stats = dataclasses.replace(stats, gram=gram)
         with pytest.raises(NumericalError, match="non-finite values in the coefficient precision system"):
-            conditional_log_marginal(SweepStatistics(gram, lin), unit_prior(2, 2), self.model)
+            conditional_log_marginal(stats, unit_prior(2, 2), self.model)
 
 
 class TestGammaPhiPosteriors:
@@ -334,7 +445,7 @@ class TestGammaPhiPosteriors:
         # G0 = 3 would expose any reciprocal round trip; the empty case must
         # hand back the prior exactly.
         prior = unit_prior(2, 2, gamma0=0.7, G0=3.0)
-        post = gamma_posterior_params(ds, z, fitted_values(ds, CoefVector.zeros(2, 2)), 1.0, prior)
+        post = gamma_posterior_params(ds, z, full_fit(ds, CoefVector.zeros(2, 2)), 1.0, prior)
         assert (post.gamma1, post.G1) == (0.7, 3.0)
 
     def test_gamma_diffuse_single_row(self):
@@ -344,7 +455,7 @@ class TestGammaPhiPosteriors:
             censored=np.array([False]), column_names_w=("w",), column_names_x=("x",),
         )
         prior = unit_prior(1, 1, gamma0=0.0, G0=1e6)
-        post = gamma_posterior_params(ds, np.array([1.0]), fitted_values(ds, CoefVector.zeros(1, 1)), 1.0, prior)
+        post = gamma_posterior_params(ds, np.array([1.0]), full_fit(ds, CoefVector.zeros(1, 1)), 1.0, prior)
         assert post.gamma1 == pytest.approx(2.0, rel=1e-3)
         assert post.G1 == pytest.approx(1.0, rel=1e-3)
 
@@ -354,7 +465,7 @@ class TestGammaPhiPosteriors:
         ds = make_dataset(n=20, seed=seed % 7)
         z = consistent_z(ds, seed=seed)
         prior = unit_prior(2, 2, G0=3.0)
-        post = gamma_posterior_params(ds, z, fitted_values(ds, CoefVector.zeros(2, 2)), phi, prior)
+        post = gamma_posterior_params(ds, z, full_fit(ds, CoefVector.zeros(2, 2)), phi, prior)
         assert post.G1 <= prior.G0 + 1e-15
 
     @settings(deadline=None, max_examples=40)
@@ -379,7 +490,7 @@ class TestGammaPhiPosteriors:
         terms = G1 * (abs(prior.gamma0 / prior.G0) + float(np.abs(e_z) @ np.abs(e_y)) / phi)
         resid = gamma * e_z - e_y
 
-        fit = fitted_values(ds, psi)
+        fit = full_fit(ds, psi)
         post_gamma = gamma_posterior_params(ds, z, fit, phi, prior)
         post_phi = phi_posterior_params(ds, z, fit, gamma, prior)
         assert post_gamma.G1 == pytest.approx(G1, rel=1e-12)
@@ -391,7 +502,7 @@ class TestGammaPhiPosteriors:
         ds = make_dataset(n=10, seed=8, censored_fraction=1.1)
         z = consistent_z(ds)
         prior = unit_prior(2, 2, s0=3.0, S0=9.0)
-        post = phi_posterior_params(ds, z, fitted_values(ds, CoefVector.zeros(2, 2)), 0.4, prior)
+        post = phi_posterior_params(ds, z, full_fit(ds, CoefVector.zeros(2, 2)), 0.4, prior)
         assert (post.s1, post.S1) == (3.0, 9.0)
 
     def test_phi_gamma_zero_is_outcome_rss(self):
@@ -399,7 +510,7 @@ class TestGammaPhiPosteriors:
         z = consistent_z(ds)
         psi = CoefVector(np.array([0.1, 0.2]), np.array([-0.3, 0.5]))
         prior = unit_prior(2, 2, s0=5.0, S0=2.0)
-        post = phi_posterior_params(ds, z, fitted_values(ds, psi), 0.0, prior)
+        post = phi_posterior_params(ds, z, full_fit(ds, psi), 0.0, prior)
         unc = ~ds.censored
         e_y = ds.y[unc] - ds.X[unc] @ psi.beta
         assert post.s1 == 5.0 + ds.n_o
@@ -412,7 +523,7 @@ class TestGammaPhiPosteriors:
         z = consistent_z(ds, seed=seed)
         psi = CoefVector(np.array([0.3, -0.4]), np.array([0.9, 0.0]))
         prior = unit_prior(2, 2, S0=1.0)
-        post = phi_posterior_params(ds, z, fitted_values(ds, psi), gamma, prior)
+        post = phi_posterior_params(ds, z, full_fit(ds, psi), gamma, prior)
         assert post.S1 >= prior.S0
 
 
@@ -504,12 +615,12 @@ class TestJointDistributionConsistency:
         samples = np.empty((iters, p + q + 2))
         for it in range(iters):
             ds = regenerate(psi, sp)
-            fit = fitted_values(ds, psi)
+            fit = full_fit(ds, psi)
             z = sample_latent(ds, fit, sp, rng)
             gamma = draw_gamma(gamma_posterior_params(ds, z, fit, sp.phi, prior), rng)
             phi = draw_phi(phi_posterior_params(ds, z, fit, gamma, prior), rng)
             sp = SigmaParams(gamma, phi)
-            psi = draw_psi(conditional_log_marginal(sweep_statistics(ds, z, sp), prior, model), rng)
+            psi = draw_psi(conditional_log_marginal(sweep_statistics(null_rows(ds), z, sp), prior, model), rng)
             samples[it] = np.concatenate([psi.psi, [gamma, phi]])
 
         # Exact prior moments: psi and gamma are N(0, 0.25); phi has an

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -223,6 +224,32 @@ class TestDatasetRoundTrip:
         second = tmp_path / "second.csv"
         write_dataset(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestLoadCsvMemory:
+    @pytest.mark.parametrize("intercepts, standardize", [(False, False), (True, False), (True, True)])
+    def test_peak_stays_near_the_final_arrays(self, tmp_path, intercepts, standardize):
+        # The parsed table and the final W and X are alive at once, and
+        # nothing else of that size.
+        width = 12
+        spec = SynthSpec(n=4000, p=width, q=width, true_theta=np.r_[0.5, np.zeros(width - 1)],
+                         true_beta=np.r_[1.0, np.zeros(width - 1)], gamma=0.4, phi=1.0, seed=9)
+        path = tmp_path / "d.csv"
+        write_dataset(generate_synthetic(spec)[0], path)
+        schema = DataSchema(
+            response="y", censored="censored",
+            selection=tuple(f"w{j}" for j in range(1, width + 1)),
+            outcome=tuple(f"x{j}" for j in range(1, width + 1)),
+            add_intercept_selection=intercepts, add_intercept_outcome=intercepts, standardize=standardize,
+        )
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, schema).dataset
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        final = ds.W.nbytes + ds.X.nbytes + ds.y.nbytes + ds.censored.nbytes
+        assert peak <= 2.25 * final, peak / final
 
 
 class TestSummaryWriter:
