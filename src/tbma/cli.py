@@ -261,7 +261,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    outputs = [io_mod.load_trace(path) for path in args.traces]
+    # Each chain is pooled once and owns one diagnostics file, named by its id.
+    paths = [Path(path) for path in args.traces]
+    first_given = {}
+    for path in paths:
+        first = first_given.setdefault(path.resolve(), path)
+        if first is not path:
+            raise TbmaError(f"{first} and {path} are the same trace; give each chain's trace once")
+    outputs, path_of_chain = [], {}
+    for path in paths:
+        out = io_mod.load_trace(path)
+        if out.chain_id in path_of_chain:
+            raise TbmaError(f"{path_of_chain[out.chain_id]} and {path} both hold chain {out.chain_id}")
+        path_of_chain[out.chain_id] = path
+        outputs.append(out)
     out_dir = Path(args.out_dir)
     pooled = chain_mod.pool_outputs(outputs)
     io_mod.write_summary(chain_mod.posterior_summaries(pooled), out_dir / "summary.csv")

@@ -25,7 +25,9 @@ covariates, one dot product per row and half; a covariate a proposal adds
 gets its entry the first time a scored model reads it.
 ``conditional_log_marginal`` scores one model from them by indexing its
 active rows and columns, adding the restricted prior and factoring once,
-with LAPACK's Cholesky routines called directly.
+with LAPACK's Cholesky routines called directly.  The prior block depends
+only on the model, so it is restricted and inverted once per model, kept in
+a bounded cache on the prior (``PriorSpec.restricted``).
 """
 
 from __future__ import annotations
@@ -353,27 +355,21 @@ def conditional_log_marginal(
     on the active subspace, all determinants via Cholesky log-determinants.
     The dropped constant depends only on (z, y, sigma), so differences across
     models are exact log conditional Bayes factors.  The prior block is
-    restricted and inverted per model: the inverse of a restricted
-    covariance is not the restriction of the full prior precision.
+    restricted and inverted once per model, kept in a bounded cache on the
+    prior (``PriorSpec.restricted``): the inverse of a restricted covariance
+    is not the restriction of the full prior precision.
     """
-    d = model.d
-    if d == 0:
+    if model.d == 0:
         return PsiPosterior(model, np.zeros(0), 0.0, np.zeros((0, 0)))
 
-    psi0, Psi0 = prior.restrict(model)
-    cho0, info = dpotrf(Psi0, lower=1, clean=0)
-    if info:
-        raise NumericalError("prior covariance block is not positive definite")
-    logdet0 = 2.0 * float(np.log(cho0.diagonal()).sum())
-    lin, _ = dpotrs(cho0, psi0, lower=1)
-    quad0 = float(psi0 @ lin)
-    prec, _ = dpotrs(cho0, np.eye(d), lower=1)
-
+    prior_terms = prior.restricted(model)
     active = model.active_positions
-    prec += stats.gram[active[:, None], active]
-    lin += stats.linear_term(active)
+    # New arrays: the factorisation below overwrites ``prec``, never the prior's.
+    prec = prior_terms.precision + stats.gram[active[:, None], active]
+    lin = prior_terms.precision_mean + stats.linear_term(active)
 
-    if not np.all(np.isfinite(prec)) or not np.all(np.isfinite(lin)):
+    # count_nonzero: a fraction of the fixed cost of all() on arrays this small.
+    if np.count_nonzero(np.isfinite(prec)) < prec.size or np.count_nonzero(np.isfinite(lin)) < lin.size:
         raise NumericalError("non-finite values in the coefficient precision system")
     chol, info = dpotrf(prec, lower=1, clean=1, overwrite_a=1)
     if info:
@@ -381,7 +377,7 @@ def conditional_log_marginal(
     psi1, _ = dpotrs(chol, lin, lower=1)
     logdet_prec = 2.0 * float(np.log(chol.diagonal()).sum())
     # psi1' Psi1^{-1} psi1 equals psi1 . lin because Psi1^{-1} psi1 = lin.
-    value = 0.5 * (-logdet_prec - logdet0 - quad0 + float(psi1 @ lin))
+    value = 0.5 * (-logdet_prec - prior_terms.logdet - prior_terms.quad + float(psi1 @ lin))
     return PsiPosterior(model, psi1, value, chol)
 
 

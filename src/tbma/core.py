@@ -15,8 +15,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import InvalidParameter, InvalidState
+from .errors import InvalidParameter, InvalidState, NumericalError
 
 __all__ = [
     "TobitDataset",
@@ -24,6 +25,7 @@ __all__ = [
     "CoefVector",
     "ModelIndicator",
     "ModelPrior",
+    "RestrictedPrior",
     "PriorSpec",
     "row_dots",
 ]
@@ -238,7 +240,7 @@ class ModelIndicator:
             raise InvalidParameter("include and forced must be 1-d masks of equal length")
         if not 0 <= self.p <= self.include.size:
             raise InvalidParameter(f"p must satisfy 0 <= p <= {self.include.size}, got {self.p}")
-        if np.any(self.forced & ~self.include):
+        if np.count_nonzero(self.forced > self.include):
             raise InvalidParameter("forced bits must be set in the include mask")
 
     @property
@@ -248,7 +250,7 @@ class ModelIndicator:
     @cached_property
     def active_positions(self) -> np.ndarray:
         """Active indices into the stacked length-(p+q) coefficient vector."""
-        return np.flatnonzero(self.include)
+        return self.include.nonzero()[0]
 
     @property
     def active_w(self) -> np.ndarray:
@@ -267,8 +269,14 @@ class ModelIndicator:
         return tuple(self.include.tolist())
 
     def free_positions(self) -> np.ndarray:
-        """Stacked positions whose bit may be toggled."""
-        return np.flatnonzero(~self.forced)
+        """Stacked positions whose bit may be toggled; formed once per model, read-only."""
+        return self._free_positions
+
+    @cached_property
+    def _free_positions(self) -> np.ndarray:
+        free = (~self.forced).nonzero()[0]
+        free.setflags(write=False)
+        return free
 
     def n_free_active(self) -> int:
         return int(np.count_nonzero(self.include & ~self.forced))
@@ -344,12 +352,33 @@ def _check_spd(name: str, mat: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class RestrictedPrior:
+    """The prior terms of one model's coefficient conditional, on its active
+    subspace A, all read-only: the precision ``Psi0_A^{-1}``, the vector
+    ``Psi0_A^{-1} psi0_A``, ``log|Psi0_A|`` and ``psi0_A' Psi0_A^{-1} psi0_A``."""
+
+    precision: np.ndarray
+    precision_mean: np.ndarray
+    logdet: float
+    quad: float
+
+
+# Models whose restricted prior terms a PriorSpec keeps, in units of one
+# single-bit neighbourhood (a model and its p + q neighbours).
+_NEIGHBOURHOODS_KEPT = 4
+
+
+@dataclass(frozen=True, eq=False)
 class PriorSpec:
     """Coefficient and covariance priors, plus the prior over the model space.
 
     The stacked prior mean and block-diagonal prior covariance follow from
     the per-equation blocks; phi carries an inverse-gamma prior with density
     proportional to x**(-s0/2 - 1) * exp(-S0 / (2 x)).
+
+    ``restricted`` keeps the prior terms of the models it was last asked
+    for, at most 4 (p + q + 1) of them, so their memory is O((p + q) d^2)
+    for models of size d.
     """
 
     theta0: np.ndarray
@@ -361,6 +390,7 @@ class PriorSpec:
     s0: float
     S0: float
     model_prior: ModelPrior = field(default_factory=ModelPrior)
+    _restricted: dict[bytes, RestrictedPrior] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "theta0", _frozen_array(np.atleast_1d(self.theta0), np.float64))
@@ -396,6 +426,20 @@ class PriorSpec:
         active = model.active_positions
         return self.psi0[active], self.Psi0[active[:, None], active]
 
+    def restricted(self, model: ModelIndicator) -> RestrictedPrior:
+        """The prior terms on ``model``'s active subspace (at least one
+        covariate), formed from ``restrict`` once and then kept.  The least
+        recently used model's terms are dropped past 4 (p + q + 1) models."""
+        key = model.include.tobytes()
+        cache = self._restricted
+        terms = cache.pop(key, None)
+        if terms is None:
+            if len(cache) >= _NEIGHBOURHOODS_KEPT * (self.p + self.q + 1):
+                del cache[next(iter(cache))]
+            terms = _restricted_terms(*self.restrict(model))
+        cache[key] = terms
+        return terms
+
     @cached_property
     def fingerprint(self) -> str:
         h = hashlib.sha256()
@@ -403,6 +447,19 @@ class PriorSpec:
             h.update(np.ascontiguousarray(part).tobytes())
         h.update(repr((self.gamma0, self.G0, self.s0, self.S0, self.model_prior)).encode())
         return h.hexdigest()
+
+
+def _restricted_terms(psi0: np.ndarray, Psi0: np.ndarray) -> RestrictedPrior:
+    cho0, info = dpotrf(Psi0, lower=1, clean=0)
+    if info:
+        raise NumericalError("prior covariance block is not positive definite")
+    logdet = 2.0 * float(np.log(cho0.diagonal()).sum())
+    precision_mean, _ = dpotrs(cho0, psi0, lower=1)
+    quad = float(psi0 @ precision_mean)
+    precision, _ = dpotrs(cho0, np.eye(psi0.size), lower=1)
+    for values in (precision, precision_mean):
+        values.setflags(write=False)
+    return RestrictedPrior(precision, precision_mean, logdet, quad)
 
 
 def check_sign_consistency(dataset: TobitDataset, z: np.ndarray) -> np.ndarray:

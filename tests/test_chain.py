@@ -21,7 +21,7 @@ from tbma.chain import (
     run_chains,
     running_model_size,
 )
-from tbma.core import ModelIndicator
+from tbma.core import ModelIndicator, PriorSpec
 from tbma.errors import EmptyChain, InvalidParameter
 
 
@@ -201,7 +201,8 @@ class TestSweepOrder:
         assert events == per_sweep * 3
 
     def test_statistics_built_once_and_each_model_scored_once_per_sweep(self, monkeypatch):
-        counts = {"fitted": 0, "statistics": 0, "scores": 0, "rows": 0}
+        counts = {"fitted": 0, "statistics": 0, "scores": 0, "rows": 0, "prior_fills": 0}
+        scored = set()
 
         def counting(name, fn):
             def inner(*args, **kwargs):
@@ -212,9 +213,14 @@ class TestSweepOrder:
         monkeypatch.setattr(chain_mod, "fitted_values", counting("fitted", chain_mod.fitted_values))
         monkeypatch.setattr(chain_mod, "sweep_statistics", counting("statistics", chain_mod.sweep_statistics))
         monkeypatch.setattr(chain_mod, "model_rows", counting("rows", chain_mod.model_rows))
-        monkeypatch.setattr(
-            tbma.search, "conditional_log_marginal", counting("scores", tbma.search.conditional_log_marginal)
-        )
+        score = counting("scores", tbma.search.conditional_log_marginal)
+
+        def recording(stats, prior, model):
+            scored.add(model.key())
+            return score(stats, prior, model)
+
+        monkeypatch.setattr(tbma.search, "conditional_log_marginal", recording)
+        monkeypatch.setattr(PriorSpec, "restrict", counting("prior_fills", PriorSpec.restrict))
         ds = make_dataset(n=10, seed=2)
         config = ChainConfig(iterations=40, burn_in=0, seed=1, chains=1, inner_model_moves=3)
         out = run_chain(ds, unit_prior(2, 2), config)
@@ -223,7 +229,13 @@ class TestSweepOrder:
         retained = np.vstack([np.zeros((1, 4), bool), out.models])
         changed = int(np.count_nonzero(np.any(retained[1:] != retained[:-1], axis=1)))
         assert 0 < changed < np.count_nonzero(out.accepted) < 40
-        assert counts == {"fitted": 40, "statistics": 40, "scores": 40 * (1 + 3), "rows": 1 + changed}
+        # Prior terms are formed once per scored model with a covariate; the
+        # cache holds 4 (p + q + 1) = 20 models, more than the 16 there are.
+        nonempty = sum(any(key) for key in scored)
+        assert counts == {
+            "fitted": 40, "statistics": 40, "scores": 40 * (1 + 3), "rows": 1 + changed, "prior_fills": nonempty,
+        }
+        assert nonempty > 1
 
 
 class TestSummaries:

@@ -101,6 +101,36 @@ class TestSynthRunSummarize:
         assert f"{trace}:{line}: 11 cells where the header has 13" in capsys.readouterr().err
 
 
+    @pytest.fixture
+    def two_seed_runs(self, tmp_path, schema_file):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 50, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        traces = []
+        for seed in (2, 4):
+            out_dir = tmp_path / f"run{seed}"
+            assert run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 20,
+                           "--burn-in", 5, "--chains", 1, "--seed", seed, "--out-dir", out_dir) == 0
+            traces.append(out_dir / "trace_chain0.csv")
+        return traces
+
+    def test_two_traces_of_one_chain_id_exit_2_naming_both(self, tmp_path, two_seed_runs, capsys):
+        first, second = two_seed_runs
+        code = run_cli("summarize", "--traces", first, second, "--out-dir", tmp_path / "s")
+        assert code == 2
+        assert f"{first} and {second} both hold chain 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_a_trace_given_twice_exits_2(self, tmp_path, two_seed_runs, capsys):
+        trace = two_seed_runs[0]
+        again = trace.parent / ".." / trace.parent.name / trace.name
+        for repeated in (trace, again):
+            code = run_cli("summarize", "--traces", trace, repeated, "--out-dir", tmp_path / "s")
+            assert code == 2
+            assert f"{trace} and {repeated} are the same trace" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+
 class TestStandardization:
     @pytest.fixture
     def data(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr, ndtri
 from scipy.stats import truncnorm
 
@@ -403,6 +404,124 @@ class TestLinearTermOnDemand:
         up_front = sweep_statistics(model_rows(ds, retained), z, sp).linear_term(every)
         on_read = sweep_statistics(null_rows(ds), z, sp).linear_term(every)
         assert np.array_equal(bits(up_front), bits(on_read))
+
+
+def reference_score(stats, prior, model):
+    """``conditional_log_marginal`` with the restricted prior factored and
+    inverted on every call, in the same LAPACK calls and order of sums."""
+    psi0, Psi0 = prior.restrict(model)
+    cho0, _ = dpotrf(Psi0, lower=1, clean=0)
+    logdet0 = 2.0 * float(np.log(cho0.diagonal()).sum())
+    lin, _ = dpotrs(cho0, psi0, lower=1)
+    quad0 = float(psi0 @ lin)
+    prec, _ = dpotrs(cho0, np.eye(model.d), lower=1)
+    active = model.active_positions
+    prec += stats.gram[active[:, None], active]
+    lin += stats.linear_term(active)
+    chol, _ = dpotrf(prec, lower=1, clean=1, overwrite_a=1)
+    psi1, _ = dpotrs(chol, lin, lower=1)
+    logdet_prec = 2.0 * float(np.log(chol.diagonal()).sum())
+    return psi1, chol, 0.5 * (-logdet_prec - logdet0 - quad0 + float(psi1 @ lin))
+
+
+def prior_kwargs(p, q, gen, diagonal):
+    """PriorSpec arguments with random means and diagonal or dense SPD blocks."""
+    def block(k):
+        if diagonal:
+            return np.diag(gen.uniform(0.2, 5.0, size=k))
+        a = gen.standard_normal((k, k))
+        return a @ a.T + k * np.eye(k)
+    return dict(theta0=gen.standard_normal(p), Theta0=block(p), beta0=gen.standard_normal(q), B0=block(q),
+                gamma0=0.0, G0=1.0, s0=4.0, S0=4.0)
+
+
+@st.composite
+def cached_scoring_problems(draw):
+    """Sweep statistics, the arguments of a PriorSpec, and a sequence of
+    nonempty models over one forced mask, some repeated."""
+    ds, z, sp, retained, _ = draw(scoring_problems())
+    pq = ds.p + ds.q
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kwargs = prior_kwargs(ds.p, ds.q, gen, draw(st.booleans()))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=pq, max_size=pq), min_size=1, max_size=60))
+    models = [ModelIndicator(np.array(m) | retained.forced, retained.forced, ds.p) for m in masks]
+    models = [m for m in models if m.d] or [ModelIndicator.full_model(ds.p, ds.q, retained.forced)]
+    return sweep_statistics(model_rows(ds, retained), z, sp), kwargs, models
+
+
+class TestPriorTermCache:
+    """Each model's restricted prior terms are formed once, kept in a bounded
+    cache on the prior, and read without being changed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=cached_scoring_problems())
+    def test_cold_warm_and_fresh_scores_are_bit_identical(self, problem):
+        stats, kwargs, models = problem
+        prior = PriorSpec(**kwargs)
+        cold = [conditional_log_marginal(stats, prior, model) for model in models]
+        for model, first in zip(models, cold):
+            warm = conditional_log_marginal(stats, prior, model)
+            fresh = conditional_log_marginal(stats, PriorSpec(**kwargs), model)
+            psi1, chol, value = reference_score(stats, PriorSpec(**kwargs), model)
+            for post in (first, warm, fresh):
+                assert np.array_equal(bits(post.psi1), bits(psi1))
+                assert np.array_equal(bits(post.chol), bits(chol))
+                assert bits(post.log_conditional_marginal) == bits(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=cached_scoring_problems())
+    def test_cache_stays_within_its_bound(self, problem):
+        stats, kwargs, models = problem
+        prior = PriorSpec(**kwargs)
+        bound = 4 * (prior.p + prior.q + 1)
+        seen = set()
+        for model in models:
+            conditional_log_marginal(stats, prior, model)
+            seen.add(model.key())
+            assert len(prior._restricted) == min(len(seen), bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=cached_scoring_problems())
+    def test_cached_terms_are_read_only_and_unchanged_by_scoring(self, problem):
+        stats, kwargs, models = problem
+        prior = PriorSpec(**kwargs)
+        for model in models:
+            conditional_log_marginal(stats, prior, model)
+        entries = list(prior._restricted.values())
+        snapshot = [(e.precision.tobytes(), e.precision_mean.tobytes(), e.logdet, e.quad) for e in entries]
+        for entry in entries:
+            assert not entry.precision.flags.writeable
+            assert not entry.precision_mean.flags.writeable
+        for model in models:
+            conditional_log_marginal(stats, prior, model)
+        assert [(e.precision.tobytes(), e.precision_mean.tobytes(), e.logdet, e.quad) for e in entries] == snapshot
+
+    def test_least_recently_used_model_is_dropped(self, monkeypatch):
+        fills = []
+        restrict = PriorSpec.restrict
+
+        def counting(prior, model):
+            fills.append(model.key())
+            return restrict(prior, model)
+
+        monkeypatch.setattr(PriorSpec, "restrict", counting)
+        ds = make_dataset(n=20, p=3, q=3, seed=4)
+        stats = sweep_statistics(null_rows(ds), consistent_z(ds), SigmaParams(0.3, 1.2))
+        prior = unit_prior(3, 3)
+        bound = 4 * (3 + 3 + 1)
+        forced = np.zeros(6, bool)
+        models = [ModelIndicator(np.array([(k >> b) & 1 for b in range(6)], bool), forced, 3) for k in range(1, 64)]
+        kept, others = models[0], models[1 : bound + 1]
+        conditional_log_marginal(stats, prior, kept)
+        for model in others[:-1]:
+            conditional_log_marginal(stats, prior, model)
+        conditional_log_marginal(stats, prior, kept)  # a hit: now the most recently used
+        conditional_log_marginal(stats, prior, others[-1])  # full: drops others[0]
+        assert len(fills) == bound + 1
+        conditional_log_marginal(stats, prior, kept)
+        assert len(fills) == bound + 1
+        conditional_log_marginal(stats, prior, others[0])
+        assert fills[-1] == others[0].key() and len(fills) == bound + 2
 
 
 class TestScoringErrors:

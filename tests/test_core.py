@@ -129,6 +129,8 @@ class TestModelIndicator:
         assert np.array_equal(m.active_x, np.flatnonzero(include[p:]))
         assert m.d == np.count_nonzero(include)
         assert np.array_equal(m.free_positions(), np.flatnonzero(~forced))
+        assert not m.free_positions().flags.writeable
+        assert m.free_positions() is m.free_positions()
         assert m.n_free_active() == np.count_nonzero(include & ~forced)
 
     @given(case=stacked_masks(), data=st.data())
@@ -147,6 +149,20 @@ class TestModelIndicator:
                 m.with_toggled(int(fixed))
         with pytest.raises(InvalidParameter):
             m.with_toggled(include.size)
+
+    @given(case=stacked_masks(), data=st.data())
+    def test_random_walk_of_toggles_matches_fresh_models(self, case, data):
+        p, include, forced = case
+        free = np.flatnonzero(~forced)
+        assume(free.size > 0)
+        m = ModelIndicator(include, forced, p)
+        for pos in data.draw(st.lists(st.sampled_from(free.tolist()), min_size=1, max_size=20)):
+            m = m.with_toggled(pos)
+            fresh = ModelIndicator(m.include.copy(), forced.copy(), p)
+            assert m == fresh
+            assert np.array_equal(m.active_positions, fresh.active_positions)
+            assert np.array_equal(m.free_positions(), fresh.free_positions())
+            assert m.n_free_active() == fresh.n_free_active()
 
     @given(case=stacked_masks())
     def test_constructor_rejects_malformed_masks(self, case):
