@@ -9,6 +9,7 @@ factors, yielding inclusion probabilities and model-averaged estimates.
 from .chain import (
     ChainConfig,
     ChainOutput,
+    ChainState,
     PosteriorSummary,
     default_prior,
     diagnostics_series,
@@ -19,6 +20,7 @@ from .chain import (
     run_chain,
     run_chains,
     running_model_size,
+    sweep,
 )
 from .conditionals import (
     FittedValues,

@@ -1,19 +1,23 @@
-"""The sampling loop: sweep ordering, burn-in bookkeeping, storage and
+"""The sampling loop: the sweep, burn-in bookkeeping, storage and
 posterior summaries.
 
-Each sweep draws the latent scores, then the covariance entry, then the
-conditional variance, applies the model move(s), and finally draws the
-coefficients for the retained model, in exactly that order.  The first
-three draws read the fitted values of the sweep's starting coefficients,
-formed once at the top of the sweep from the retained model's rows of the
-design (``model_rows``): the starting coefficients are zero off that model,
-so the products sum only its d active terms per data row.  The loop keeps
-one such row block and gathers it again only after a sweep whose moves
-changed the retained model.  Before the moves, the sweep builds the
-coefficient conditional's data statistics once and scores its starting
+``sweep`` owns the sweep order.  It takes a frozen ``ChainState`` (the
+retained model, its coefficients, the covariance pair and the retained
+model's row block of the design) and returns the next one.  Each sweep draws
+the latent scores, then the covariance entry, then the conditional variance,
+applies the model move(s), and finally draws the coefficients for the
+retained model, in exactly that order.  The first three draws read the
+fitted values of the sweep's starting coefficients, formed once at the top
+of the sweep from the state's row block (``model_rows``): the starting
+coefficients are zero off the retained model, so the products sum only its
+d active terms per data row.  A sweep gathers the row block again only when
+its moves changed the retained model.  Before the moves, the sweep builds
+the coefficient conditional's data statistics once and scores its starting
 model once; each move then scores only its proposal and passes the retained
-model's posterior on to the next move and to the coefficient draw.  The
-sweep loop runs scipy's OpenBLAS on one thread (see ``tbma.blas``).
+model's posterior on to the next move and to the coefficient draw.
+
+``run_chain`` builds the initial state, loops over ``sweep`` with scipy's
+OpenBLAS on one thread (see ``tbma.blas``), and stores the records.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from . import search
 from .blas import scipy_blas_single_thread
 from .conditionals import (
+    ModelRows,
     draw_gamma,
     draw_phi,
     draw_psi,
@@ -43,8 +48,10 @@ from .search import mc3_step
 __all__ = [
     "ChainConfig",
     "ChainOutput",
+    "ChainState",
     "PosteriorSummary",
     "default_prior",
+    "sweep",
     "run_chain",
     "run_chains",
     "pool_outputs",
@@ -171,32 +178,104 @@ def _random_model(template: ModelIndicator, rng: np.random.Generator) -> ModelIn
     return ModelIndicator(include, template.forced, template.p)
 
 
+@dataclass(frozen=True, eq=False)
+class ChainState:
+    """One point of a chain: the retained model, its coefficients (zero off
+    that model), the covariance pair, and the model's row block of the
+    design (``model_rows``), which also carries the dataset.
+
+    Build one with ``ChainState.start``, which gathers the row block itself.
+    """
+
+    model: ModelIndicator
+    psi: CoefVector
+    sigma: SigmaParams
+    rows: ModelRows
+
+    def __post_init__(self):
+        if self.rows.model is not self.model and self.rows.model != self.model:
+            raise InvalidParameter("the row block was gathered for another model")
+
+    @classmethod
+    def start(
+        cls, dataset: TobitDataset, model: ModelIndicator, psi: CoefVector, sigma: SigmaParams
+    ) -> "ChainState":
+        """The state at (``model``, ``psi``, ``sigma``) on ``dataset``."""
+        if (model.p, model.q) != (dataset.p, dataset.q):
+            raise InvalidParameter(
+                f"model has (p, q) = ({model.p}, {model.q}), dataset ({dataset.p}, {dataset.q})"
+            )
+        if (psi.theta.size, psi.beta.size) != (dataset.p, dataset.q):
+            raise InvalidParameter(
+                f"coefficients have (p, q) = ({psi.theta.size}, {psi.beta.size}), "
+                f"dataset ({dataset.p}, {dataset.q})"
+            )
+        if np.count_nonzero(psi.psi[~model.include]):
+            raise InvalidParameter("coefficients must be zero off the model")
+        return cls(model, psi, sigma, model_rows(dataset, model))
+
+
+def sweep(
+    state: ChainState, prior: PriorSpec, inner_model_moves: int, rng: np.random.Generator
+) -> tuple[ChainState, bool]:
+    """One Gibbs sweep from ``state`` on the dataset of its row block: the
+    latent scores, gamma, phi, ``inner_model_moves`` model moves, then the
+    coefficients of the retained model.
+
+    Returns the next state and whether any move was accepted; ``state`` is
+    left unchanged.  The same state and generator state give the same next
+    state bit for bit.
+    """
+    rows = state.rows
+    dataset = rows.dataset
+    if prior.p != dataset.p or prior.q != dataset.q:
+        raise InvalidParameter("prior dimensions must match the dataset")
+    if inner_model_moves < 0:
+        raise InvalidParameter("inner_model_moves must be at least 0")
+    fit = fitted_values(rows, state.psi)
+    z = sample_latent(dataset, fit, state.sigma, rng)
+    gamma = draw_gamma(gamma_posterior_params(dataset, z, fit, state.sigma.phi, prior), rng)
+    phi = draw_phi(phi_posterior_params(dataset, z, fit, gamma, prior), rng)
+    sigma = SigmaParams(gamma, phi)
+    stats = sweep_statistics(rows, z, sigma)
+    # Looked up on ``search`` so that every scored model goes through one name.
+    psi_post = search.conditional_log_marginal(stats, prior, state.model)
+    model, accepted_any = state.model, False
+    for _ in range(inner_model_moves):
+        model, accepted, psi_post = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
+        accepted_any = accepted_any or accepted
+    psi = draw_psi(psi_post, rng)
+    if accepted_any and model != rows.model:
+        rows = model_rows(dataset, model)
+    return ChainState(model, psi, sigma, rows), accepted_any
+
+
 def _initial_state(
     dataset: TobitDataset,
     prior: PriorSpec,
     config: ChainConfig,
     template: ModelIndicator,
     rng: np.random.Generator,
-) -> tuple[ModelIndicator, CoefVector, SigmaParams]:
-    """Starting (model, coefficients, covariance) for the configured init kind."""
+) -> ChainState:
+    """The starting state for the configured init kind."""
     p, q = dataset.p, dataset.q
-    zeros = CoefVector.zeros(p, q)
-    unit = SigmaParams(0.0, 1.0)
+    psi, sigma = CoefVector.zeros(p, q), SigmaParams(0.0, 1.0)
     if config.init == "null-model":
-        return ModelIndicator.null_model(p, q, template.forced), zeros, unit
-    if config.init == "full-model":
-        return ModelIndicator.full_model(p, q, template.forced), zeros, unit
-    model = _random_model(template, rng)
-    if config.init == "zero-coefficients":
-        return model, zeros, unit
-    # prior-draw: coefficients from the restricted prior, covariance from its prior
-    psi0, Psi0 = prior.restrict(model)
-    full = np.zeros(p + q)
-    if model.d:
-        full[model.active_positions] = psi0 + np.linalg.cholesky(Psi0) @ rng.standard_normal(model.d)
-    gamma = prior.gamma0 + np.sqrt(prior.G0) * rng.standard_normal()
-    phi = float((0.5 * prior.S0) / rng.gamma(0.5 * prior.s0))
-    return model, CoefVector.from_psi(full, p), SigmaParams(float(gamma), phi)
+        model = ModelIndicator.null_model(p, q, template.forced)
+    elif config.init == "full-model":
+        model = ModelIndicator.full_model(p, q, template.forced)
+    else:
+        model = _random_model(template, rng)
+    if config.init == "prior-draw":
+        # coefficients from the restricted prior, covariance from its prior
+        psi0, Psi0 = prior.restrict(model)
+        full = np.zeros(p + q)
+        if model.d:
+            full[model.active_positions] = psi0 + np.linalg.cholesky(Psi0) @ rng.standard_normal(model.d)
+        gamma = prior.gamma0 + np.sqrt(prior.G0) * rng.standard_normal()
+        phi = float((0.5 * prior.S0) / rng.gamma(0.5 * prior.s0))
+        psi, sigma = CoefVector.from_psi(full, p), SigmaParams(float(gamma), phi)
+    return ChainState.start(dataset, model, psi, sigma)
 
 
 def run_chain(
@@ -219,7 +298,7 @@ def run_chain(
             f"model template has (p, q) = ({template.p}, {template.q}), dataset ({dataset.p}, {dataset.q})"
         )
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(chain_id)]))
-    model, psi, sigma = _initial_state(dataset, prior, config, template, rng)
+    state = _initial_state(dataset, prior, config, template, rng)
 
     # Block-end thinning keeps exactly floor((iterations - burn_in) / thin)
     # post-burn-in records; burn-in records are kept at the same cadence.
@@ -240,35 +319,20 @@ def run_chain(
 
     # scipy's LAPACK scores models of at most p + q covariates; its own
     # thread pool only takes cores from numpy's matrix-vector products.
-    rows = model_rows(dataset, model)
     with scipy_blas_single_thread():
-        for sweep in range(config.iterations):
+        for index in range(config.iterations):
             try:
-                fit = fitted_values(rows, psi)
-                z = sample_latent(dataset, fit, sigma, rng)
-                gamma = draw_gamma(gamma_posterior_params(dataset, z, fit, sigma.phi, prior), rng)
-                phi = draw_phi(phi_posterior_params(dataset, z, fit, gamma, prior), rng)
-                sigma = SigmaParams(gamma, phi)
-                stats = sweep_statistics(rows, z, sigma)
-                # Looked up on ``search`` so that every scored model goes through one name.
-                psi_post = search.conditional_log_marginal(stats, prior, model)
-                accepted_any = False
-                for _ in range(config.inner_model_moves):
-                    model, accepted, psi_post = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
-                    accepted_any = accepted_any or accepted
-                psi = draw_psi(psi_post, rng)
-                if accepted_any and model != rows.model:
-                    rows = model_rows(dataset, model)
+                state, accepted = sweep(state, prior, config.inner_model_moves, rng)
             except NumericalError as exc:
-                raise NumericalError(f"chain {chain_id} aborted at sweep {sweep}: {exc}") from exc
+                raise NumericalError(f"chain {chain_id} aborted at sweep {index}: {exc}") from exc
 
-            if keep_mask[sweep]:
-                row = row_of_sweep[sweep]
-                models[row] = model.include
-                psis[row] = psi.psi
-                gammas[row] = sigma.gamma
-                phis[row] = sigma.phi
-                accepted_flags[row] = accepted_any
+            if keep_mask[index]:
+                row = row_of_sweep[index]
+                models[row] = state.model.include
+                psis[row] = state.psi.psi
+                gammas[row] = state.sigma.gamma
+                phis[row] = state.sigma.phi
+                accepted_flags[row] = accepted
 
     return ChainOutput(
         column_names_w=dataset.column_names_w,

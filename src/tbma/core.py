@@ -363,9 +363,11 @@ class RestrictedPrior:
     quad: float
 
 
-# Models whose restricted prior terms a PriorSpec keeps, in units of one
-# single-bit neighbourhood (a model and its p + q neighbours).
-_NEIGHBOURHOODS_KEPT = 4
+# Bytes of restricted prior precisions (d^2 * 8 for a model of size d) that a
+# PriorSpec keeps.  Every model scored in an 800-sweep chain at the paper's
+# shape near d = 8 (about 0.23 MB), or in a 1 500-sweep chain on 6 + 6
+# covariates (about 0.02 MB), fits; at d = 100 about ten models do.
+PRIOR_CACHE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,8 +379,7 @@ class PriorSpec:
     proportional to x**(-s0/2 - 1) * exp(-S0 / (2 x)).
 
     ``restricted`` keeps the prior terms of the models it was last asked
-    for, at most 4 (p + q + 1) of them, so their memory is O((p + q) d^2)
-    for models of size d.
+    for while their precisions take at most ``PRIOR_CACHE_BYTES``.
     """
 
     theta0: np.ndarray
@@ -391,6 +392,7 @@ class PriorSpec:
     S0: float
     model_prior: ModelPrior = field(default_factory=ModelPrior)
     _restricted: dict[bytes, RestrictedPrior] = field(init=False, repr=False, default_factory=dict)
+    _restricted_nbytes: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "theta0", _frozen_array(np.atleast_1d(self.theta0), np.float64))
@@ -429,14 +431,17 @@ class PriorSpec:
     def restricted(self, model: ModelIndicator) -> RestrictedPrior:
         """The prior terms on ``model``'s active subspace (at least one
         covariate), formed from ``restrict`` once and then kept.  The least
-        recently used model's terms are dropped past 4 (p + q + 1) models."""
+        recently used models' terms are dropped while the kept precisions
+        take more than ``PRIOR_CACHE_BYTES``; the newest entry always stays."""
         key = model.include.tobytes()
         cache = self._restricted
         terms = cache.pop(key, None)
         if terms is None:
-            if len(cache) >= _NEIGHBOURHOODS_KEPT * (self.p + self.q + 1):
-                del cache[next(iter(cache))]
             terms = _restricted_terms(*self.restrict(model))
+            held = self._restricted_nbytes + terms.precision.nbytes
+            while cache and held > PRIOR_CACHE_BYTES:
+                held -= cache.pop(next(iter(cache))).precision.nbytes
+            object.__setattr__(self, "_restricted_nbytes", held)
         cache[key] = terms
         return terms
 

@@ -39,6 +39,7 @@ __all__ = [
     "build_sigma",
     "augmented_design",
     "complete_data_log_density",
+    "batched_log_density",
     "latent_conditional_params",
     "QuadratureSpec",
     "quadrature_conditional_marginal",
@@ -160,7 +161,7 @@ class QuadratureSpec:
             raise InvalidParameter("half_width must be positive")
 
 
-def _batched_log_density(
+def batched_log_density(
     dataset: TobitDataset,
     z: np.ndarray,
     sp: SigmaParams,
@@ -212,7 +213,7 @@ def quadrature_conditional_marginal(
     if d > 3:
         raise DimensionError(f"tensor-grid quadrature supports d <= 3, got {d}")
     if d == 0:
-        return float(_batched_log_density(dataset, z, sp, model, np.zeros((1, 0)))[0])
+        return float(batched_log_density(dataset, z, sp, model, np.zeros((1, 0)))[0])
 
     psi0, Psi0 = prior.restrict(model)
     sds = np.sqrt(np.diag(Psi0))
@@ -238,7 +239,7 @@ def quadrature_conditional_marginal(
         multi = np.unravel_index(flat, (m,) * d)
         coords = np.column_stack([axes[j][multi[j]] for j in range(d)])
         logw = sum(log_weights[j][multi[j]] for j in range(d))
-        loglik = _batched_log_density(dataset, z, sp, model, coords)
+        loglik = batched_log_density(dataset, z, sp, model, coords)
         centered = solve_triangular(chol0, (coords - psi0).T, lower=True)
         logprior = prior_const - 0.5 * np.sum(centered * centered, axis=0)
         parts.append(logsumexp(loglik + logprior + logw))

@@ -6,6 +6,8 @@ fixtures, so the suite runs each expensive sampler exactly once.
 """
 
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ import tbma.search
 from conftest import consistent_z, make_dataset, null_rows, truncated_normal_draws, unit_prior
 from tbma.chain import (
     ChainConfig,
+    ChainState,
     inclusion_probabilities,
     jump_rate,
     posterior_summaries,
     run_chain,
     running_model_size,
+    sweep,
 )
 from tbma.cli import main as cli_main
 from tbma.conditionals import (
@@ -348,3 +352,142 @@ def test_c10_estimator_identity_in_emitted_summary(cli_run):
         checked += 1
     assert checked > 0
     report("C10 estimator identity", f"{checked} summary rows satisfy mean = incl * cond_mean")
+
+
+# ---------------------------------------------------------------------------
+# C11: Geweke's successive-conditional simulator (J. Geweke, "Getting it
+# right", JASA 99:799, 2004).  Starting from a prior draw of the state, each
+# step draws a dataset from the likelihood at the current state and then runs
+# the sampler's sweep(s) on it.  The data and the state then keep the joint
+# prior-times-likelihood distribution, so every state is a prior draw.
+
+
+@dataclass(frozen=True)
+class GewekeCase:
+    prior: PriorSpec
+    forced: np.ndarray
+    inner_model_moves: int
+    sweeps_per_dataset: int
+    steps: int
+    seed: int
+    z_scores: Callable  # (prior, forced, models, psis, gammas, phis) -> z of each checked moment
+
+
+def geweke_states(case: GewekeCase, n=20):
+    """The state after each step: (models, psis, gammas, phis)."""
+    prior, forced = case.prior, case.forced
+    p, q = prior.p, prior.q
+    rng = np.random.default_rng(case.seed)
+    W = rng.standard_normal((n, p))
+    X = rng.standard_normal((n, q))
+
+    # The model's free bits, its coefficients and the covariance from the prior.
+    include = forced.copy()
+    free = np.flatnonzero(~forced)
+    pi = prior.model_prior.pi if prior.model_prior.kind == "bernoulli" else 0.5  # flat: all models alike
+    include[free] = rng.uniform(size=free.size) < pi
+    model = ModelIndicator(include, forced, p)
+    psi0, Psi0 = prior.restrict(model)
+    full = np.zeros(p + q)
+    full[model.active_positions] = psi0 + np.linalg.cholesky(Psi0) @ rng.standard_normal(model.d)
+    psi = CoefVector.from_psi(full, p)
+    gamma = prior.gamma0 + np.sqrt(prior.G0) * rng.standard_normal()
+    sigma = SigmaParams(float(gamma), float((0.5 * prior.S0) / rng.gamma(0.5 * prior.s0)))
+
+    models = np.empty((case.steps, p + q), dtype=bool)
+    psis = np.empty((case.steps, p + q))
+    gammas, phis = np.empty(case.steps), np.empty(case.steps)
+    names_w, names_x = tuple(f"w{j}" for j in range(p)), tuple(f"x{j}" for j in range(q))
+    for step in range(case.steps):
+        eps = rng.standard_normal(n)
+        eta = sigma.gamma * eps + np.sqrt(sigma.phi) * rng.standard_normal(n)
+        censored = W @ psi.theta + eps < 0
+        dataset = TobitDataset(
+            W=W, X=X, y=np.where(censored, 0.0, X @ psi.beta + eta), censored=censored,
+            column_names_w=names_w, column_names_x=names_x,
+        )
+        # The first sweep on a dataset reads the rows gathered here, a later
+        # one the row block the sweep before it left.
+        state = ChainState.start(dataset, model, psi, sigma)
+        for _ in range(case.sweeps_per_dataset):
+            state, _ = sweep(state, prior, case.inner_model_moves, rng)
+        model, psi, sigma = state.model, state.psi, state.sigma
+        models[step], psis[step] = model.include, psi.psi
+        gammas[step], phis[step] = sigma.gamma, sigma.phi
+    return models, psis, gammas, phis
+
+
+GEWEKE_BATCHES = 50
+
+
+def batch_means_z(values, targets):
+    """z of each column's mean against its target, the MCSE from batch means."""
+    batches = values.reshape(GEWEKE_BATCHES, -1, values.shape[1])
+    mcse = batches.mean(axis=1).std(axis=0, ddof=1) / np.sqrt(GEWEKE_BATCHES)
+    return (values.mean(axis=0) - targets) / mcse
+
+
+def fixed_model_z(prior, forced, models, psis, gammas, phis):
+    """Means and variances of psi, gamma and phi against their prior values;
+    the prior below gives psi and gamma N(0, 0.25) and phi mean 1, variance 0.25."""
+    draws = np.column_stack([psis, gammas, phis])
+    k = draws.shape[1]
+    batch_vars = draws.reshape(GEWEKE_BATCHES, -1, k).var(axis=1, ddof=1)
+    mcse_var = batch_vars.std(axis=0, ddof=1) / np.sqrt(GEWEKE_BATCHES)
+    var_z = (draws.var(axis=0, ddof=1) - 0.25) / mcse_var
+    return np.concatenate([batch_means_z(draws, np.array([0.0] * (k - 1) + [1.0])), var_z])
+
+
+def moving_model_z(prior, forced, models, psis, gammas, phis):
+    """Each free inclusion bit I, I psi, I psi^2, gamma, gamma^2 and 1/phi
+    against their prior means (1/phi is Gamma(s0 / 2, rate S0 / 2))."""
+    incl = np.where(forced, 1.0, prior.model_prior.pi)
+    psi0, var0 = prior.psi0, np.diag(prior.Psi0)
+    values = np.column_stack([models[:, ~forced], psis, psis**2, gammas, gammas**2, 1.0 / phis])
+    targets = np.concatenate([
+        incl[~forced], incl * psi0, incl * (psi0**2 + var0),
+        [prior.gamma0, prior.gamma0**2 + prior.G0, prior.s0 / prior.S0],
+    ])
+    return batch_means_z(values, targets)
+
+
+GEWEKE_CASES = {
+    # The full model, all bits forced so that no move draws: the Gibbs
+    # updates of z, gamma, phi and psi alone.
+    "fixed-full-model": GewekeCase(
+        prior=PriorSpec(
+            theta0=np.zeros(2), Theta0=0.25 * np.eye(2), beta0=np.zeros(2), B0=0.25 * np.eye(2),
+            gamma0=0.0, G0=0.25, s0=12.0, S0=10.0,
+        ),
+        forced=np.ones(4, dtype=bool), inner_model_moves=1, sweeps_per_dataset=1,
+        steps=25_000, seed=314159, z_scores=fixed_model_z,
+    ),
+    # Every slip that a unit prior, a flat model prior or one sweep per
+    # dataset would hide: nonzero means and dense blocks (a dropped log|Psi0|
+    # or prior quadratic term), a forced bit, pi != 0.5, two moves per sweep,
+    # and a second sweep that reads the row block the first one left.
+    "moving-model": GewekeCase(
+        prior=PriorSpec(
+            theta0=np.array([0.4, -0.3]), Theta0=np.array([[0.5, 0.2], [0.2, 0.4]]),
+            beta0=np.array([0.3, 0.5]), B0=np.array([[0.6, -0.25], [-0.25, 0.5]]),
+            gamma0=0.2, G0=0.25, s0=12.0, S0=10.0, model_prior=ModelPrior("bernoulli", 0.3),
+        ),
+        forced=np.array([True, False, False, False]), inner_model_moves=2, sweeps_per_dataset=2,
+        steps=40_000, seed=SEED, z_scores=moving_model_z,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GEWEKE_CASES))
+def test_c11_sweep_keeps_the_prior_under_geweke_simulation(name):
+    case = GEWEKE_CASES[name]
+    start = time.perf_counter()
+    states = geweke_states(case)
+    elapsed = time.perf_counter() - start
+    z = case.z_scores(case.prior, case.forced, *states)
+    assert np.all(np.abs(z) <= 4.0), np.round(z, 2)
+    assert elapsed < 60.0, f"{case.steps} steps took {elapsed:.1f}s"
+    report(
+        f"C11 Geweke prior check ({name})",
+        f"worst |z| {np.abs(z).max():.2f} over {z.size} moments, {case.steps} steps, {elapsed:.0f}s",
+    )

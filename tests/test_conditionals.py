@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tbma.conditionals import (
     sample_latent,
     sweep_statistics,
 )
+import tbma.core
 from tbma.conditionals import _TAIL_SWITCH
 from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 from tbma.errors import NumericalError
@@ -469,16 +471,24 @@ class TestPriorTermCache:
                 assert bits(post.log_conditional_marginal) == bits(value)
 
     @settings(max_examples=100, deadline=None)
-    @given(problem=cached_scoring_problems())
-    def test_cache_stays_within_its_bound(self, problem):
+    @given(problem=cached_scoring_problems(), budget=st.integers(0, 2_000))
+    def test_cache_stays_within_its_bound(self, problem, budget):
+        # Reference: least recently used first, dropped while the kept
+        # precisions (d^2 doubles each) pass the budget, the newest kept.
         stats, kwargs, models = problem
         prior = PriorSpec(**kwargs)
-        bound = 4 * (prior.p + prior.q + 1)
-        seen = set()
-        for model in models:
-            conditional_log_marginal(stats, prior, model)
-            seen.add(model.key())
-            assert len(prior._restricted) == min(len(seen), bound)
+        expected = {}
+        with mock.patch.object(tbma.core, "PRIOR_CACHE_BYTES", budget):
+            for model in models:
+                conditional_log_marginal(stats, prior, model)
+                key = model.include.tobytes()
+                expected[key] = expected.pop(key, 8 * model.d**2)
+                while len(expected) > 1 and sum(expected.values()) > budget:
+                    del expected[next(iter(expected))]
+                assert list(prior._restricted) == list(expected)
+                held = [entry.precision.nbytes for entry in prior._restricted.values()]
+                assert held == list(expected.values())
+                assert prior._restricted_nbytes == sum(held)
 
     @settings(max_examples=100, deadline=None)
     @given(problem=cached_scoring_problems())
@@ -508,9 +518,12 @@ class TestPriorTermCache:
         ds = make_dataset(n=20, p=3, q=3, seed=4)
         stats = sweep_statistics(null_rows(ds), consistent_z(ds), SigmaParams(0.3, 1.2))
         prior = unit_prior(3, 3)
-        bound = 4 * (3 + 3 + 1)
+        # The 20 models of 3 covariates each keep a 3 x 3 precision; 8 fit.
+        bound = 8
+        monkeypatch.setattr(tbma.core, "PRIOR_CACHE_BYTES", bound * 3 * 3 * 8)
         forced = np.zeros(6, bool)
         models = [ModelIndicator(np.array([(k >> b) & 1 for b in range(6)], bool), forced, 3) for k in range(1, 64)]
+        models = [model for model in models if model.d == 3]
         kept, others = models[0], models[1 : bound + 1]
         conditional_log_marginal(stats, prior, kept)
         for model in others[:-1]:
@@ -692,69 +705,3 @@ class TestDraws:
         draws = np.array([draw_gamma(post, rng) for _ in range(200_000)])
         assert abs(draws.mean() - 0.4) < 0.005
         assert abs(draws.var() - 0.09) < 0.002
-
-
-class TestJointDistributionConsistency:
-    """Alternating prior draws with data regeneration must agree with the
-    Gibbs transition kernel on the parameter moments (fixed full model)."""
-
-    def test_geweke_style_moments(self):
-        rng = np.random.default_rng(314159)
-        n, p, q = 20, 2, 2
-        W = rng.standard_normal((n, p))
-        X = rng.standard_normal((n, q))
-        prior = PriorSpec(
-            theta0=np.zeros(p), Theta0=0.25 * np.eye(p),
-            beta0=np.zeros(q), B0=0.25 * np.eye(q),
-            gamma0=0.0, G0=0.25, s0=12.0, S0=10.0,
-        )
-        model = ModelIndicator.full_model(p, q)
-        names_w, names_x = ("w1", "w2"), ("x1", "x2")
-
-        def regenerate(psi, sp):
-            eps = rng.standard_normal(n)
-            eta = sp.gamma * eps + np.sqrt(sp.phi) * rng.standard_normal(n)
-            z_new = W @ psi.theta + eps
-            y_star = X @ psi.beta + eta
-            cen = z_new < 0
-            return TobitDataset(
-                W=W, X=X, y=np.where(cen, 0.0, y_star), censored=cen,
-                column_names_w=names_w, column_names_x=names_x,
-            )
-
-        def prior_draw():
-            theta = 0.5 * rng.standard_normal(p)
-            beta = 0.5 * rng.standard_normal(q)
-            gamma = 0.5 * rng.standard_normal()
-            phi = (0.5 * prior.S0) / rng.gamma(0.5 * prior.s0)
-            return CoefVector(theta, beta), SigmaParams(float(gamma), float(phi))
-
-        iters = 25_000
-        psi, sp = prior_draw()
-        samples = np.empty((iters, p + q + 2))
-        for it in range(iters):
-            ds = regenerate(psi, sp)
-            fit = full_fit(ds, psi)
-            z = sample_latent(ds, fit, sp, rng)
-            gamma = draw_gamma(gamma_posterior_params(ds, z, fit, sp.phi, prior), rng)
-            phi = draw_phi(phi_posterior_params(ds, z, fit, gamma, prior), rng)
-            sp = SigmaParams(gamma, phi)
-            psi = draw_psi(conditional_log_marginal(sweep_statistics(null_rows(ds), z, sp), prior, model), rng)
-            samples[it] = np.concatenate([psi.psi, [gamma, phi]])
-
-        # Exact prior moments: psi and gamma are N(0, 0.25); phi has an
-        # inverse-gamma prior with mean 1 and variance 0.25.
-        target_mean = np.array([0.0] * (p + q) + [0.0, 1.0])
-        target_var = np.array([0.25] * (p + q) + [0.25, 0.25])
-
-        n_batches = 50
-        batches = samples.reshape(n_batches, -1, p + q + 2)
-        batch_means = batches.mean(axis=1)
-        mcse_mean = batch_means.std(axis=0, ddof=1) / np.sqrt(n_batches)
-        assert np.all(np.abs(samples.mean(axis=0) - target_mean) <= 4.0 * mcse_mean), (
-            samples.mean(axis=0), target_mean, mcse_mean)
-
-        batch_vars = batches.var(axis=1, ddof=1)
-        mcse_var = batch_vars.std(axis=0, ddof=1) / np.sqrt(n_batches)
-        assert np.all(np.abs(samples.var(axis=0, ddof=1) - target_var) <= 4.0 * mcse_var), (
-            samples.var(axis=0, ddof=1), target_var, mcse_var)

@@ -7,6 +7,7 @@ from tbma.core import CoefVector, ModelIndicator, ModelPrior, SigmaParams, Tobit
 from tbma.errors import DimensionError
 from tbma.oracle import (
     QuadratureSpec,
+    batched_log_density,
     complete_data_log_density,
     SynthSpec,
     conjugate_regression_moments,
@@ -15,7 +16,6 @@ from tbma.oracle import (
     iter_fixtures,
     quadrature_conditional_marginal,
 )
-from tbma.oracle import _batched_log_density
 from tbma.conditionals import conditional_log_marginal, sweep_statistics
 
 
@@ -29,7 +29,7 @@ class TestQuadrature:
         model = ModelIndicator.full_model(2, 2)
         rng = np.random.default_rng(0)
         coords = rng.standard_normal((20, 4))
-        batched = _batched_log_density(ds, z, sp, model, coords)
+        batched = batched_log_density(ds, z, sp, model, coords)
         for row, point in zip(batched, coords):
             psi = CoefVector(point[:2], point[2:])
             assert row == pytest.approx(complete_data_log_density(ds, z, psi, sp), rel=1e-12)
