@@ -41,7 +41,6 @@ from .conditionals import (
     sweep_statistics,
 )
 from .core import (
-    CoefVector,
     ModelIndicator,
     ModelPrior,
     PriorSpec,

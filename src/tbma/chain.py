@@ -8,13 +8,13 @@ the latent scores, then the covariance entry, then the conditional variance,
 applies the model move(s), and finally draws the coefficients for the
 retained model, in exactly that order.  The first three draws read the
 fitted values of the sweep's starting coefficients, formed once at the top
-of the sweep from the state's row block (``model_rows``): the starting
-coefficients are zero off the retained model, so the products sum only its
-d active terms per data row.  A sweep gathers the row block again only when
-its moves changed the retained model.  Before the moves, the sweep builds
-the coefficient conditional's data statistics once and scores its starting
-model once; each move then scores only its proposal and passes the retained
-model's posterior on to the next move and to the coefficient draw.
+of the sweep from the state's row block (``model_rows``): the state holds
+only the retained model's d coefficients, so the products sum d terms per
+data row.  A sweep gathers the row block again only when its moves changed
+the retained model.  Before the moves, the sweep builds the coefficient
+conditional's data statistics once and scores its starting model once; each
+move then scores only its proposal and passes the retained model's
+posterior on to the next move and to the coefficient draw.
 
 ``run_chain`` builds the initial state, loops over ``sweep`` with scipy's
 OpenBLAS on one thread (see ``tbma.blas``), and stores the records.
@@ -41,7 +41,7 @@ from .conditionals import (
     sample_latent,
     sweep_statistics,
 )
-from .core import CoefVector, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
+from .core import ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from .errors import EmptyChain, InvalidParameter, NumericalError
 from .search import mc3_step
 
@@ -85,6 +85,11 @@ class ChainConfig:
             raise InvalidParameter("burn_in must satisfy 0 <= burn_in < iterations")
         if self.thin < 1:
             raise InvalidParameter("thin must be at least 1")
+        if self.thin > self.iterations - self.burn_in:
+            raise InvalidParameter(
+                f"thin must be at most iterations - burn_in = {self.iterations - self.burn_in}, "
+                "or no post-burn-in sweep is stored"
+            )
         if self.chains < 1:
             raise InvalidParameter("chains must be at least 1")
         if self.inner_model_moves < 1:
@@ -180,38 +185,39 @@ def _random_model(template: ModelIndicator, rng: np.random.Generator) -> ModelIn
 
 @dataclass(frozen=True, eq=False)
 class ChainState:
-    """One point of a chain: the retained model, its coefficients (zero off
-    that model), the covariance pair, and the model's row block of the
-    design (``model_rows``), which also carries the dataset.
+    """One point of a chain: the retained model, its d coefficients in
+    ``model.active_positions`` order (every other coefficient is zero), the
+    covariance pair, and the model's row block of the design
+    (``model_rows``), which also carries the dataset.
 
     Build one with ``ChainState.start``, which gathers the row block itself.
     """
 
     model: ModelIndicator
-    psi: CoefVector
+    psi: np.ndarray
     sigma: SigmaParams
     rows: ModelRows
 
     def __post_init__(self):
         if self.rows.model is not self.model and self.rows.model != self.model:
             raise InvalidParameter("the row block was gathered for another model")
+        if self.psi.shape != (self.model.d,):
+            raise InvalidParameter(
+                f"coefficients have shape {self.psi.shape}, the model has d = {self.model.d}"
+            )
 
     @classmethod
     def start(
-        cls, dataset: TobitDataset, model: ModelIndicator, psi: CoefVector, sigma: SigmaParams
+        cls, dataset: TobitDataset, model: ModelIndicator, psi: np.ndarray, sigma: SigmaParams
     ) -> "ChainState":
-        """The state at (``model``, ``psi``, ``sigma``) on ``dataset``."""
+        """The state at (``model``, ``psi``, ``sigma``) on ``dataset``, with
+        ``psi`` the model's d active coefficients; ``psi`` is copied."""
         if (model.p, model.q) != (dataset.p, dataset.q):
             raise InvalidParameter(
                 f"model has (p, q) = ({model.p}, {model.q}), dataset ({dataset.p}, {dataset.q})"
             )
-        if (psi.theta.size, psi.beta.size) != (dataset.p, dataset.q):
-            raise InvalidParameter(
-                f"coefficients have (p, q) = ({psi.theta.size}, {psi.beta.size}), "
-                f"dataset ({dataset.p}, {dataset.q})"
-            )
-        if np.count_nonzero(psi.psi[~model.include]):
-            raise InvalidParameter("coefficients must be zero off the model")
+        psi = np.array(psi, dtype=np.float64)
+        psi.setflags(write=False)
         return cls(model, psi, sigma, model_rows(dataset, model))
 
 
@@ -259,22 +265,20 @@ def _initial_state(
 ) -> ChainState:
     """The starting state for the configured init kind."""
     p, q = dataset.p, dataset.q
-    psi, sigma = CoefVector.zeros(p, q), SigmaParams(0.0, 1.0)
     if config.init == "null-model":
         model = ModelIndicator.null_model(p, q, template.forced)
     elif config.init == "full-model":
         model = ModelIndicator.full_model(p, q, template.forced)
     else:
         model = _random_model(template, rng)
+    psi, sigma = np.zeros(model.d), SigmaParams(0.0, 1.0)
     if config.init == "prior-draw":
         # coefficients from the restricted prior, covariance from its prior
         psi0, Psi0 = prior.restrict(model)
-        full = np.zeros(p + q)
-        if model.d:
-            full[model.active_positions] = psi0 + np.linalg.cholesky(Psi0) @ rng.standard_normal(model.d)
+        psi = psi0 + np.linalg.cholesky(Psi0) @ rng.standard_normal(model.d)
         gamma = prior.gamma0 + np.sqrt(prior.G0) * rng.standard_normal()
         phi = float((0.5 * prior.S0) / rng.gamma(0.5 * prior.s0))
-        psi, sigma = CoefVector.from_psi(full, p), SigmaParams(float(gamma), phi)
+        sigma = SigmaParams(float(gamma), phi)
     return ChainState.start(dataset, model, psi, sigma)
 
 
@@ -329,7 +333,7 @@ def run_chain(
             if keep_mask[index]:
                 row = row_of_sweep[index]
                 models[row] = state.model.include
-                psis[row] = state.psi.psi
+                psis[row, state.model.active_positions] = state.psi
                 gammas[row] = state.sigma.gamma
                 phis[row] = state.sigma.phi
                 accepted_flags[row] = accepted

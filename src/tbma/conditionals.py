@@ -14,7 +14,8 @@ model and gathers it again only when a move changes that model.
 
 The latent, gamma and phi conditionals all read the fitted values of the
 sweep's starting coefficients, which ``fitted_values`` forms once per sweep
-from the retained model's rows: those coefficients are zero off that model.
+from the retained model's rows: a chain keeps only that model's d
+coefficients, and every other coefficient is zero.
 
 The coefficient conditional has two parts.  ``sweep_statistics`` does the
 shared work once per sweep: at fixed latent scores and covariance, the
@@ -33,14 +34,12 @@ a bounded cache on the prior (``PriorSpec.restricted``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.special import ndtr, ndtri
 
 from .core import (
-    CoefVector,
     ModelIndicator,
     PriorSpec,
     SigmaParams,
@@ -71,20 +70,19 @@ __all__ = [
 
 # Standardized truncation point beyond which the inverse CDF is replaced by
 # an exponential-proposal rejection sampler.
-_TAIL_SWITCH = 5.0
+TAIL_SWITCH = 5.0
 
 
 @dataclass(frozen=True, eq=False)
 class ModelRows:
     """One model's rows of the transposed design halves of ``dataset.split``:
     ``wx_unc`` holds the rows of the active covariates, selection first,
-    over the uncensored rows of the data, and ``w_cen`` those of the active
-    selection covariates over the censored rows."""
+    over the uncensored rows of the data, and ``w_cen`` those of the ``dw``
+    active selection covariates over the censored rows."""
 
     dataset: TobitDataset
     model: ModelIndicator
-    active_w: np.ndarray
-    active_x: np.ndarray
+    dw: int
     wx_unc: np.ndarray
     w_cen: np.ndarray
 
@@ -149,7 +147,7 @@ class SweepStatistics:
         """Form the linear term at every covariate of ``rows.model`` from its
         gathered rows, each entry summed as ``linear_term`` sums it."""
         positions = rows.model.active_positions
-        dw = rows.active_w.size
+        dw = rows.dw
         u = row_dots(rows.wx_unc, self.z_unc)
         c = self.dataset.split.cross_y_unc[positions]
         self._lin[positions[:dw]] = self.a11 * u[:dw] + row_dots(rows.w_cen, self.z_cen) + self.a12 * c[:dw]
@@ -162,23 +160,14 @@ class PsiPosterior:
     """Conditional posterior N(psi1, Psi1) of one model's active coefficients,
     with the model's log conditional marginal.
 
-    ``chol`` is the lower Cholesky factor of the posterior precision.  Only
-    the model a move retains is drawn from, so the covariance is formed from
-    the factor on first use.
+    ``chol`` is the lower Cholesky factor L of the posterior precision
+    Psi1^{-1} = L L'; the covariance itself is never formed.
     """
 
     model: ModelIndicator
     psi1: np.ndarray
     log_conditional_marginal: float
     chol: np.ndarray
-
-    @cached_property
-    def Psi1(self) -> np.ndarray:
-        d = self.psi1.shape[0]
-        if d == 0:
-            return np.zeros((0, 0))
-        cov, _ = dpotrs(self.chol, np.eye(d), lower=1)
-        return cov
 
 
 @dataclass(frozen=True)
@@ -218,12 +207,12 @@ def _tail_rejection(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _std_trunc_lower(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draws of u ~ N(0, 1) conditioned on u >= a, elementwise; may overwrite ``a``.
 
-    Rows with a <= ``_TAIL_SWITCH`` take the survival-form inverse CDF, with
+    Rows with a <= ``TAIL_SWITCH`` take the survival-form inverse CDF, with
     one uniform per such row in row order; the rest take the tail rejection
     sampler afterwards.  When every row takes the inverse CDF, the work runs
     in place in ``a`` and the uniforms' buffer.
     """
-    easy = a <= _TAIL_SWITCH
+    easy = a <= TAIL_SWITCH
     # Survival-form inverse CDF: P(u >= x) = ndtr(-x) stays well conditioned
     # where the inverse of the plain CDF would saturate.  uniform() covers
     # [0, 1); flip it so the quantile argument never hits 0, which would map
@@ -247,28 +236,27 @@ def _std_trunc_lower(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def model_rows(dataset: TobitDataset, model: ModelIndicator) -> ModelRows:
     """Gather ``model``'s rows of the transposed design halves; read-only."""
     split = dataset.split
-    aw = model.active_w
-    rows = ModelRows(dataset, model, aw, model.active_x, split.WX_unc[model.active_positions], split.W_cen[aw])
-    for values in (rows.active_w, rows.active_x, rows.wx_unc, rows.w_cen):
+    active = model.active_positions
+    dw = int(np.searchsorted(active, dataset.p))
+    rows = ModelRows(dataset, model, dw, split.WX_unc[active], split.W_cen[active[:dw]])
+    for values in (rows.wx_unc, rows.w_cen):
         values.setflags(write=False)
     return rows
 
 
-def fitted_values(rows: ModelRows, psi: CoefVector) -> FittedValues:
-    """The products of ``psi`` with the design that the latent, gamma and phi
-    conditionals share, formed once per sweep; read-only, so every reader
-    sees the same values.
-
-    Only the coefficients at ``rows.model``'s active covariates enter, so
-    ``psi`` must be zero elsewhere, as the coefficients a sweep draws for its
-    retained model are.  Each product sums d terms per data row.
+def fitted_values(rows: ModelRows, psi: np.ndarray) -> FittedValues:
+    """The products of ``psi``, the coefficients of ``rows.model``'s active
+    covariates in ``active_positions`` order, with the design that the
+    latent, gamma and phi conditionals share, formed once per sweep;
+    read-only, so every reader sees the same values.  Each product sums d
+    terms per data row.
     """
-    dw = rows.active_w.size
-    theta = psi.theta[rows.active_w]
+    dw = rows.dw
+    theta = psi[:dw]
     fit = FittedValues(
         sel_unc=theta @ rows.wx_unc[:dw],
         sel_cen=theta @ rows.w_cen,
-        resid_unc=rows.dataset.split.y_unc - psi.beta[rows.active_x] @ rows.wx_unc[dw:],
+        resid_unc=rows.dataset.split.y_unc - psi[dw:] @ rows.wx_unc[dw:],
     )
     for values in (fit.sel_unc, fit.sel_cen, fit.resid_unc):
         values.setflags(write=False)
@@ -417,18 +405,20 @@ def phi_posterior_params(
     return PhiPosterior(s1=prior.s0 + e_y.size, S1=prior.S0 + float(np.dot(resid, resid)))
 
 
-def draw_psi(post: PsiPosterior, rng: np.random.Generator) -> CoefVector:
-    """Multivariate-normal draw embedded into the full coefficient vector."""
-    model = post.model
-    full = np.zeros(model.p + model.q)
+def draw_psi(post: PsiPosterior, rng: np.random.Generator) -> np.ndarray:
+    """Draw of the model's d active coefficients, read-only: psi1 + x, where
+    L' x = eps for d standard normals eps and the stored precision factor L,
+    so x has covariance (L L')^{-1} = Psi1 (H. Rue, "Fast sampling of
+    Gaussian Markov random fields", JRSS-B 63:325, 2001)."""
     d = post.psi1.shape[0]
-    if d:
-        try:
-            chol = np.linalg.cholesky(post.Psi1)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("posterior coefficient covariance lost definiteness") from exc
-        full[model.active_positions] = post.psi1 + chol @ rng.standard_normal(d)
-    return CoefVector.from_psi(full, model.p)
+    if not d:
+        return post.psi1
+    x, info = dtrtrs(post.chol, rng.standard_normal(d), lower=1, trans=1)
+    if info:
+        raise NumericalError(f"triangular solve of the coefficient draw failed (LAPACK info {info})")
+    psi = post.psi1 + x
+    psi.setflags(write=False)
+    return psi
 
 
 def draw_gamma(post: GammaPosterior, rng: np.random.Generator) -> float:

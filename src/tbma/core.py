@@ -22,7 +22,6 @@ from .errors import InvalidParameter, InvalidState, NumericalError
 __all__ = [
     "TobitDataset",
     "SigmaParams",
-    "CoefVector",
     "ModelIndicator",
     "ModelPrior",
     "RestrictedPrior",
@@ -194,31 +193,6 @@ class SigmaParams:
             raise InvalidParameter("sigma parameters must be finite")
         if self.phi <= 0.0:
             raise InvalidParameter(f"phi must be positive, got {self.phi}")
-
-
-@dataclass(frozen=True, eq=False)
-class CoefVector:
-    """Selection and outcome coefficients with a stacked view."""
-
-    theta: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _frozen_array(np.atleast_1d(self.theta), np.float64))
-        object.__setattr__(self, "beta", _frozen_array(np.atleast_1d(self.beta), np.float64))
-
-    @property
-    def psi(self) -> np.ndarray:
-        return np.concatenate([self.theta, self.beta])
-
-    @classmethod
-    def from_psi(cls, psi: np.ndarray, p: int) -> "CoefVector":
-        psi = np.asarray(psi, dtype=np.float64)
-        return cls(theta=psi[:p], beta=psi[p:])
-
-    @classmethod
-    def zeros(cls, p: int, q: int) -> "CoefVector":
-        return cls(theta=np.zeros(p), beta=np.zeros(q))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,6 @@ from scipy.special import logsumexp
 
 from .conditionals import conditional_log_marginal, model_rows, sweep_statistics
 from .core import (
-    CoefVector,
     ModelIndicator,
     ModelPrior,
     PriorSpec,
@@ -97,9 +96,10 @@ def augmented_design(row_index: int, dataset: TobitDataset, model: ModelIndicato
 
 
 def complete_data_log_density(
-    dataset: TobitDataset, z: np.ndarray, psi: CoefVector, sp: SigmaParams
+    dataset: TobitDataset, z: np.ndarray, psi: np.ndarray, sp: SigmaParams
 ) -> float:
-    """Log joint density of (z, observed y) given all parameters.
+    """Log joint density of (z, observed y) given all parameters, with
+    ``psi`` the stacked length-(p + q) coefficient vector.
 
     Proportional form: the 2*pi normalizing factors are dropped, everything
     else (including the phi power) is kept, so values are comparable across
@@ -110,13 +110,14 @@ def complete_data_log_density(
         return 0.0
     cen = dataset.censored
     unc = ~cen
-    e_z = z - dataset.W @ psi.theta
+    theta, beta = psi[: dataset.p], psi[dataset.p :]
+    e_z = z - dataset.W @ theta
     quad = float(np.dot(e_z[cen], e_z[cen]))
     n_o = dataset.n_o
     if n_o:
         g, phi = sp.gamma, sp.phi
         e_zu = e_z[unc]
-        e_yu = dataset.y[unc] - dataset.X[unc] @ psi.beta
+        e_yu = dataset.y[unc] - dataset.X[unc] @ beta
         quad += float(
             (1.0 + g * g / phi) * np.dot(e_zu, e_zu)
             - 2.0 * (g / phi) * np.dot(e_zu, e_yu)
@@ -126,9 +127,10 @@ def complete_data_log_density(
 
 
 def latent_conditional_params(
-    row_index: int, dataset: TobitDataset, psi: CoefVector, sp: SigmaParams
+    row_index: int, dataset: TobitDataset, psi: np.ndarray, sp: SigmaParams
 ) -> tuple[float, float, str]:
-    """Mean, variance and truncation side of one latent score's conditional.
+    """Mean, variance and truncation side of one latent score's conditional,
+    with ``psi`` the stacked length-(p + q) coefficient vector.
 
     Censored rows marginalize the unobserved outcome, so their conditional is
     the unit-variance selection prior; uncensored rows condition on y, which
@@ -137,11 +139,12 @@ def latent_conditional_params(
     """
     if not 0 <= row_index < dataset.n:
         raise InvalidParameter(f"row_index {row_index} out of range")
-    mu = float(dataset.W[row_index] @ psi.theta)
+    theta, beta = psi[: dataset.p], psi[dataset.p :]
+    mu = float(dataset.W[row_index] @ theta)
     if dataset.censored[row_index]:
         return mu, 1.0, NEGATIVE
     g, phi = sp.gamma, sp.phi
-    resid = float(dataset.y[row_index] - dataset.X[row_index] @ psi.beta)
+    resid = float(dataset.y[row_index] - dataset.X[row_index] @ beta)
     mu += g / (phi + g * g) * resid
     var = 1.0 - g * g / (phi + g * g)
     return mu, var, NONNEGATIVE

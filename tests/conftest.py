@@ -3,7 +3,7 @@ import pytest
 
 import tbma.search
 from tbma.conditionals import fitted_values, model_rows, sample_latent
-from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
+from tbma.core import ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 
 
 @pytest.fixture
@@ -74,8 +74,8 @@ def make_dataset(n=30, p=2, q=2, seed=0, censored_fraction=0.4):
 
 
 def full_fit(dataset, psi):
-    """Fitted values of coefficients that may be nonzero at any covariate,
-    from the full model's rows of the design."""
+    """Fitted values of a stacked length-(p + q) coefficient vector, which
+    may be nonzero at any covariate, from the full model's rows of the design."""
     return fitted_values(model_rows(dataset, ModelIndicator.full_model(dataset.p, dataset.q)), psi)
 
 
@@ -108,5 +108,5 @@ def truncated_normal_draws(mu, n, negative, rng):
         W=np.ones((n, 1)), X=np.zeros((n, 1)), y=np.zeros(n), censored=np.full(n, bool(negative)),
         column_names_w=("w",), column_names_x=("x",),
     )
-    psi = CoefVector(np.array([float(mu)]), np.zeros(1))
+    psi = np.array([float(mu), 0.0])
     return sample_latent(dataset, full_fit(dataset, psi), SigmaParams(0.0, 1.0), rng)

@@ -36,7 +36,7 @@ from tbma.conditionals import (
     sample_latent,
     sweep_statistics,
 )
-from tbma.core import CoefVector, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
+from tbma.core import ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from tbma.oracle import (
     CBF_RATIO_TOL,
     RSS_FORM_TOL,
@@ -211,7 +211,7 @@ def test_c4_conjugate_reduction_uncensored_decoupled():
 
     rng = np.random.default_rng(SEED + 5)
     sweeps, burn = 50_000, 1_000
-    psi = CoefVector.zeros(p, q)
+    psi = np.zeros(p + q)  # the full model's coefficients, stacked
     phi = 1.0
     betas = np.empty((sweeps, q))
     for it in range(sweeps + burn):
@@ -222,7 +222,7 @@ def test_c4_conjugate_reduction_uncensored_decoupled():
         stats = sweep_statistics(rows, z, SigmaParams(0.0, phi))
         psi = draw_psi(conditional_log_marginal(stats, prior, model), rng)
         if it >= burn:
-            betas[it - burn] = psi.beta
+            betas[it - burn] = psi[p:]
 
     ref_mean, ref_cov = conjugate_regression_moments(y, X, prior.beta0, prior.B0, prior.s0, prior.S0)
 
@@ -373,6 +373,11 @@ class GewekeCase:
     z_scores: Callable  # (prior, forced, models, psis, gammas, phis) -> z of each checked moment
 
 
+def inclusion_prior(prior):
+    """Prior probability of each free bit; under the flat prior all models are alike."""
+    return prior.model_prior.pi if prior.model_prior.kind == "bernoulli" else 0.5
+
+
 def geweke_states(case: GewekeCase, n=20):
     """The state after each step: (models, psis, gammas, phis)."""
     prior, forced = case.prior, case.forced
@@ -384,26 +389,25 @@ def geweke_states(case: GewekeCase, n=20):
     # The model's free bits, its coefficients and the covariance from the prior.
     include = forced.copy()
     free = np.flatnonzero(~forced)
-    pi = prior.model_prior.pi if prior.model_prior.kind == "bernoulli" else 0.5  # flat: all models alike
-    include[free] = rng.uniform(size=free.size) < pi
+    include[free] = rng.uniform(size=free.size) < inclusion_prior(prior)
     model = ModelIndicator(include, forced, p)
     psi0, Psi0 = prior.restrict(model)
-    full = np.zeros(p + q)
-    full[model.active_positions] = psi0 + np.linalg.cholesky(Psi0) @ rng.standard_normal(model.d)
-    psi = CoefVector.from_psi(full, p)
+    psi = psi0 + np.linalg.cholesky(Psi0) @ rng.standard_normal(model.d)
     gamma = prior.gamma0 + np.sqrt(prior.G0) * rng.standard_normal()
     sigma = SigmaParams(float(gamma), float((0.5 * prior.S0) / rng.gamma(0.5 * prior.s0)))
 
     models = np.empty((case.steps, p + q), dtype=bool)
-    psis = np.empty((case.steps, p + q))
+    psis = np.zeros((case.steps, p + q))
     gammas, phis = np.empty(case.steps), np.empty(case.steps)
     names_w, names_x = tuple(f"w{j}" for j in range(p)), tuple(f"x{j}" for j in range(q))
     for step in range(case.steps):
         eps = rng.standard_normal(n)
         eta = sigma.gamma * eps + np.sqrt(sigma.phi) * rng.standard_normal(n)
-        censored = W @ psi.theta + eps < 0
+        full = np.zeros(p + q)
+        full[model.active_positions] = psi
+        censored = W @ full[:p] + eps < 0
         dataset = TobitDataset(
-            W=W, X=X, y=np.where(censored, 0.0, X @ psi.beta + eta), censored=censored,
+            W=W, X=X, y=np.where(censored, 0.0, X @ full[p:] + eta), censored=censored,
             column_names_w=names_w, column_names_x=names_x,
         )
         # The first sweep on a dataset reads the rows gathered here, a later
@@ -412,7 +416,7 @@ def geweke_states(case: GewekeCase, n=20):
         for _ in range(case.sweeps_per_dataset):
             state, _ = sweep(state, prior, case.inner_model_moves, rng)
         model, psi, sigma = state.model, state.psi, state.sigma
-        models[step], psis[step] = model.include, psi.psi
+        models[step], psis[step, model.active_positions] = model.include, psi
         gammas[step], phis[step] = sigma.gamma, sigma.phi
     return models, psis, gammas, phis
 
@@ -441,7 +445,7 @@ def fixed_model_z(prior, forced, models, psis, gammas, phis):
 def moving_model_z(prior, forced, models, psis, gammas, phis):
     """Each free inclusion bit I, I psi, I psi^2, gamma, gamma^2 and 1/phi
     against their prior means (1/phi is Gamma(s0 / 2, rate S0 / 2))."""
-    incl = np.where(forced, 1.0, prior.model_prior.pi)
+    incl = np.where(forced, 1.0, inclusion_prior(prior))
     psi0, var0 = prior.psi0, np.diag(prior.Psi0)
     values = np.column_stack([models[:, ~forced], psis, psis**2, gammas, gammas**2, 1.0 / phis])
     targets = np.concatenate([
@@ -474,6 +478,18 @@ GEWEKE_CASES = {
         ),
         forced=np.array([True, False, False, False]), inner_model_moves=2, sweeps_per_dataset=2,
         steps=40_000, seed=SEED, z_scores=moving_model_z,
+    ),
+    # The flat model prior and three moves per sweep, with no forced bit so
+    # that the null model's empty coefficient draw comes up too; nonzero
+    # means and dense blocks as above.
+    "flat-prior-three-moves": GewekeCase(
+        prior=PriorSpec(
+            theta0=np.array([-0.3, 0.5]), Theta0=np.array([[0.4, -0.15], [-0.15, 0.6]]),
+            beta0=np.array([0.6, -0.2]), B0=np.array([[0.5, 0.2], [0.2, 0.3]]),
+            gamma0=-0.2, G0=0.25, s0=12.0, S0=10.0,
+        ),
+        forced=np.zeros(4, dtype=bool), inner_model_moves=3, sweeps_per_dataset=1,
+        steps=40_000, seed=SEED + 11, z_scores=moving_model_z,
     ),
 }
 

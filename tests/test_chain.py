@@ -24,7 +24,8 @@ from tbma.chain import (
     running_model_size,
     sweep,
 )
-from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams
+from tbma.conditionals import model_rows
+from tbma.core import ModelIndicator, PriorSpec, SigmaParams
 from tbma.errors import EmptyChain, InvalidParameter
 
 
@@ -57,6 +58,13 @@ class TestChainConfig:
             ChainConfig(thin=0)
         with pytest.raises(InvalidParameter):
             ChainConfig(chains=0)
+
+    def test_thin_must_store_a_post_burn_in_sweep(self):
+        with pytest.raises(InvalidParameter, match="thin must be at most iterations - burn_in = 10"):
+            ChainConfig(iterations=100, burn_in=90, thin=20)
+        with pytest.raises(InvalidParameter, match="thin must be at most iterations - burn_in = 5"):
+            ChainConfig(iterations=5, burn_in=0, thin=6)
+        assert ChainConfig(iterations=100, burn_in=90, thin=10).thin == 10
 
     def test_unknown_init_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -241,13 +249,21 @@ class TestSweepOrder:
         assert nonempty > 1
 
 
+def stacked(state):
+    """A state's coefficients as the stacked length-(p + q) vector that
+    ``run_chain`` stores, zero off the model."""
+    psi = np.zeros(state.model.include.size)
+    psi[state.model.active_positions] = state.psi
+    return psi
+
+
 def state_bits(state):
     """Every array and number of a chain state, as bytes."""
     rows = state.rows
     return (
-        state.model.include.tobytes(), state.model.forced.tobytes(), state.psi.psi.tobytes(),
+        state.model.include.tobytes(), state.model.forced.tobytes(), state.psi.tobytes(),
         np.array([state.sigma.gamma, state.sigma.phi]).tobytes(), rows.model.include.tobytes(),
-        *(values.tobytes() for values in (rows.active_w, rows.active_x, rows.wx_unc, rows.w_cen)),
+        rows.dw, rows.wx_unc.tobytes(), rows.w_cen.tobytes(),
     )
 
 
@@ -262,7 +278,7 @@ class TestSweep:
     def test_same_state_and_generator_state_give_the_same_next_state(self):
         forced = np.array([True, False, False, False])
         model = ModelIndicator(np.array([True, False, True, False]), forced, 2)
-        state = ChainState.start(self.ds, model, CoefVector([0.4, 0.0], [-0.3, 0.0]), SigmaParams(0.2, 1.3))
+        state = ChainState.start(self.ds, model, [0.4, -0.3], SigmaParams(0.2, 1.3))
         rng = np.random.default_rng(11)
         models = set()
         for _ in range(30):
@@ -288,12 +304,12 @@ class TestSweep:
         )
         out = run_chain(self.ds, self.prior, config, chain_id=1)
         start = ModelIndicator.null_model(2, 2) if init == "null-model" else ModelIndicator.full_model(2, 2)
-        state = ChainState.start(self.ds, start, CoefVector.zeros(2, 2), SigmaParams(0.0, 1.0))
+        state = ChainState.start(self.ds, start, np.zeros(start.d), SigmaParams(0.0, 1.0))
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
         mine = []
         for _ in range(k):
             state, accepted = sweep(state, self.prior, config.inner_model_moves, rng)
-            mine.append((state.model.include, state.psi.psi, state.sigma.gamma, state.sigma.phi, accepted))
+            mine.append((state.model.include, stacked(state), state.sigma.gamma, state.sigma.phi, accepted))
         # Resume as from a checkpoint: the state rebuilt from its parts and a
         # new generator set to the saved bit-generator state.
         resumed = np.random.default_rng()
@@ -301,7 +317,7 @@ class TestSweep:
         state = ChainState.start(self.ds, state.model, state.psi, state.sigma)
         for _ in range(iterations - k):
             state, accepted = sweep(state, self.prior, config.inner_model_moves, resumed)
-            mine.append((state.model.include, state.psi.psi, state.sigma.gamma, state.sigma.phi, accepted))
+            mine.append((state.model.include, stacked(state), state.sigma.gamma, state.sigma.phi, accepted))
         stored = (out.models, out.psis, out.gammas, out.phis, out.accepted)
         for column, expected in zip(zip(*mine), stored):
             assert np.array(column).tobytes() == expected.tobytes()
@@ -310,21 +326,25 @@ class TestSweep:
     def test_start_rejects_a_state_that_does_not_fit_the_dataset(self):
         model = ModelIndicator(np.array([True, False, True, False]), np.zeros(4, bool), 2)
         unit = SigmaParams(0.0, 1.0)
-        with pytest.raises(InvalidParameter, match="zero off the model"):
-            ChainState.start(self.ds, model, CoefVector([0.4, 0.1], [-0.3, 0.0]), unit)
+        # The coefficients are the model's d active ones: a stacked vector,
+        # zeros off the model included, does not fit.
+        for psi in ([0.4, 0.1, -0.3, 0.0], [0.4], [[0.4, -0.3]]):
+            with pytest.raises(InvalidParameter, match=r"coefficients have shape .*d = 2"):
+                ChainState.start(self.ds, model, psi, unit)
         with pytest.raises(InvalidParameter, match=r"\(3, 1\).*\(2, 2\)"):
-            ChainState.start(self.ds, ModelIndicator.full_model(3, 1), CoefVector.zeros(2, 2), unit)
-        with pytest.raises(InvalidParameter, match=r"\(1, 3\).*\(2, 2\)"):
-            ChainState.start(self.ds, model, CoefVector.zeros(1, 3), unit)
-        state = ChainState.start(self.ds, model, CoefVector.zeros(2, 2), unit)
+            ChainState.start(self.ds, ModelIndicator.full_model(3, 1), np.zeros(4), unit)
+        state = ChainState.start(self.ds, model, [0.4, -0.3], unit)
+        assert not state.psi.flags.writeable
         with pytest.raises(InvalidParameter, match="another model"):
             ChainState(model.with_toggled(1), state.psi, unit, state.rows)
+        with pytest.raises(InvalidParameter, match=r"coefficients have shape \(2,\), the model has d = 3"):
+            ChainState(model.with_toggled(1), state.psi, unit, model_rows(self.ds, model.with_toggled(1)))
 
     def test_sweep_rejects_a_prior_of_another_split_and_negative_moves(self):
         # A (3, 1) prior has the stacked length of the (2, 2) data, so only
         # the check tells its blocks apart.
         full = ModelIndicator.full_model(2, 2)
-        state = ChainState.start(self.ds, full, CoefVector.zeros(2, 2), SigmaParams(0.0, 1.0))
+        state = ChainState.start(self.ds, full, np.zeros(4), SigmaParams(0.0, 1.0))
         with pytest.raises(InvalidParameter, match="prior dimensions"):
             sweep(state, unit_prior(3, 1), 1, np.random.default_rng(0))
         with pytest.raises(InvalidParameter, match="inner_model_moves"):

@@ -247,6 +247,18 @@ class TestErrorPaths:
         assert f"{config}:2: key 'burn_in': burn_in must satisfy" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_thin_storing_no_post_burn_in_sweep_exits_2_before_any_chain(self, tmp_path, schema_file, capsys):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 200, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        config = write(tmp_path / "run.cfg", ["iterations = 100", "burn_in = 90", "thin = 20", "chains = 2"])
+        code = run_cli(
+            "run", "--data", data, "--schema", schema_file, "--config", config, "--out-dir", tmp_path / "o",
+        )
+        assert code == 2
+        assert f"{config}:3: key 'thin': thin must be at most iterations - burn_in = 10" in capsys.readouterr().err
+        assert not list(tmp_path.glob("o/trace_chain*.csv"))
+
     def test_short_data_row_exits_2_naming_row_and_column(self, tmp_path, capsys):
         data = write(tmp_path / "short.csv", ["y,censored,w1,x1", "1.5,1,0.3,0.2", "2.0,0,0.1"])
         schema = write(tmp_path / "schema.cfg", [

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr, ndtri
 from scipy.stats import truncnorm
 
 from conftest import consistent_z, full_fit, make_dataset, null_rows, truncated_normal_draws, unit_prior
 from tbma.conditionals import (
+    TAIL_SWITCH,
     PsiPosterior,
     SweepStatistics,
     conditional_log_marginal,
@@ -25,8 +27,7 @@ from tbma.conditionals import (
     sweep_statistics,
 )
 import tbma.core
-from tbma.conditionals import _TAIL_SWITCH
-from tbma.core import CoefVector, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
+from tbma.core import ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 from tbma.errors import NumericalError
 from tbma.oracle import latent_conditional_params
 
@@ -35,6 +36,11 @@ def posterior_with_covariance(model, mean, cov):
     """A coefficient posterior N(mean, cov), stored as its precision factor."""
     chol = np.linalg.cholesky(np.linalg.inv(cov))
     return PsiPosterior(model=model, psi1=mean, log_conditional_marginal=0.0, chol=chol)
+
+
+def posterior_covariance(post):
+    """The covariance of ``post``, from the precision factor it stores."""
+    return np.linalg.inv(post.chol @ post.chol.T)
 
 
 class TestTruncatedNormal:
@@ -88,15 +94,15 @@ class TestLatentConditional:
     def test_censored_case(self):
         ds = make_dataset(n=10, seed=5)
         row = int(np.flatnonzero(ds.censored)[0])
-        mu, var, side = latent_conditional_params(row, ds, CoefVector.zeros(2, 2), SigmaParams(0.9, 2.0))
+        mu, var, side = latent_conditional_params(row, ds, np.zeros(4), SigmaParams(0.9, 2.0))
         assert (mu, var, side) == (0.0, 1.0, "negative")
 
     def test_uncensored_decoupled(self):
         ds = make_dataset(n=10, seed=5)
         row = int(np.flatnonzero(~ds.censored)[0])
-        psi = CoefVector(np.array([0.5, -0.2]), np.array([0.3, 0.3]))
+        psi = np.array([0.5, -0.2, 0.3, 0.3])
         mu, var, side = latent_conditional_params(row, ds, psi, SigmaParams(0.0, 3.0))
-        assert mu == pytest.approx(float(ds.W[row] @ psi.theta))
+        assert mu == pytest.approx(float(ds.W[row] @ psi[:2]))
         assert var == 1.0
         assert side == "nonnegative"
 
@@ -105,21 +111,21 @@ class TestLatentConditional:
             W=np.array([[1.0]]), X=np.array([[1.0]]), y=np.array([2.0]),
             censored=np.array([False]), column_names_w=("w",), column_names_x=("x",),
         )
-        mu, var, side = latent_conditional_params(0, ds, CoefVector.zeros(1, 1), SigmaParams(1.0, 1.0))
+        mu, var, side = latent_conditional_params(0, ds, np.zeros(2), SigmaParams(1.0, 1.0))
         assert mu == pytest.approx(1.0)
         assert var == pytest.approx(0.5)
         assert side == "nonnegative"
 
     def test_variance_strictly_positive(self):
         ds = make_dataset(n=5, seed=1, censored_fraction=0.0)
-        _, var, _ = latent_conditional_params(0, ds, CoefVector.zeros(2, 2), SigmaParams(50.0, 1e-3))
+        _, var, _ = latent_conditional_params(0, ds, np.zeros(4), SigmaParams(50.0, 1e-3))
         assert var > 0.0
 
 
 def reference_latent(dataset, fit, sp, rng):
     """The latent draw in its per-row form: a mean and an sd for every row,
     mirrored by the censoring side, then inverse-CDF draws in row order for
-    cuts up to ``_TAIL_SWITCH`` and exponential-proposal rejection for the
+    cuts up to ``TAIL_SWITCH`` and exponential-proposal rejection for the
     rest.  Takes the design products from ``fit``, as ``sample_latent`` does."""
     mu = np.empty(dataset.n)
     mu[dataset.censored] = fit.sel_cen
@@ -134,7 +140,7 @@ def reference_latent(dataset, fit, sp, rng):
     negative = dataset.censored
     a = np.where(negative, mu, -mu) / sd
     u = np.empty_like(a)
-    easy = a <= _TAIL_SWITCH
+    easy = a <= TAIL_SWITCH
     if np.any(easy):
         tail_mass = ndtr(-a[easy])
         uniform = 1.0 - rng.uniform(size=int(np.count_nonzero(easy)))
@@ -159,7 +165,7 @@ def reference_latent(dataset, fit, sp, rng):
 
 def latent_problem(seed, n, censoring, scale, gamma, phi):
     """A dataset and a coefficient vector whose selection means have spread
-    ``scale``; at large spread some rows' cuts lie past ``_TAIL_SWITCH``."""
+    ``scale``; at large spread some rows' cuts lie past ``TAIL_SWITCH``."""
     gen = np.random.default_rng(seed)
     if censoring == "none":
         censored = np.zeros(n, bool)
@@ -172,7 +178,7 @@ def latent_problem(seed, n, censoring, scale, gamma, phi):
         y=np.where(censored, 0.0, 2.0 * gen.standard_normal(n)), censored=censored,
         column_names_w=("w0", "w1", "w2"), column_names_x=("x0", "x1"),
     )
-    psi = CoefVector(scale * gen.standard_normal(3), gen.standard_normal(2))
+    psi = np.concatenate([scale * gen.standard_normal(3), gen.standard_normal(2)])
     return ds, psi, SigmaParams(gamma, phi)
 
 
@@ -186,7 +192,7 @@ class TestSampleLatent:
             W=np.zeros((0, 1)), X=np.zeros((0, 1)), y=np.zeros(0),
             censored=np.zeros(0, bool), column_names_w=("w",), column_names_x=("x",),
         )
-        assert sample_latent(ds, full_fit(ds, CoefVector.zeros(1, 1)), SigmaParams(0.0, 1.0), rng).size == 0
+        assert sample_latent(ds, full_fit(ds, np.zeros(2)), SigmaParams(0.0, 1.0), rng).size == 0
 
     def test_all_censored_mean(self):
         rng = np.random.default_rng(3)
@@ -195,7 +201,7 @@ class TestSampleLatent:
             W=np.zeros((n, 1)), X=np.zeros((n, 1)), y=np.zeros(n),
             censored=np.ones(n, bool), column_names_w=("w",), column_names_x=("x",),
         )
-        z = sample_latent(ds, full_fit(ds, CoefVector.zeros(1, 1)), SigmaParams(0.0, 1.0), rng)
+        z = sample_latent(ds, full_fit(ds, np.zeros(2)), SigmaParams(0.0, 1.0), rng)
         assert np.all(z < 0)
         assert abs(z.mean() + np.sqrt(2.0 / np.pi)) < 0.01
 
@@ -203,7 +209,7 @@ class TestSampleLatent:
     def test_sign_pattern_matches_censoring(self, seed):
         ds = make_dataset(n=200, seed=seed)
         rng = np.random.default_rng(seed + 10)
-        psi = CoefVector(np.array([0.4, -0.8]), np.array([1.0, 0.2]))
+        psi = np.array([0.4, -0.8, 1.0, 0.2])
         z = sample_latent(ds, full_fit(ds, psi), SigmaParams(0.7, 0.6), rng)
         assert np.array_equal(z < 0, ds.censored)
 
@@ -227,11 +233,11 @@ class TestSampleLatent:
     @pytest.mark.parametrize("censoring", ["mixed", "none", "all"])
     def test_rows_past_tail_switch_match_reference(self, censoring):
         ds, psi, sp = latent_problem(5, 400, censoring, 8.0, 0.6, 0.8)
-        mu = ds.W @ psi.theta
+        mu = ds.W @ psi[:3]
         denom = sp.phi + sp.gamma**2
-        mu_unc = mu[~ds.censored] + sp.gamma / denom * (ds.y - ds.X @ psi.beta)[~ds.censored]
+        mu_unc = mu[~ds.censored] + sp.gamma / denom * (ds.y - ds.X @ psi[3:])[~ds.censored]
         cuts = np.concatenate([mu[ds.censored], -mu_unc / np.sqrt(sp.phi / denom)])
-        assert np.count_nonzero(cuts > _TAIL_SWITCH) >= 10
+        assert np.count_nonzero(cuts > TAIL_SWITCH) >= 10
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         fit = full_fit(ds, psi)
         z = sample_latent(ds, fit, sp, rng)
@@ -249,14 +255,15 @@ class TestSampleLatent:
         ds, psi, _ = latent_problem(seed, n, censoring, 2.0, 0.0, 1.0)
         include = np.array(data.draw(st.lists(st.booleans(), min_size=5, max_size=5)))
         model = ModelIndicator(include, np.zeros(5, bool), 3)
-        # Coefficients of a sweep's retained model: zero off its covariates.
-        psi = CoefVector.from_psi(np.where(include, psi.psi, 0.0), 3)
-        fit = fitted_values(model_rows(ds, model), psi)
+        # The model's active coefficients; the stacked vector is zero elsewhere.
+        fit = fitted_values(model_rows(ds, model), psi[include])
+        psi = np.where(include, psi, 0.0)
+        theta, beta = psi[:3], psi[3:]
         unc = ~ds.censored
-        sel = ds.W @ psi.theta
-        sel_mag = np.abs(ds.W) @ np.abs(psi.theta)
-        resid = ds.y[unc] - ds.X[unc] @ psi.beta
-        resid_mag = np.abs(ds.y[unc]) + np.abs(ds.X[unc]) @ np.abs(psi.beta)
+        sel = ds.W @ theta
+        sel_mag = np.abs(ds.W) @ np.abs(theta)
+        resid = ds.y[unc] - ds.X[unc] @ beta
+        resid_mag = np.abs(ds.y[unc]) + np.abs(ds.X[unc]) @ np.abs(beta)
         assert np.all(np.abs(fit.sel_unc - sel[unc]) <= 1e-12 * sel_mag[unc])
         assert np.all(np.abs(fit.sel_cen - sel[~unc]) <= 1e-12 * sel_mag[~unc])
         assert np.all(np.abs(fit.resid_unc - resid) <= 1e-12 * resid_mag)
@@ -276,7 +283,7 @@ class TestPsiPosterior:
         stats = sweep_statistics(null_rows(ds), np.zeros(0), SigmaParams(0.2, 1.0))
         post = conditional_log_marginal(stats, prior, model)
         assert np.allclose(post.psi1, [1.0, 0.5, 0.0])
-        assert np.allclose(post.Psi1, np.diag([2.0, 4.0, 5.0]))
+        assert np.allclose(posterior_covariance(post), np.diag([2.0, 4.0, 5.0]))
 
     def test_all_censored_leaves_outcome_block_at_prior(self):
         ds = make_dataset(n=20, seed=8, censored_fraction=1.1)  # every row censored
@@ -286,8 +293,9 @@ class TestPsiPosterior:
         stats = sweep_statistics(null_rows(ds), z, SigmaParams(0.5, 2.0))
         post = conditional_log_marginal(stats, prior, ModelIndicator.full_model(2, 2))
         assert np.allclose(post.psi1[2:], [2.0, -2.0])
-        assert np.allclose(post.Psi1[2:, 2:], np.diag([3.0, 7.0]))
-        assert np.allclose(post.Psi1[:2, 2:], 0.0)
+        cov = posterior_covariance(post)
+        assert np.allclose(cov[2:, 2:], np.diag([3.0, 7.0]))
+        assert np.allclose(cov[:2, 2:], 0.0)
 
     def test_decoupled_conjugate_regression(self):
         # gamma = 0, nothing censored: each block is a textbook normal update.
@@ -310,18 +318,10 @@ class TestPsiPosterior:
         )
         assert np.allclose(post.psi1[:2], mean_theta, rtol=1e-10)
         assert np.allclose(post.psi1[2:], mean_beta, rtol=1e-10)
-        assert np.allclose(post.Psi1[:2, :2], np.linalg.inv(prec_theta), rtol=1e-10)
-        assert np.allclose(post.Psi1[2:, 2:], np.linalg.inv(prec_beta), rtol=1e-10)
-        assert np.allclose(post.Psi1[:2, 2:], 0.0)
-
-    def test_covariance_times_precision_is_identity(self):
-        ds = make_dataset(n=40, seed=33)
-        z = consistent_z(ds)
-        prior = unit_prior(2, 2)
-        sp = SigmaParams(0.8, 0.9)
-        model = ModelIndicator.full_model(2, 2)
-        post = conditional_log_marginal(sweep_statistics(null_rows(ds), z, sp), prior, model)
-        assert np.allclose(post.Psi1 @ (post.chol @ post.chol.T), np.eye(4), atol=1e-10)
+        cov = posterior_covariance(post)
+        assert np.allclose(cov[:2, :2], np.linalg.inv(prec_theta), rtol=1e-10)
+        assert np.allclose(cov[2:, 2:], np.linalg.inv(prec_beta), rtol=1e-10)
+        assert np.allclose(cov[:2, 2:], 0.0)
 
 
 def dense_linear_term(ds, z, sp):
@@ -577,7 +577,7 @@ class TestGammaPhiPosteriors:
         # G0 = 3 would expose any reciprocal round trip; the empty case must
         # hand back the prior exactly.
         prior = unit_prior(2, 2, gamma0=0.7, G0=3.0)
-        post = gamma_posterior_params(ds, z, full_fit(ds, CoefVector.zeros(2, 2)), 1.0, prior)
+        post = gamma_posterior_params(ds, z, full_fit(ds, np.zeros(4)), 1.0, prior)
         assert (post.gamma1, post.G1) == (0.7, 3.0)
 
     def test_gamma_diffuse_single_row(self):
@@ -587,7 +587,7 @@ class TestGammaPhiPosteriors:
             censored=np.array([False]), column_names_w=("w",), column_names_x=("x",),
         )
         prior = unit_prior(1, 1, gamma0=0.0, G0=1e6)
-        post = gamma_posterior_params(ds, np.array([1.0]), full_fit(ds, CoefVector.zeros(1, 1)), 1.0, prior)
+        post = gamma_posterior_params(ds, np.array([1.0]), full_fit(ds, np.zeros(2)), 1.0, prior)
         assert post.gamma1 == pytest.approx(2.0, rel=1e-3)
         assert post.G1 == pytest.approx(1.0, rel=1e-3)
 
@@ -597,7 +597,7 @@ class TestGammaPhiPosteriors:
         ds = make_dataset(n=20, seed=seed % 7)
         z = consistent_z(ds, seed=seed)
         prior = unit_prior(2, 2, G0=3.0)
-        post = gamma_posterior_params(ds, z, full_fit(ds, CoefVector.zeros(2, 2)), phi, prior)
+        post = gamma_posterior_params(ds, z, full_fit(ds, np.zeros(4)), phi, prior)
         assert post.G1 <= prior.G0 + 1e-15
 
     @settings(deadline=None, max_examples=40)
@@ -610,11 +610,11 @@ class TestGammaPhiPosteriors:
     def test_gamma_and_phi_match_direct_residuals(self, seed, coefs, gamma, phi):
         ds = make_dataset(n=25, seed=seed % 7)
         z = consistent_z(ds, seed=seed)
-        psi = CoefVector(np.array(coefs[:2]), np.array(coefs[2:]))
+        psi = np.array(coefs)
         prior = unit_prior(2, 2, gamma0=0.3, G0=2.0, s0=4.0, S0=3.0)
         unc = ~ds.censored
-        e_z = z[unc] - ds.W[unc] @ psi.theta
-        e_y = ds.y[unc] - ds.X[unc] @ psi.beta
+        e_z = z[unc] - ds.W[unc] @ psi[:2]
+        e_y = ds.y[unc] - ds.X[unc] @ psi[2:]
         G1 = 1.0 / (1.0 / prior.G0 + float(e_z @ e_z) / phi)
         gamma1 = G1 * (prior.gamma0 / prior.G0 + float(e_z @ e_y) / phi)
         # gamma1 can cancel towards zero, so its tolerance also scales with
@@ -634,17 +634,17 @@ class TestGammaPhiPosteriors:
         ds = make_dataset(n=10, seed=8, censored_fraction=1.1)
         z = consistent_z(ds)
         prior = unit_prior(2, 2, s0=3.0, S0=9.0)
-        post = phi_posterior_params(ds, z, full_fit(ds, CoefVector.zeros(2, 2)), 0.4, prior)
+        post = phi_posterior_params(ds, z, full_fit(ds, np.zeros(4)), 0.4, prior)
         assert (post.s1, post.S1) == (3.0, 9.0)
 
     def test_phi_gamma_zero_is_outcome_rss(self):
         ds = make_dataset(n=30, seed=2)
         z = consistent_z(ds)
-        psi = CoefVector(np.array([0.1, 0.2]), np.array([-0.3, 0.5]))
+        psi = np.array([0.1, 0.2, -0.3, 0.5])
         prior = unit_prior(2, 2, s0=5.0, S0=2.0)
         post = phi_posterior_params(ds, z, full_fit(ds, psi), 0.0, prior)
         unc = ~ds.censored
-        e_y = ds.y[unc] - ds.X[unc] @ psi.beta
+        e_y = ds.y[unc] - ds.X[unc] @ psi[2:]
         assert post.s1 == 5.0 + ds.n_o
         assert post.S1 == pytest.approx(2.0 + float(e_y @ e_y), rel=1e-12)
 
@@ -653,7 +653,7 @@ class TestGammaPhiPosteriors:
     def test_phi_scale_never_decreases(self, seed, gamma):
         ds = make_dataset(n=20, seed=seed % 5)
         z = consistent_z(ds, seed=seed)
-        psi = CoefVector(np.array([0.3, -0.4]), np.array([0.9, 0.0]))
+        psi = np.array([0.3, -0.4, 0.9, 0.0])
         prior = unit_prior(2, 2, S0=1.0)
         post = phi_posterior_params(ds, z, full_fit(ds, psi), gamma, prior)
         assert post.S1 >= prior.S0
@@ -675,27 +675,45 @@ class TestDraws:
         model = ModelIndicator.full_model(1, 1)
         Psi1 = np.array([[1.0, 0.6], [0.6, 2.0]])
         post = posterior_with_covariance(model, np.array([1.0, -1.0]), Psi1)
-        draws = np.empty((1_000_000, 2))
-        for i in range(draws.shape[0]):
-            cv = draw_psi(post, rng)
-            draws[i] = cv.psi
+        draws = np.array([draw_psi(post, rng) for _ in range(1_000_000)])
         emp = np.cov(draws.T)
         assert np.all(np.abs(emp - Psi1) <= 0.01 * np.abs(Psi1))
         assert np.allclose(draws.mean(axis=0), [1.0, -1.0], atol=0.01)
 
-    def test_inactive_coordinates_exactly_zero(self, rng):
+    def test_draw_is_the_mean_plus_one_triangular_solve(self):
+        # psi1 + x with L' x = eps for the stored precision factor L: the
+        # draw has covariance (L L')^{-1}.  A dense covariance tells L^{-T}
+        # from L^{-1}.
+        model = ModelIndicator(np.array([True, True, False, True, True]), np.zeros(5, bool), 3)
+        cov = np.array([[1.0, 0.6, -0.3, 0.2], [0.6, 2.0, 0.4, -0.5], [-0.3, 0.4, 1.5, 0.3], [0.2, -0.5, 0.3, 0.8]])
+        post = posterior_with_covariance(model, np.array([0.5, -1.0, 2.0, 0.25]), cov)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            copy = np.random.default_rng()
+            copy.bit_generator.state = rng.bit_generator.state
+            draw = draw_psi(post, rng)
+            expected = post.psi1 + solve_triangular(post.chol, copy.standard_normal(4), trans="T", lower=True)
+            np.testing.assert_allclose(draw, expected, rtol=1e-12, atol=1e-12)
+            assert rng.bit_generator.state == copy.bit_generator.state
+
+    def test_singular_factor_raises(self, rng):
+        model = ModelIndicator.full_model(1, 1)
+        post = PsiPosterior(model, np.zeros(2), 0.0, np.array([[1.0, 0.0], [0.5, 0.0]]))
+        with pytest.raises(NumericalError, match="LAPACK info 2"):
+            draw_psi(post, rng)
+
+    def test_draw_has_one_entry_per_active_covariate(self, rng):
         model = ModelIndicator(np.array([True, False, False, True]), np.zeros(4, bool), 2)
         post = posterior_with_covariance(model, np.array([0.5, -0.5]), np.eye(2))
-        for _ in range(50):
-            cv = draw_psi(post, rng)
-            assert cv.theta[1] == 0.0
-            assert cv.beta[0] == 0.0
+        draw = draw_psi(post, rng)
+        assert draw.shape == (model.d,) and not draw.flags.writeable
 
     def test_empty_model_draw(self, rng):
         model = ModelIndicator.null_model(2, 2)
         post = posterior_with_covariance(model, np.zeros(0), np.zeros((0, 0)))
-        cv = draw_psi(post, rng)
-        assert np.array_equal(cv.psi, np.zeros(4))
+        state = rng.bit_generator.state
+        assert draw_psi(post, rng).shape == (0,)
+        assert rng.bit_generator.state == state
 
     def test_gamma_draw_moments(self):
         rng = np.random.default_rng(8)

@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from conftest import consistent_z, make_dataset, null_rows, unit_prior
-from tbma.core import CoefVector, ModelIndicator, ModelPrior, SigmaParams, TobitDataset
+from tbma.core import ModelIndicator, ModelPrior, SigmaParams, TobitDataset
 from tbma.errors import DimensionError
 from tbma.oracle import (
     QuadratureSpec,
@@ -31,8 +31,7 @@ class TestQuadrature:
         coords = rng.standard_normal((20, 4))
         batched = batched_log_density(ds, z, sp, model, coords)
         for row, point in zip(batched, coords):
-            psi = CoefVector(point[:2], point[2:])
-            assert row == pytest.approx(complete_data_log_density(ds, z, psi, sp), rel=1e-12)
+            assert row == pytest.approx(complete_data_log_density(ds, z, point, sp), rel=1e-12)
 
     def test_zero_dimensional_model_is_data_constant(self):
         ds = make_dataset(n=10, seed=2)
@@ -40,7 +39,7 @@ class TestQuadrature:
         sp = SigmaParams(0.4, 1.2)
         model = ModelIndicator.null_model(2, 2)
         value = quadrature_conditional_marginal(ds, z, model, sp, unit_prior(2, 2))
-        expected = complete_data_log_density(ds, z, CoefVector.zeros(2, 2), sp)
+        expected = complete_data_log_density(ds, z, np.zeros(4), sp)
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_one_dimensional_conjugate_closed_form(self):
