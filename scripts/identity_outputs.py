@@ -1,4 +1,4 @@
-"""Write the outputs of four fixed ``tbma synth`` + ``tbma run`` setups, and
+"""Write the outputs of six fixed ``tbma synth`` + ``tbma run`` setups, and
 of ``tbma summarize`` on each setup's traces, so that two checkouts can be
 compared for byte-identical chains and for a trace reader that rebuilds the
 same summaries:
@@ -18,7 +18,11 @@ Setups, one subdirectory each:
   4 true effects per equation), null-model start, 300 sweeps;
 * ``paper-full``: the same data, full-model start, 30 sweeps;
 * ``readme-prior``: the README data with forced intercepts, prior-draw start
-  and a Bernoulli model prior with pi = 0.3, 2000 sweeps, 2 chains.
+  and a Bernoulli model prior with pi = 0.3, 2000 sweeps, 2 chains;
+* ``readme-no-censoring`` and ``readme-all-censored``: the README data with
+  its ``censored`` column rewritten to all 0 and to all 1, so that one row
+  half of the latent draw is empty; 1000 sweeps, 2 chains, 2 model moves
+  per sweep.
 
 Each setup's ``summarize/`` subdirectory holds the summary and diagnostics
 that ``tbma summarize`` rebuilds from that setup's traces.
@@ -26,6 +30,7 @@ that ``tbma summarize`` rebuilds from that setup's traces.
 
 from __future__ import annotations
 
+import csv
 import os
 import sys
 from pathlib import Path
@@ -51,6 +56,10 @@ SETUPS = (
     ("readme-prior", "readme",
      ["--iterations", "2000", "--burn-in", "500", "--chains", "2", "--seed", "5", "--init", "prior-draw"],
      ["model_prior = bernoulli", "bernoulli_pi = 0.3"]),
+    ("readme-no-censoring", "readme-flag-0",
+     ["--iterations", "1000", "--burn-in", "200", "--chains", "2", "--seed", "7", "--inner-model-moves", "2"], None),
+    ("readme-all-censored", "readme-flag-1",
+     ["--iterations", "1000", "--burn-in", "200", "--chains", "2", "--seed", "7", "--inner-model-moves", "2"], None),
 )
 
 
@@ -63,6 +72,17 @@ def _schema(p: int, q: int) -> str:
         "add_intercept_selection = true",
         "add_intercept_outcome = true",
     ]) + "\n"
+
+
+def _with_flag(source: Path, target: Path, flag: str) -> None:
+    """Copy the CSV ``source`` to ``target`` with every ``censored`` cell set to ``flag``."""
+    with source.open(newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    at = header.index("censored")
+    for row in rows:
+        row[at] = flag
+    with target.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _cli(argv: list[str]) -> None:
@@ -90,6 +110,12 @@ def main(argv: list[str]) -> int:
         _cli(["synth", *flags, "--out", str(folder / "data.csv")])
         (folder / "schema.cfg").write_text(_schema(width, width), encoding="utf-8")
         data[name] = folder
+    for flag in ("0", "1"):
+        folder = Path(f"data-readme-flag-{flag}")
+        folder.mkdir(exist_ok=True)
+        _with_flag(data["readme"] / "data.csv", folder / "data.csv", flag)
+        (folder / "schema.cfg").write_text(_schema(6, 6), encoding="utf-8")
+        data[f"readme-flag-{flag}"] = folder
 
     for name, data_name, flags, prior_lines in SETUPS:
         folder = Path(name)

@@ -41,6 +41,7 @@ from .conditionals import (
     sweep_statistics,
 )
 from .core import (
+    LatentScores,
     ModelIndicator,
     ModelPrior,
     PriorSpec,

@@ -10,8 +10,10 @@ retained model, in exactly that order.  The first three draws read the
 fitted values of the sweep's starting coefficients, formed once at the top
 of the sweep from the state's row block (``model_rows``): the state holds
 only the retained model's d coefficients, so the products sum d terms per
-data row.  A sweep gathers the row block again only when its moves changed
-the retained model.  Before the moves, the sweep builds the coefficient
+data row.  The latent scores stay in their two row halves
+(``LatentScores``, which owns their sign contract), and the uncensored
+residual pair that the gamma and phi draws share is formed once.  A sweep
+gathers the row block again only when its moves changed the retained model.  Before the moves, the sweep builds the coefficient
 conditional's data statistics once and scores its starting model once; each
 move then scores only its proposal and passes the retained model's
 posterior on to the next move and to the coefficient draw.
@@ -239,11 +241,13 @@ def sweep(
     if inner_model_moves < 0:
         raise InvalidParameter("inner_model_moves must be at least 0")
     fit = fitted_values(rows, state.psi)
-    z = sample_latent(dataset, fit, state.sigma, rng)
-    gamma = draw_gamma(gamma_posterior_params(dataset, z, fit, state.sigma.phi, prior), rng)
-    phi = draw_phi(phi_posterior_params(dataset, z, fit, gamma, prior), rng)
+    latent = sample_latent(dataset, fit, state.sigma, rng)
+    # The uncensored rows' residual pair, which the gamma and phi conditionals share.
+    e_z, e_y = latent.z_unc - fit.sel_unc, fit.resid_unc
+    gamma = draw_gamma(gamma_posterior_params(e_z, e_y, state.sigma.phi, prior), rng)
+    phi = draw_phi(phi_posterior_params(e_z, e_y, gamma, prior), rng)
     sigma = SigmaParams(gamma, phi)
-    stats = sweep_statistics(rows, z, sigma)
+    stats = sweep_statistics(rows, latent, sigma)
     # Looked up on ``search`` so that every scored model goes through one name.
     psi_post = search.conditional_log_marginal(stats, prior, state.model)
     model, accepted_any = state.model, False

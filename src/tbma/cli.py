@@ -36,6 +36,9 @@ _PRIOR_FIELD_KEYS = {
     "kind": "model_prior", "pi": "bernoulli_pi",
 }
 _PRIOR_KEYS = frozenset(_PRIOR_FIELD_KEYS.values())
+# Ratios of a covariate's implied coefficient scale to its prior sd outside
+# these bounds draw a warning from ``tbma run`` on unstandardized data.
+_SCALE_RATIO_BOUNDS = (1e-3, 1e3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,6 +167,39 @@ def _load_prior(path, p: int, q: int) -> PriorSpec:
         raise
 
 
+def _scale_warnings(loaded: io_mod.LoadedData, prior: PriorSpec) -> list[str]:
+    """One line per covariate whose scale is far from its prior's.
+
+    A coefficient of size one response unit per covariate sd has scale
+    1 / sd(w_j) in the selection equation (the latent score has unit
+    variance) and sd(y) / sd(x_j) in the outcome equation, with sd(y) over
+    the uncensored rows.  Intercepts (the forced-in columns) and constant
+    columns carry no scale; without uncensored rows, or with a constant
+    response, the outcome equation is skipped.
+    """
+    dataset, forced = loaded.dataset, loaded.model_template.forced
+    y_unc = dataset.y[~dataset.censored]
+    y_sd = float(y_unc.std()) if y_unc.size else 0.0
+    low, high = _SCALE_RATIO_BOUNDS
+    lines = []
+    blocks = [("selection", dataset.W, dataset.column_names_w, prior.Theta0, forced[: dataset.p], 1.0)]
+    if y_sd > 0.0:
+        blocks.append(("outcome", dataset.X, dataset.column_names_x, prior.B0, forced[dataset.p :], y_sd))
+    for equation, design, names, cov, fixed, unit in blocks:
+        sds = design.std(axis=0)
+        for j, name in enumerate(names):
+            if fixed[j] or sds[j] == 0.0:
+                continue
+            ratio = unit / sds[j] / np.sqrt(cov[j, j])
+            if not low <= ratio <= high:
+                lines.append(
+                    f"warning: {equation} covariate {name!r}: its implied coefficient scale is {ratio:.3g} "
+                    "times the prior sd, so the prior, not the data, drives its inclusion; "
+                    "set standardize = true or rescale the data"
+                )
+    return lines
+
+
 def _cmd_run(args) -> int:
     config_raw = _read_config(args.config, _RUN_KEYS) if args.config else {}
     defaults = dict(_RUN_DEFAULTS, seed=_seed_default())
@@ -188,6 +224,9 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
     prior = _load_prior(args.prior_config, dataset.p, dataset.q)
+    if not schema.standardize:
+        for line in _scale_warnings(loaded, prior):
+            print(line, file=sys.stderr)
 
     out_dir = Path(args.out_dir)
     if loaded.standardization is not None:

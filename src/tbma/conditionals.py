@@ -17,6 +17,13 @@ sweep's starting coefficients, which ``fitted_values`` forms once per sweep
 from the retained model's rows: a chain keeps only that model's d
 coefficients, and every other coefficient is zero.
 
+The latent draw and its readers work on the two row halves of
+``dataset.split`` and never form the scores in row order.
+``sample_latent`` returns ``LatentScores`` (``tbma.core``), whose
+constructor owns the sign contract; only the uniforms are drawn in row
+order, and each half gathers its own.  The gamma and phi conditionals read
+the uncensored residual pair, and ``sweep_statistics`` reads both halves.
+
 The coefficient conditional has two parts.  ``sweep_statistics`` does the
 shared work once per sweep: at fixed latent scores and covariance, the
 weighted Gram matrix and linear term of every covariate are the same for
@@ -40,11 +47,11 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 from scipy.special import ndtr, ndtri
 
 from .core import (
+    LatentScores,
     ModelIndicator,
     PriorSpec,
     SigmaParams,
     TobitDataset,
-    check_sign_consistency,
     row_dots,
 )
 from .errors import InvalidParameter, NumericalError
@@ -204,30 +211,33 @@ def _tail_rejection(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _survival_quantile(neg_cut: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """ndtri((1 - U) ndtr(-cut)) elementwise from ``neg_cut`` = -cut and the
+    uniforms U: the negated inverse-CDF draw of u ~ N(0, 1) conditioned on
+    u >= cut.  Works in place: overwrites both arguments and returns ``uniform``.
+
+    The survival form P(u >= x) = ndtr(-x) stays well conditioned where the
+    inverse of the plain CDF would saturate.  U covers [0, 1); flipping it
+    keeps the quantile argument off 0, which would map to an infinite draw.
+    """
+    tail_mass = ndtr(neg_cut, out=neg_cut)
+    np.subtract(1.0, uniform, out=uniform)
+    uniform *= tail_mass
+    return ndtri(uniform, out=uniform)
+
+
 def _std_trunc_lower(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draws of u ~ N(0, 1) conditioned on u >= a, elementwise; may overwrite ``a``.
+    """Draws of u ~ N(0, 1) conditioned on u >= a, elementwise, in row order.
 
     Rows with a <= ``TAIL_SWITCH`` take the survival-form inverse CDF, with
     one uniform per such row in row order; the rest take the tail rejection
-    sampler afterwards.  When every row takes the inverse CDF, the work runs
-    in place in ``a`` and the uniforms' buffer.
+    sampler afterwards.
     """
     easy = a <= TAIL_SWITCH
-    # Survival-form inverse CDF: P(u >= x) = ndtr(-x) stays well conditioned
-    # where the inverse of the plain CDF would saturate.  uniform() covers
-    # [0, 1); flip it so the quantile argument never hits 0, which would map
-    # to an infinite draw.
-    if easy.all():
-        tail_mass = ndtr(np.negative(a, out=a), out=a)
-        u = rng.uniform(size=a.size)
-        np.subtract(1.0, u, out=u)
-        u *= tail_mass
-        return np.negative(ndtri(u, out=u), out=u)
     out = np.empty_like(a)
     if np.any(easy):
-        tail_mass = ndtr(-a[easy])
-        u = 1.0 - rng.uniform(size=int(np.count_nonzero(easy)))
-        out[easy] = -ndtri(u * tail_mass)
+        tail = np.negative(a[easy])
+        out[easy] = np.negative(_survival_quantile(tail, rng.random(tail.size)))
     hard = ~easy
     out[hard] = _tail_rejection(a[hard], rng)
     return out
@@ -265,8 +275,9 @@ def fitted_values(rows: ModelRows, psi: np.ndarray) -> FittedValues:
 
 def sample_latent(
     dataset: TobitDataset, fit: FittedValues, sp: SigmaParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Joint draw of all latent scores; sign pattern equals the censoring pattern.
+) -> LatentScores:
+    """Joint draw of all latent scores, by row half; the sign pattern equals
+    the censoring pattern.
 
     A censored row's score is N(W theta, 1) restricted to (-inf, 0); an
     uncensored row's is N(mu, c^2) restricted to [0, inf), with
@@ -275,27 +286,44 @@ def sample_latent(
     share one standardized draw u >= cut over all rows in row order: the
     cut is W theta on censored rows, whose score is the mirror image
     W theta - u, and -mu / c on uncensored rows, whose score is mu + c u.
+
+    When no cut lies past ``TAIL_SWITCH``, u is the inverse-CDF draw from n
+    uniforms taken in row order; each half gathers its own uniforms once and
+    forms its cut, transform and clamp in place.  Otherwise the draw runs in
+    row order (``_std_trunc_lower``), so that the tail sampler's draws keep
+    row order too, and is split into halves afterwards.
     """
-    if dataset.n == 0:
-        return np.empty(0)
     split = dataset.split
     unc, cen = split.uncensored_idx, split.censored_idx
     g, phi = sp.gamma, sp.phi
     denom = phi + g * g
     mu_unc = fit.sel_unc + (g / denom) * fit.resid_unc
     c = np.sqrt(phi / denom)
-    cut = np.empty(dataset.n)
-    cut[cen] = fit.sel_cen
-    cut[unc] = -mu_unc / c
-    u = _std_trunc_lower(cut, rng)
-    # Rounding at the boundary must never break the sign contract.
-    z = np.empty(dataset.n)
-    z[cen] = np.minimum(fit.sel_cen - u[cen], -np.finfo(np.float64).tiny)
-    z[unc] = np.maximum(mu_unc + c * u[unc], 0.0)
-    return z
+    # -cut on each half: mu / c equals -(-mu / c) bit for bit.
+    neg_cut_unc = mu_unc / c
+    neg_cut_cen = np.negative(fit.sel_cen)
+    if (neg_cut_unc >= -TAIL_SWITCH).all() and (neg_cut_cen >= -TAIL_SWITCH).all():
+        uniform = rng.random(dataset.n)
+        v_unc = _survival_quantile(neg_cut_unc, np.take(uniform, unc))
+        v_cen = _survival_quantile(neg_cut_cen, np.take(uniform, cen))
+    else:
+        cut = np.empty(dataset.n)
+        cut[cen] = fit.sel_cen
+        cut[unc] = -mu_unc / c
+        v = np.negative(_std_trunc_lower(cut, rng))
+        v_unc, v_cen = v[unc], v[cen]
+    # With v = -u, mu - c v and W theta + v are mu + c u and W theta - u bit
+    # for bit.  Rounding at the boundary must never break the sign contract.
+    z_unc = np.subtract(mu_unc, np.multiply(v_unc, c, out=v_unc), out=v_unc)
+    np.maximum(z_unc, 0.0, out=z_unc)
+    z_cen = np.add(fit.sel_cen, v_cen, out=v_cen)
+    np.minimum(z_cen, -np.finfo(np.float64).tiny, out=z_cen)
+    for half in (z_unc, z_cen):
+        half.setflags(write=False)
+    return LatentScores(z_unc, z_cen)
 
 
-def sweep_statistics(rows: ModelRows, z: np.ndarray, sp: SigmaParams) -> SweepStatistics:
+def sweep_statistics(rows: ModelRows, latent: LatentScores, sp: SigmaParams) -> SweepStatistics:
     """Everything the coefficient conditional takes from the data of
     ``rows.dataset`` at fixed latent scores and covariance, for all p + q
     covariates.
@@ -310,7 +338,7 @@ def sweep_statistics(rows: ModelRows, z: np.ndarray, sp: SigmaParams) -> SweepSt
     (``SweepStatistics.linear_term``).
     """
     dataset = rows.dataset
-    z = check_sign_consistency(dataset, z)
+    latent.check_fits(dataset)
     split = dataset.split
     p, pq = dataset.p, dataset.p + dataset.q
     g, phi = sp.gamma, sp.phi
@@ -322,10 +350,8 @@ def sweep_statistics(rows: ModelRows, z: np.ndarray, sp: SigmaParams) -> SweepSt
     gram[p:, :p] = gram[:p, p:].T
     gram[p:, p:] = a22 * split.gram_xx_unc
 
-    z_unc, z_cen = z[split.uncensored_idx], z[split.censored_idx]
-    for values in (gram, z_unc, z_cen):
-        values.setflags(write=False)
-    stats = SweepStatistics(gram, dataset, z_unc, z_cen, a11, a12, a22)
+    gram.setflags(write=False)
+    stats = SweepStatistics(gram, dataset, latent.z_unc, latent.z_cen, a11, a12, a22)
     stats._form_from_rows(rows)
     return stats
 
@@ -369,37 +395,22 @@ def conditional_log_marginal(
     return PsiPosterior(model, psi1, value, chol)
 
 
-def gamma_posterior_params(
-    dataset: TobitDataset,
-    z: np.ndarray,
-    fit: FittedValues,
-    phi: float,
-    prior: PriorSpec,
-) -> GammaPosterior:
-    """Conditional posterior N(gamma1, G1); sums run over uncensored rows only."""
+def gamma_posterior_params(e_z: np.ndarray, e_y: np.ndarray, phi: float, prior: PriorSpec) -> GammaPosterior:
+    """Conditional posterior N(gamma1, G1) from the uncensored rows'
+    residuals e_z = z - W theta and e_y = y - X beta."""
     if not phi > 0.0:
         raise InvalidParameter(f"phi must be positive, got {phi}")
-    unc = dataset.split.uncensored_idx
-    if unc.size == 0:
+    if e_z.size == 0:
         return GammaPosterior(gamma1=prior.gamma0, G1=prior.G0)
-    e_z = z[unc] - fit.sel_unc
-    e_y = fit.resid_unc
     g1_inv = 1.0 / prior.G0 + float(np.dot(e_z, e_z)) / phi
     G1 = 1.0 / g1_inv
     gamma1 = G1 * (prior.gamma0 / prior.G0 + float(np.dot(e_z, e_y)) / phi)
     return GammaPosterior(gamma1=gamma1, G1=G1)
 
 
-def phi_posterior_params(
-    dataset: TobitDataset,
-    z: np.ndarray,
-    fit: FittedValues,
-    gamma: float,
-    prior: PriorSpec,
-) -> PhiPosterior:
-    """Conditional inverse-gamma parameters (s1, S1) for phi."""
-    e_z = z[dataset.split.uncensored_idx] - fit.sel_unc
-    e_y = fit.resid_unc
+def phi_posterior_params(e_z: np.ndarray, e_y: np.ndarray, gamma: float, prior: PriorSpec) -> PhiPosterior:
+    """Conditional inverse-gamma parameters (s1, S1) for phi, from the
+    uncensored rows' residuals e_z = z - W theta and e_y = y - X beta."""
     # Squared-residual form of S1 - S0 keeps the update nonnegative exactly.
     resid = gamma * e_z - e_y
     return PhiPosterior(s1=prior.s0 + e_y.size, S1=prior.S0 + float(np.dot(resid, resid)))

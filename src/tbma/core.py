@@ -26,6 +26,7 @@ __all__ = [
     "ModelPrior",
     "RestrictedPrior",
     "PriorSpec",
+    "LatentScores",
     "row_dots",
 ]
 
@@ -441,8 +442,61 @@ def _restricted_terms(psi0: np.ndarray, Psi0: np.ndarray) -> RestrictedPrior:
     return RestrictedPrior(precision, precision_mean, logdet, quad)
 
 
+def _check_latent_half(name: str, values) -> None:
+    if not isinstance(values, np.ndarray) or values.dtype != np.float64 or values.ndim != 1:
+        raise InvalidParameter(f"{name} must be a 1-d float64 array")
+    if values.flags.writeable:
+        raise InvalidParameter(f"{name} must be read-only")
+
+
+@dataclass(frozen=True, eq=False)
+class LatentScores:
+    """One sweep's latent selection scores by row half, read-only: ``z_unc``
+    over the uncensored rows and ``z_cen`` over the censored rows of a
+    dataset, in the order of ``dataset.split``'s index arrays.
+
+    The constructor owns the sign contract inside the sampler: every
+    uncensored score is at least 0 and every censored score below 0.
+    """
+
+    z_unc: np.ndarray
+    z_cen: np.ndarray
+
+    def __post_init__(self):
+        _check_latent_half("z_unc", self.z_unc)
+        _check_latent_half("z_cen", self.z_cen)
+        # min/max propagate NaN: a NaN censored score fails, as z < 0 does.
+        if self.z_unc.size and self.z_unc.min() < 0.0:
+            raise InvalidState("an uncensored row's latent score is negative")
+        if self.z_cen.size and not self.z_cen.max() < 0.0:
+            raise InvalidState("a censored row's latent score is not negative")
+
+    @classmethod
+    def from_rows(cls, dataset: TobitDataset, z) -> LatentScores:
+        """The halves of a row-order latent vector ``z`` of ``dataset``."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.shape != (dataset.n,):
+            raise InvalidParameter(f"z must have length {dataset.n}")
+        split = dataset.split
+        z_unc, z_cen = z[split.uncensored_idx], z[split.censored_idx]
+        for values in (z_unc, z_cen):
+            values.setflags(write=False)
+        return cls(z_unc, z_cen)
+
+    def check_fits(self, dataset: TobitDataset) -> None:
+        """Require one score per uncensored and per censored row of ``dataset``."""
+        n_unc = dataset.split.uncensored_idx.size
+        if self.z_unc.shape != (n_unc,) or self.z_cen.shape != (dataset.n - n_unc,):
+            raise InvalidParameter(
+                f"latent halves have {self.z_unc.size} + {self.z_cen.size} scores, the dataset "
+                f"{n_unc} uncensored + {dataset.n - n_unc} censored rows"
+            )
+
+
 def check_sign_consistency(dataset: TobitDataset, z: np.ndarray) -> np.ndarray:
-    """Require z < 0 exactly on censored rows; returns z as a float array."""
+    """Require z < 0 exactly on censored rows of a row-order latent vector;
+    returns z as a float array.  The oracle's densities read z in row order;
+    the sampler's halves check the same contract in ``LatentScores``."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (dataset.n,):
         raise InvalidParameter(f"z must have length {dataset.n}")

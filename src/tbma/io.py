@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -13,7 +14,7 @@ import numpy as np
 
 from .chain import ChainOutput, PosteriorSummary
 from .core import ModelIndicator, TobitDataset
-from .errors import EmptyChain, IoError, ParseError, SchemaError
+from .errors import EmptyChain, InvalidParameter, IoError, ParseError, SchemaError
 
 __all__ = [
     "INTERCEPT_NAME",
@@ -135,12 +136,15 @@ def _number(raw: str) -> float | None:
 def _raise_first_bad_cell(
     path: Path, schema: DataSchema, col: dict[str, int], used: list[tuple[int, str]], cause: str
 ) -> NoReturn:
-    """Re-read the data rows after the numeric pass failed or met a bad
-    censored flag, and raise the ParseError for the first bad cell in row
-    order, and within a row in the order response, flag, selection columns,
-    outcome columns.  ``cause`` is the error raised should no cell be bad."""
+    """Re-read the data rows after the numeric pass failed, met a bad
+    censored flag or gave a dataset with non-finite values, and raise the
+    ParseError for the first bad cell in row order, and within a row in the
+    order response, flag, selection columns, outcome columns.  A non-finite
+    covariate is bad, and so is a non-finite response on a row whose flag
+    is not 1.  ``cause`` is the error raised should no cell be bad."""
     order = [schema.response] + [schema.censored] * (schema.censored is not None)
     order += list(schema.selection) + list(schema.outcome)
+    covariates = set(schema.selection) | set(schema.outcome)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -157,7 +161,16 @@ def _raise_first_bad_cell(
                     raise ParseError(f"{path}: non-numeric value {raw!r} at row {row_num}, column {name!r}")
                 if name == schema.censored and value not in (0.0, 1.0):
                     raise ParseError(f"{path}: censored flag must be 0 or 1, got {raw!r} at row {row_num}")
+                if not math.isfinite(value) and (name in covariates or not _censored_row(row, schema, col)):
+                    raise ParseError(f"{path}: non-finite value {raw!r} at row {row_num}, column {name!r}")
     raise ParseError(f"{path}: {cause}")
+
+
+def _censored_row(row: list[str], schema: DataSchema, col: dict[str, int]) -> bool:
+    """Whether a data row's flag reads 1 (with ``censor_on_zero``, its
+    response reads 0)."""
+    name = schema.censored if schema.censored is not None else schema.response
+    return _number(row[col[name]].strip()) == float(schema.censored is not None)
 
 
 def load_csv(path, schema: DataSchema) -> LoadedData:
@@ -250,10 +263,13 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
     # Frozen here, the arrays are the dataset's own, not copies.
     for values in (W, X, y, censored):
         values.setflags(write=False)
-    dataset = TobitDataset(
-        W=W, X=X, y=y, censored=censored,
-        column_names_w=tuple(names_w), column_names_x=tuple(names_x),
-    )
+    try:
+        dataset = TobitDataset(
+            W=W, X=X, y=y, censored=censored,
+            column_names_w=tuple(names_w), column_names_x=tuple(names_x),
+        )
+    except InvalidParameter as exc:
+        _raise_first_bad_cell(path, schema, col, used, str(exc))
     forced = np.zeros(dataset.p + dataset.q, dtype=bool)
     forced[0], forced[dataset.p] = add_w, add_x
     template = ModelIndicator.full_model(dataset.p, dataset.q, forced)

@@ -24,6 +24,7 @@ from scipy.special import logsumexp
 
 from .conditionals import conditional_log_marginal, model_rows, sweep_statistics
 from .core import (
+    LatentScores,
     ModelIndicator,
     ModelPrior,
     PriorSpec,
@@ -324,7 +325,7 @@ def enumerate_model_posterior(
     base = ModelIndicator.null_model(p, q, forced)
     free = base.free_positions()
 
-    stats = sweep_statistics(model_rows(dataset, base), z, sp)
+    stats = sweep_statistics(model_rows(dataset, base), LatentScores.from_rows(dataset, z), sp)
     keys, scores = [], []
     for bits in itertools.product((False, True), repeat=free.size):
         include = base.include.copy()
@@ -609,7 +610,7 @@ def run_fixture_suite(directory=None) -> list[FixtureCheck]:
     for fx in iter_fixtures(directory):
         start = perf_counter()
         prior = fx.prior
-        stats = sweep_statistics(model_rows(fx.dataset, fx.model_a), fx.z, fx.sp)
+        stats = sweep_statistics(model_rows(fx.dataset, fx.model_a), LatentScores.from_rows(fx.dataset, fx.z), fx.sp)
         log_a = conditional_log_marginal(stats, prior, fx.model_a)
         log_b = conditional_log_marginal(stats, prior, fx.model_b)
         quad_a = quadrature_conditional_marginal(fx.dataset, fx.z, fx.model_a, fx.sp, prior, fx.quadrature)

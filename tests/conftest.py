@@ -3,7 +3,7 @@ import pytest
 
 import tbma.search
 from tbma.conditionals import fitted_values, model_rows, sample_latent
-from tbma.core import ModelIndicator, PriorSpec, SigmaParams, TobitDataset
+from tbma.core import LatentScores, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 
 
 @pytest.fixture
@@ -92,6 +92,25 @@ def consistent_z(dataset, seed=1):
     return np.where(dataset.censored, -mag, mag)
 
 
+def latent_scores(dataset, z):
+    """The sampler's halves of a row-order latent vector ``z``."""
+    return LatentScores.from_rows(dataset, z)
+
+
+def latent_rows(dataset, latent):
+    """The halves of ``latent`` scattered back into row order."""
+    z = np.empty(dataset.n)
+    z[dataset.split.uncensored_idx] = latent.z_unc
+    z[dataset.split.censored_idx] = latent.z_cen
+    return z
+
+
+def uncensored_residuals(dataset, z, fit):
+    """The residual pair (z - W theta, y - X beta) over the uncensored rows
+    that the gamma and phi conditionals read, from a row-order ``z``."""
+    return latent_scores(dataset, z).z_unc - fit.sel_unc, fit.resid_unc
+
+
 def full_model(p, q):
     return ModelIndicator.full_model(p, q)
 
@@ -109,4 +128,5 @@ def truncated_normal_draws(mu, n, negative, rng):
         column_names_w=("w",), column_names_x=("x",),
     )
     psi = np.array([float(mu), 0.0])
-    return sample_latent(dataset, full_fit(dataset, psi), SigmaParams(0.0, 1.0), rng)
+    latent = sample_latent(dataset, full_fit(dataset, psi), SigmaParams(0.0, 1.0), rng)
+    return latent.z_cen if negative else latent.z_unc

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import truncnorm
 
 import tbma.search
-from conftest import consistent_z, make_dataset, null_rows, truncated_normal_draws, unit_prior
+from conftest import consistent_z, latent_scores, make_dataset, null_rows, truncated_normal_draws, unit_prior
 from tbma.chain import (
     ChainConfig,
     ChainState,
@@ -160,7 +160,7 @@ def test_c3_stationarity_against_exact_enumeration(memo_marginals):
     counts = dict.fromkeys(exact, 0)
     steps = 1_000_000
     memo_marginals()
-    stats = sweep_statistics(null_rows(dataset), z, sp)
+    stats = sweep_statistics(null_rows(dataset), latent_scores(dataset, z), sp)
     current = tbma.search.conditional_log_marginal(stats, prior, model)
     for _ in range(steps):
         model, _, current = mc3_step(stats, prior, current, flat, rng)
@@ -217,9 +217,9 @@ def test_c4_conjugate_reduction_uncensored_decoupled():
     for it in range(sweeps + burn):
         sp = SigmaParams(0.0, phi)
         fit = fitted_values(rows, psi)
-        z = sample_latent(dataset, fit, sp, rng)
-        phi = draw_phi(phi_posterior_params(dataset, z, fit, 0.0, prior), rng)
-        stats = sweep_statistics(rows, z, SigmaParams(0.0, phi))
+        latent = sample_latent(dataset, fit, sp, rng)
+        phi = draw_phi(phi_posterior_params(latent.z_unc - fit.sel_unc, fit.resid_unc, 0.0, prior), rng)
+        stats = sweep_statistics(rows, latent, SigmaParams(0.0, phi))
         psi = draw_psi(conditional_log_marginal(stats, prior, model), rng)
         if it >= burn:
             betas[it - burn] = psi[p:]
@@ -431,25 +431,41 @@ def batch_means_z(values, targets):
     return (values.mean(axis=0) - targets) / mcse
 
 
+def cross_moments(prior, incl, psis):
+    """I_i psi_i I_j psi_j for every pair i < j of coefficients, with their
+    prior means P(I_i I_j) (psi0_i psi0_j + Psi0_ij).  A coefficient draw
+    with the wrong covariance (L^{-1} eps in place of L^{-T} eps for the
+    precision factor L) moves them most through the correlations."""
+    i, j = np.triu_indices(psis.shape[1], k=1)
+    psi0, Psi0 = prior.psi0, prior.Psi0
+    return psis[:, i] * psis[:, j], incl[i] * incl[j] * (psi0[i] * psi0[j] + Psi0[i, j])
+
+
 def fixed_model_z(prior, forced, models, psis, gammas, phis):
-    """Means and variances of psi, gamma and phi against their prior values;
-    the prior below gives psi and gamma N(0, 0.25) and phi mean 1, variance 0.25."""
+    """Means and variances of psi, gamma and phi against their prior values,
+    and the cross moments of psi; the prior below gives psi and gamma
+    N(0, 0.25) and phi mean 1, variance 0.25."""
     draws = np.column_stack([psis, gammas, phis])
     k = draws.shape[1]
     batch_vars = draws.reshape(GEWEKE_BATCHES, -1, k).var(axis=1, ddof=1)
     mcse_var = batch_vars.std(axis=0, ddof=1) / np.sqrt(GEWEKE_BATCHES)
     var_z = (draws.var(axis=0, ddof=1) - 0.25) / mcse_var
-    return np.concatenate([batch_means_z(draws, np.array([0.0] * (k - 1) + [1.0])), var_z])
+    cross, cross_targets = cross_moments(prior, np.ones(psis.shape[1]), psis)
+    return np.concatenate([
+        batch_means_z(draws, np.array([0.0] * (k - 1) + [1.0])), var_z, batch_means_z(cross, cross_targets),
+    ])
 
 
 def moving_model_z(prior, forced, models, psis, gammas, phis):
-    """Each free inclusion bit I, I psi, I psi^2, gamma, gamma^2 and 1/phi
-    against their prior means (1/phi is Gamma(s0 / 2, rate S0 / 2))."""
+    """Each free inclusion bit I, I psi, I psi^2, the cross moments
+    I_i psi_i I_j psi_j, gamma, gamma^2 and 1/phi against their prior means
+    (1/phi is Gamma(s0 / 2, rate S0 / 2))."""
     incl = np.where(forced, 1.0, inclusion_prior(prior))
     psi0, var0 = prior.psi0, np.diag(prior.Psi0)
-    values = np.column_stack([models[:, ~forced], psis, psis**2, gammas, gammas**2, 1.0 / phis])
+    cross, cross_targets = cross_moments(prior, incl, psis)
+    values = np.column_stack([models[:, ~forced], psis, psis**2, cross, gammas, gammas**2, 1.0 / phis])
     targets = np.concatenate([
-        incl[~forced], incl * psi0, incl * (psi0**2 + var0),
+        incl[~forced], incl * psi0, incl * (psi0**2 + var0), cross_targets,
         [prior.gamma0, prior.gamma0**2 + prior.G0, prior.s0 / prior.S0],
     ])
     return batch_means_z(values, targets)
@@ -490,6 +506,19 @@ GEWEKE_CASES = {
         ),
         forced=np.zeros(4, dtype=bool), inner_model_moves=3, sweeps_per_dataset=1,
         steps=40_000, seed=SEED + 11, z_scores=moving_model_z,
+    ),
+    # Eight coefficients with strongly correlated prior blocks, all bits
+    # forced: with a precision this far from diagonal, a coefficient draw of
+    # the wrong covariance moves the variances and cross moments past the
+    # bound, which at p = q = 2 it does not.
+    "correlated-full-model": GewekeCase(
+        prior=PriorSpec(
+            theta0=np.array([0.3, -0.2, 0.1, 0.4]), Theta0=0.3 * (0.2 * np.eye(4) + 0.8),
+            beta0=np.array([-0.1, 0.2, 0.3, -0.3]), B0=0.3 * (0.2 * np.eye(4) + 0.8),
+            gamma0=0.1, G0=0.25, s0=12.0, S0=10.0,
+        ),
+        forced=np.ones(8, dtype=bool), inner_model_moves=1, sweeps_per_dataset=1,
+        steps=40_000, seed=SEED + 23, z_scores=moving_model_z,
     ),
 }
 

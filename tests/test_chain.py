@@ -176,8 +176,8 @@ class TestRunChainBookkeeping:
         real = chain_mod.sweep_statistics
         built = {"n": 0}
 
-        def faulty(dataset, z, sigma):
-            stats = real(dataset, z, sigma)
+        def faulty(rows, latent, sigma):
+            stats = real(rows, latent, sigma)
             built["n"] += 1
             if built["n"] < 3:
                 return stats

@@ -171,6 +171,73 @@ class TestStandardization:
         assert not (out_dir / "standardization.csv").exists()
 
 
+class TestScaleWarning:
+    """``tbma run`` on unstandardized data warns, on stderr only, about each
+    covariate whose implied coefficient scale is far from its prior sd."""
+
+    @pytest.fixture
+    def readme_data(self, tmp_path):
+        data = tmp_path / "data.csv"
+        run_cli("synth", "--n", 2000, "--p", 6, "--q", 6, "--theta", "0.8,-0.7,0.6,0,0,0",
+                "--beta", "1.0,-0.8,0.5,0,0,0", "--gamma", 0.5, "--phi", 1.0, "--seed", 1, "--out", data)
+        return data
+
+    @staticmethod
+    def scaled_response(readme_data, tmp_path, factor):
+        with readme_data.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        at = header.index("y")
+        for row in rows:
+            row[at] = repr(float(row[at]) * factor)
+        out = tmp_path / "scaled.csv"
+        with out.open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        return out
+
+    @staticmethod
+    def run(tmp_path, data, capsys, standardize, tag):
+        schema = write(tmp_path / f"schema-{tag}.cfg", [
+            "response = y", "censored = censored", "selection = " + ", ".join(f"w{j}" for j in range(1, 7)),
+            "outcome = " + ", ".join(f"x{j}" for j in range(1, 7)), f"standardize = {str(standardize).lower()}",
+        ])
+        capsys.readouterr()
+        code = run_cli("run", "--data", data, "--schema", schema, "--iterations", 10, "--burn-in", 2,
+                       "--chains", 1, "--out-dir", tmp_path / tag)
+        assert code == 0
+        return capsys.readouterr()
+
+    def test_response_far_from_the_prior_scale_warns_naming_each_outcome_column(
+        self, tmp_path, readme_data, capsys
+    ):
+        scaled = self.scaled_response(readme_data, tmp_path, 1e8)
+        captured = self.run(tmp_path, scaled, capsys, False, "scaled")
+        lines = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert [line.split("'")[1] for line in lines] == [f"x{j}" for j in range(1, 7)]
+        for line in lines:
+            assert line.startswith("warning: outcome covariate 'x")
+            ratio = float(line.split("scale is ")[1].split(" times")[0])
+            assert 1e6 < ratio < 1e8
+        assert "warning" not in captured.out
+
+    def test_readme_example_and_standardized_data_do_not_warn(self, tmp_path, readme_data, capsys):
+        assert "warning" not in self.run(tmp_path, readme_data, capsys, False, "readme").err
+        scaled = self.scaled_response(readme_data, tmp_path, 1e8)
+        assert "warning" not in self.run(tmp_path, scaled, capsys, True, "standardized").err
+
+    def test_selection_covariate_of_tiny_spread_warns(self, tmp_path, readme_data, capsys):
+        with readme_data.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        at = header.index("w2")
+        for row in rows:
+            row[at] = repr(float(row[at]) * 1e-5)
+        data = tmp_path / "narrow.csv"
+        with data.open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        err = self.run(tmp_path, data, capsys, False, "narrow").err
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and warnings[0].startswith("warning: selection covariate 'w2': ")
+
+
 class TestValidate:
     def test_packaged_fixtures_pass(self, capsys):
         assert run_cli("validate") == 0
@@ -275,6 +342,20 @@ class TestErrorPaths:
                        "--burn-in", 1, "--out-dir", tmp_path / "o")
         assert code == 2
         assert f"{data}: non-numeric value 'n/a' at row 2, column 'w2'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("column", ["w2", "y"])
+    def test_non_finite_data_cell_exits_2_naming_file_row_and_column(self, tmp_path, schema_file, capsys, raw, column):
+        header = ["w1", "w2", "x1", "x2", "y", "censored"]
+        bad = ["0.1", "0.2", "0.3", "0.4", "1.5", "0"]
+        bad[header.index(column)] = raw
+        data = write(tmp_path / "bad.csv", [",".join(header), "0.1,0.2,0.3,0.4,1.5,0", "0.5,0.1,0.3,0.4,0,1",
+                                            ",".join(bad)])
+        code = run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 10,
+                       "--burn-in", 1, "--out-dir", tmp_path / "o")
+        assert code == 2
+        assert f"{data}: non-finite value '{raw}' at row 3, column '{column}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error")

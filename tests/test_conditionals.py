@@ -10,7 +10,17 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr, ndtri
 from scipy.stats import truncnorm
 
-from conftest import consistent_z, full_fit, make_dataset, null_rows, truncated_normal_draws, unit_prior
+from conftest import (
+    consistent_z,
+    full_fit,
+    latent_rows,
+    latent_scores,
+    make_dataset,
+    null_rows,
+    truncated_normal_draws,
+    uncensored_residuals,
+    unit_prior,
+)
 from tbma.conditionals import (
     TAIL_SWITCH,
     PsiPosterior,
@@ -27,8 +37,8 @@ from tbma.conditionals import (
     sweep_statistics,
 )
 import tbma.core
-from tbma.core import ModelIndicator, PriorSpec, SigmaParams, TobitDataset
-from tbma.errors import NumericalError
+from tbma.core import LatentScores, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
+from tbma.errors import InvalidParameter, InvalidState, NumericalError
 from tbma.oracle import latent_conditional_params
 
 
@@ -186,13 +196,22 @@ def bits(values):
     return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
 
 
+def assert_halves_equal(ds, latent, z):
+    """``latent``'s halves hold the row-order ``z`` bit for bit."""
+    assert np.array_equal(bits(latent.z_unc), bits(z[~ds.censored]))
+    assert np.array_equal(bits(latent.z_cen), bits(z[ds.censored]))
+
+
 class TestSampleLatent:
     def test_empty(self, rng):
         ds = TobitDataset(
             W=np.zeros((0, 1)), X=np.zeros((0, 1)), y=np.zeros(0),
             censored=np.zeros(0, bool), column_names_w=("w",), column_names_x=("x",),
         )
-        assert sample_latent(ds, full_fit(ds, np.zeros(2)), SigmaParams(0.0, 1.0), rng).size == 0
+        state = rng.bit_generator.state
+        latent = sample_latent(ds, full_fit(ds, np.zeros(2)), SigmaParams(0.0, 1.0), rng)
+        assert latent.z_unc.shape == latent.z_cen.shape == (0,)
+        assert rng.bit_generator.state == state
 
     def test_all_censored_mean(self):
         rng = np.random.default_rng(3)
@@ -201,7 +220,9 @@ class TestSampleLatent:
             W=np.zeros((n, 1)), X=np.zeros((n, 1)), y=np.zeros(n),
             censored=np.ones(n, bool), column_names_w=("w",), column_names_x=("x",),
         )
-        z = sample_latent(ds, full_fit(ds, np.zeros(2)), SigmaParams(0.0, 1.0), rng)
+        latent = sample_latent(ds, full_fit(ds, np.zeros(2)), SigmaParams(0.0, 1.0), rng)
+        z = latent.z_cen
+        assert latent.z_unc.size == 0 and z.size == n
         assert np.all(z < 0)
         assert abs(z.mean() + np.sqrt(2.0 / np.pi)) < 0.01
 
@@ -210,8 +231,8 @@ class TestSampleLatent:
         ds = make_dataset(n=200, seed=seed)
         rng = np.random.default_rng(seed + 10)
         psi = np.array([0.4, -0.8, 1.0, 0.2])
-        z = sample_latent(ds, full_fit(ds, psi), SigmaParams(0.7, 0.6), rng)
-        assert np.array_equal(z < 0, ds.censored)
+        latent = sample_latent(ds, full_fit(ds, psi), SigmaParams(0.7, 0.6), rng)
+        assert np.array_equal(latent_rows(ds, latent) < 0, ds.censored)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -226,8 +247,8 @@ class TestSampleLatent:
         ds, psi, sp = latent_problem(seed, n, censoring, scale, gamma, phi)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         fit = full_fit(ds, psi)
-        z = sample_latent(ds, fit, sp, rng)
-        assert np.array_equal(bits(z), bits(reference_latent(ds, fit, sp, ref_rng)))
+        latent = sample_latent(ds, fit, sp, rng)
+        assert_halves_equal(ds, latent, reference_latent(ds, fit, sp, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("censoring", ["mixed", "none", "all"])
@@ -240,8 +261,8 @@ class TestSampleLatent:
         assert np.count_nonzero(cuts > TAIL_SWITCH) >= 10
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         fit = full_fit(ds, psi)
-        z = sample_latent(ds, fit, sp, rng)
-        assert np.array_equal(bits(z), bits(reference_latent(ds, fit, sp, ref_rng)))
+        latent = sample_latent(ds, fit, sp, rng)
+        assert_halves_equal(ds, latent, reference_latent(ds, fit, sp, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @settings(max_examples=100, deadline=None)
@@ -271,6 +292,70 @@ class TestSampleLatent:
             assert not values.flags.writeable
 
 
+def frozen(values):
+    out = np.array(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+class TestLatentScores:
+    """The halves the sampler keeps and their sign contract."""
+
+    def test_from_rows_gathers_read_only_halves(self):
+        ds = make_dataset(n=30, seed=3)
+        z = consistent_z(ds)
+        latent = LatentScores.from_rows(ds, z)
+        assert_halves_equal(ds, latent, z)
+        assert not latent.z_unc.flags.writeable and not latent.z_cen.flags.writeable
+        assert np.array_equal(latent_rows(ds, latent), z)
+
+    @pytest.mark.parametrize(
+        ("z_unc", "z_cen", "cause"),
+        [
+            ([0.0, -1.0], [-0.5], "an uncensored row's latent score is negative"),
+            ([0.0, -np.finfo(np.float64).tiny], [-0.5], "an uncensored row's latent score is negative"),
+            ([1.0], [-0.5, 0.0], "a censored row's latent score is not negative"),
+            ([1.0], [-0.5, 2.0], "a censored row's latent score is not negative"),
+            ([1.0], [np.nan], "a censored row's latent score is not negative"),
+        ],
+    )
+    def test_a_score_on_the_wrong_side_is_rejected(self, z_unc, z_cen, cause):
+        with pytest.raises(InvalidState, match=cause):
+            LatentScores(frozen(z_unc), frozen(z_cen))
+
+    def test_scores_at_the_boundary_are_accepted(self):
+        latent = LatentScores(frozen([0.0, 2.0]), frozen([-np.finfo(np.float64).tiny, -3.0]))
+        assert latent.z_unc.tolist() == [0.0, 2.0]
+
+    def test_a_row_order_vector_of_the_wrong_sign_is_rejected(self):
+        ds = make_dataset(n=30, seed=3)
+        for row in (int(np.flatnonzero(ds.censored)[0]), int(np.flatnonzero(~ds.censored)[0])):
+            z = consistent_z(ds)
+            z[row] = -z[row]
+            with pytest.raises(InvalidState):
+                LatentScores.from_rows(ds, z)
+
+    def test_writable_or_malformed_halves_are_rejected(self):
+        good = frozen([1.0])
+        with pytest.raises(InvalidParameter, match="z_unc must be read-only"):
+            LatentScores(np.array([1.0]), frozen([-1.0]))
+        with pytest.raises(InvalidParameter, match="z_cen must be read-only"):
+            LatentScores(good, np.array([-1.0]))
+        for bad in ([1.0], frozen([[1.0]]), np.ones(1, dtype=np.float32)):
+            with pytest.raises(InvalidParameter, match="z_unc must be a 1-d float64 array"):
+                LatentScores(bad, frozen([-1.0]))
+
+    def test_wrong_lengths_are_rejected(self):
+        ds = make_dataset(n=30, seed=3)
+        z = consistent_z(ds)
+        for short in (z[:-1], np.append(z, 1.0), z[None, :]):
+            with pytest.raises(InvalidParameter, match="z must have length 30"):
+                LatentScores.from_rows(ds, short)
+        other = LatentScores.from_rows(make_dataset(n=31, seed=3), consistent_z(make_dataset(n=31, seed=3)))
+        with pytest.raises(InvalidParameter, match="latent halves have"):
+            sweep_statistics(null_rows(ds), other, SigmaParams(0.0, 1.0))
+
+
 class TestPsiPosterior:
     def test_empty_dataset_returns_prior(self, rng):
         ds = TobitDataset(
@@ -280,7 +365,7 @@ class TestPsiPosterior:
         prior = unit_prior(2, 2, Theta0=np.diag([2.0, 3.0]), B0=np.diag([4.0, 5.0]),
                            theta0=np.array([1.0, -1.0]), beta0=np.array([0.5, 0.0]))
         model = ModelIndicator(np.array([True, False, True, True]), np.zeros(4, bool), 2)
-        stats = sweep_statistics(null_rows(ds), np.zeros(0), SigmaParams(0.2, 1.0))
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, np.zeros(0)), SigmaParams(0.2, 1.0))
         post = conditional_log_marginal(stats, prior, model)
         assert np.allclose(post.psi1, [1.0, 0.5, 0.0])
         assert np.allclose(posterior_covariance(post), np.diag([2.0, 4.0, 5.0]))
@@ -290,7 +375,7 @@ class TestPsiPosterior:
         assert ds.n_o == 0
         z = consistent_z(ds)
         prior = unit_prior(2, 2, B0=np.diag([3.0, 7.0]), beta0=np.array([2.0, -2.0]))
-        stats = sweep_statistics(null_rows(ds), z, SigmaParams(0.5, 2.0))
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, z), SigmaParams(0.5, 2.0))
         post = conditional_log_marginal(stats, prior, ModelIndicator.full_model(2, 2))
         assert np.allclose(post.psi1[2:], [2.0, -2.0])
         cov = posterior_covariance(post)
@@ -305,7 +390,7 @@ class TestPsiPosterior:
         phi = 1.7
         prior = unit_prior(2, 2, Theta0=np.diag([2.0, 0.5]), B0=np.diag([1.5, 3.0]),
                            theta0=np.array([0.2, 0.0]), beta0=np.array([-0.1, 0.4]))
-        stats = sweep_statistics(null_rows(ds), z, SigmaParams(0.0, phi))
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, z), SigmaParams(0.0, phi))
         post = conditional_log_marginal(stats, prior, ModelIndicator.full_model(2, 2))
 
         prec_theta = np.linalg.inv(np.diag([2.0, 0.5])) + ds.W.T @ ds.W
@@ -374,7 +459,7 @@ class TestLinearTermOnDemand:
     def test_every_entry_read_matches_the_dense_term(self, problem):
         ds, z, sp, retained, order = problem
         prior = unit_prior(ds.p, ds.q)
-        stats = sweep_statistics(model_rows(ds, retained), z, sp)
+        stats = sweep_statistics(model_rows(ds, retained), latent_scores(ds, z), sp)
         lin, mag = dense_linear_term(ds, z, sp)
         for model in order:
             post = conditional_log_marginal(stats, prior, model)
@@ -389,7 +474,7 @@ class TestLinearTermOnDemand:
     def test_a_model_scored_again_is_bit_identical(self, problem):
         ds, z, sp, retained, order = problem
         prior = unit_prior(ds.p, ds.q)
-        stats = sweep_statistics(model_rows(ds, retained), z, sp)
+        stats = sweep_statistics(model_rows(ds, retained), latent_scores(ds, z), sp)
         first = conditional_log_marginal(stats, prior, order[0])
         for model in order[1:]:
             conditional_log_marginal(stats, prior, model)
@@ -403,8 +488,9 @@ class TestLinearTermOnDemand:
     def test_entries_formed_up_front_equal_those_formed_on_read(self, problem):
         ds, z, sp, retained, _ = problem
         every = np.arange(ds.p + ds.q)
-        up_front = sweep_statistics(model_rows(ds, retained), z, sp).linear_term(every)
-        on_read = sweep_statistics(null_rows(ds), z, sp).linear_term(every)
+        latent = latent_scores(ds, z)
+        up_front = sweep_statistics(model_rows(ds, retained), latent, sp).linear_term(every)
+        on_read = sweep_statistics(null_rows(ds), latent, sp).linear_term(every)
         assert np.array_equal(bits(up_front), bits(on_read))
 
 
@@ -448,7 +534,7 @@ def cached_scoring_problems(draw):
     masks = draw(st.lists(st.lists(st.booleans(), min_size=pq, max_size=pq), min_size=1, max_size=60))
     models = [ModelIndicator(np.array(m) | retained.forced, retained.forced, ds.p) for m in masks]
     models = [m for m in models if m.d] or [ModelIndicator.full_model(ds.p, ds.q, retained.forced)]
-    return sweep_statistics(model_rows(ds, retained), z, sp), kwargs, models
+    return sweep_statistics(model_rows(ds, retained), latent_scores(ds, z), sp), kwargs, models
 
 
 class TestPriorTermCache:
@@ -516,7 +602,7 @@ class TestPriorTermCache:
 
         monkeypatch.setattr(PriorSpec, "restrict", counting)
         ds = make_dataset(n=20, p=3, q=3, seed=4)
-        stats = sweep_statistics(null_rows(ds), consistent_z(ds), SigmaParams(0.3, 1.2))
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), SigmaParams(0.3, 1.2))
         prior = unit_prior(3, 3)
         # The 20 models of 3 covariates each keep a 3 x 3 precision; 8 fit.
         bound = 8
@@ -546,7 +632,7 @@ class TestScoringErrors:
     @staticmethod
     def statistics():
         ds = make_dataset(n=20, seed=4)
-        return sweep_statistics(null_rows(ds), consistent_z(ds), SigmaParams(0.3, 1.2))
+        return sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), SigmaParams(0.3, 1.2))
 
     def test_large_negative_eigenvalue_is_not_positive_definite(self):
         v = np.array([0.5, -0.5, 0.5, 0.5])
@@ -577,7 +663,7 @@ class TestGammaPhiPosteriors:
         # G0 = 3 would expose any reciprocal round trip; the empty case must
         # hand back the prior exactly.
         prior = unit_prior(2, 2, gamma0=0.7, G0=3.0)
-        post = gamma_posterior_params(ds, z, full_fit(ds, np.zeros(4)), 1.0, prior)
+        post = gamma_posterior_params(*uncensored_residuals(ds, z, full_fit(ds, np.zeros(4))), 1.0, prior)
         assert (post.gamma1, post.G1) == (0.7, 3.0)
 
     def test_gamma_diffuse_single_row(self):
@@ -587,7 +673,8 @@ class TestGammaPhiPosteriors:
             censored=np.array([False]), column_names_w=("w",), column_names_x=("x",),
         )
         prior = unit_prior(1, 1, gamma0=0.0, G0=1e6)
-        post = gamma_posterior_params(ds, np.array([1.0]), full_fit(ds, np.zeros(2)), 1.0, prior)
+        fit = full_fit(ds, np.zeros(2))
+        post = gamma_posterior_params(*uncensored_residuals(ds, np.array([1.0]), fit), 1.0, prior)
         assert post.gamma1 == pytest.approx(2.0, rel=1e-3)
         assert post.G1 == pytest.approx(1.0, rel=1e-3)
 
@@ -597,7 +684,7 @@ class TestGammaPhiPosteriors:
         ds = make_dataset(n=20, seed=seed % 7)
         z = consistent_z(ds, seed=seed)
         prior = unit_prior(2, 2, G0=3.0)
-        post = gamma_posterior_params(ds, z, full_fit(ds, np.zeros(4)), phi, prior)
+        post = gamma_posterior_params(*uncensored_residuals(ds, z, full_fit(ds, np.zeros(4))), phi, prior)
         assert post.G1 <= prior.G0 + 1e-15
 
     @settings(deadline=None, max_examples=40)
@@ -622,9 +709,9 @@ class TestGammaPhiPosteriors:
         terms = G1 * (abs(prior.gamma0 / prior.G0) + float(np.abs(e_z) @ np.abs(e_y)) / phi)
         resid = gamma * e_z - e_y
 
-        fit = full_fit(ds, psi)
-        post_gamma = gamma_posterior_params(ds, z, fit, phi, prior)
-        post_phi = phi_posterior_params(ds, z, fit, gamma, prior)
+        residuals = uncensored_residuals(ds, z, full_fit(ds, psi))
+        post_gamma = gamma_posterior_params(*residuals, phi, prior)
+        post_phi = phi_posterior_params(*residuals, gamma, prior)
         assert post_gamma.G1 == pytest.approx(G1, rel=1e-12)
         assert post_gamma.gamma1 == pytest.approx(gamma1, rel=1e-12, abs=1e-12 * terms)
         assert post_phi.s1 == prior.s0 + ds.n_o
@@ -634,7 +721,7 @@ class TestGammaPhiPosteriors:
         ds = make_dataset(n=10, seed=8, censored_fraction=1.1)
         z = consistent_z(ds)
         prior = unit_prior(2, 2, s0=3.0, S0=9.0)
-        post = phi_posterior_params(ds, z, full_fit(ds, np.zeros(4)), 0.4, prior)
+        post = phi_posterior_params(*uncensored_residuals(ds, z, full_fit(ds, np.zeros(4))), 0.4, prior)
         assert (post.s1, post.S1) == (3.0, 9.0)
 
     def test_phi_gamma_zero_is_outcome_rss(self):
@@ -642,7 +729,7 @@ class TestGammaPhiPosteriors:
         z = consistent_z(ds)
         psi = np.array([0.1, 0.2, -0.3, 0.5])
         prior = unit_prior(2, 2, s0=5.0, S0=2.0)
-        post = phi_posterior_params(ds, z, full_fit(ds, psi), 0.0, prior)
+        post = phi_posterior_params(*uncensored_residuals(ds, z, full_fit(ds, psi)), 0.0, prior)
         unc = ~ds.censored
         e_y = ds.y[unc] - ds.X[unc] @ psi[2:]
         assert post.s1 == 5.0 + ds.n_o
@@ -655,7 +742,7 @@ class TestGammaPhiPosteriors:
         z = consistent_z(ds, seed=seed)
         psi = np.array([0.3, -0.4, 0.9, 0.0])
         prior = unit_prior(2, 2, S0=1.0)
-        post = phi_posterior_params(ds, z, full_fit(ds, psi), gamma, prior)
+        post = phi_posterior_params(*uncensored_residuals(ds, z, full_fit(ds, psi)), gamma, prior)
         assert post.S1 >= prior.S0
 
 

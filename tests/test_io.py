@@ -119,6 +119,28 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=rf"^{path}: non-numeric value '1_000' at row 2, column 'y'$"):
             load_csv(path, basic_schema())
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e999", "-inf"])
+    def test_non_finite_covariate_names_file_row_and_column(self, tmp_path, raw):
+        path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens", "1,2,3,9,0", "1,2,3,9,1", f"1,2,{raw},9,1"])
+        with pytest.raises(ParseError, match=rf"^{path}: non-finite value '{raw}' at row 3, column 'c'$"):
+            load_csv(path, basic_schema())
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e999"])
+    def test_non_finite_response_names_its_uncensored_row(self, tmp_path, raw):
+        # The censored row's response is ignored, so only row 3's is bad.
+        lines = ["a,b,c,y,cens", "1,2,3,9,0", f"1,2,3,{raw},1", f"1,2,3,{raw},0"]
+        path = write_lines(tmp_path / "d.csv", lines)
+        with pytest.raises(ParseError, match=rf"^{path}: non-finite value '{raw}' at row 3, column 'y'$"):
+            load_csv(path, basic_schema())
+        path = write_lines(tmp_path / "z.csv", ["a,b,c,y", "1,2,3,0", f"1,2,3,{raw}"])
+        with pytest.raises(ParseError, match=rf"^{path}: non-finite value '{raw}' at row 2, column 'y'$"):
+            load_csv(path, basic_schema(censored=None, censor_on_zero=True))
+
+    def test_non_finite_response_on_a_censored_row_loads(self, tmp_path):
+        path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens", "1,2,3,nan,1", "1,2,3,9,0"])
+        ds = load_csv(path, basic_schema()).dataset
+        assert ds.y.tolist() == [0.0, 9.0]
+
     def test_header_only_file_loads_empty_without_warning(self, tmp_path):
         path = write_lines(tmp_path / "d.csv", ["a,b,c,y,cens", "", " , ,"])
         with warnings.catch_warnings():

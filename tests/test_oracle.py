@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from conftest import consistent_z, make_dataset, null_rows, unit_prior
+from conftest import consistent_z, latent_scores, make_dataset, null_rows, unit_prior
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams, TobitDataset
 from tbma.errors import DimensionError
 from tbma.oracle import (
@@ -231,7 +231,7 @@ class TestFixtureFiles:
         # change the integrated likelihood.
         fx = next(f for f in iter_fixtures() if f.dataset.n_o == 0)
         prior = fx.prior
-        stats = sweep_statistics(null_rows(fx.dataset), fx.z, fx.sp)
+        stats = sweep_statistics(null_rows(fx.dataset), latent_scores(fx.dataset, fx.z), fx.sp)
         la = conditional_log_marginal(stats, prior, fx.model_a).log_conditional_marginal
         lb = conditional_log_marginal(stats, prior, fx.model_b).log_conditional_marginal
         assert la == pytest.approx(lb, abs=1e-12)

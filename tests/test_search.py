@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 import tbma.search
-from conftest import consistent_z, make_dataset, null_rows, unit_prior
+from conftest import consistent_z, latent_scores, make_dataset, null_rows, unit_prior
 from tbma.conditionals import conditional_log_marginal, sweep_statistics
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams
 from tbma.errors import NoMoveAvailable
@@ -64,7 +64,7 @@ class TestConditionalLogMarginal:
         self.z = consistent_z(self.ds, seed=4)
         self.sp = SigmaParams(0.6, 1.4)
         self.prior = unit_prior(2, 2)
-        self.stats = sweep_statistics(null_rows(self.ds), self.z, self.sp)
+        self.stats = sweep_statistics(null_rows(self.ds), latent_scores(self.ds, self.z), self.sp)
 
     def test_self_ratio_is_one(self):
         model = ModelIndicator.full_model(2, 2)
@@ -84,7 +84,7 @@ class TestConditionalLogMarginal:
         z = consistent_z(ds, seed=seed + 1)
         sp = SigmaParams(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.2, 3.0)))
         model = random_model(rng, p=2, q=2)
-        stats = sweep_statistics(null_rows(ds), z, sp)
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, z), sp)
         closed = conditional_log_marginal(stats, self.prior, model).log_conditional_marginal
         rewrite = conditional_log_marginal_rss(ds, z, model, sp, self.prior)
         assert abs(closed - rewrite) < 1e-9
@@ -97,7 +97,7 @@ class TestMc3Step:
         self.sp = SigmaParams(0.3, 1.0)
         self.prior = unit_prior(2, 2)
         self.flat = ModelPrior()
-        self.stats = sweep_statistics(null_rows(self.ds), self.z, self.sp)
+        self.stats = sweep_statistics(null_rows(self.ds), latent_scores(self.ds, self.z), self.sp)
 
     def test_always_accepts_when_bayes_factor_at_least_one(self, rng, memo_marginals):
         # Raise every neighbor's marginal above the current model's; the
@@ -118,7 +118,7 @@ class TestMc3Step:
     def test_no_move_available_returns_input(self, rng):
         model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
         ds = make_dataset(n=12, seed=3, p=1, q=1)
-        stats = sweep_statistics(null_rows(ds), consistent_z(ds), self.sp)
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), self.sp)
         prior = unit_prior(1, 1)
         current = conditional_log_marginal(stats, prior, model)
         out, accepted, post = mc3_step(stats, prior, current, self.flat, rng)
@@ -167,7 +167,7 @@ class TestScoringContract:
         self.sp = SigmaParams(0.3, 1.0)
         self.prior = unit_prior(2, 2)
         self.flat = ModelPrior()
-        self.stats = sweep_statistics(null_rows(self.ds), self.z, self.sp)
+        self.stats = sweep_statistics(null_rows(self.ds), latent_scores(self.ds, self.z), self.sp)
 
     def record_scores(self, monkeypatch):
         scored = []
@@ -200,7 +200,7 @@ class TestScoringContract:
         scored = self.record_scores(monkeypatch)
         model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
         ds = make_dataset(n=12, seed=3, p=1, q=1)
-        stats = sweep_statistics(null_rows(ds), consistent_z(ds), self.sp)
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), self.sp)
         prior = unit_prior(1, 1)
         current = conditional_log_marginal(stats, prior, model)
         out, accepted, post = mc3_step(stats, prior, current, self.flat, rng)
@@ -253,7 +253,7 @@ class TestDetailedBalance:
         counts = {key: 0 for key in posterior}
         steps = 60_000
         memo_marginals()
-        stats = sweep_statistics(null_rows(ds), z, sp)
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, z), sp)
         current = tbma.search.conditional_log_marginal(stats, prior, model)
         for _ in range(steps):
             model, _, current = mc3_step(stats, prior, current, flat, rng)
