@@ -1,4 +1,4 @@
-"""Write the outputs of six fixed ``tbma synth`` + ``tbma run`` setups, and
+"""Write the outputs of seven fixed ``tbma synth`` + ``tbma run`` setups, and
 of ``tbma summarize`` on each setup's traces, so that two checkouts can be
 compared for byte-identical chains and for a trace reader that rebuilds the
 same summaries:
@@ -22,7 +22,10 @@ Setups, one subdirectory each:
 * ``readme-no-censoring`` and ``readme-all-censored``: the README data with
   its ``censored`` column rewritten to all 0 and to all 1, so that one row
   half of the latent draw is empty; 1000 sweeps, 2 chains, 2 model moves
-  per sweep.
+  per sweep;
+* ``readme-standardized``: the README data loaded with ``standardize =
+  true``, so that ``standardization.csv`` is written too; 1000 sweeps,
+  2 chains.
 
 Each setup's ``summarize/`` subdirectory holds the summary and diagnostics
 that ``tbma summarize`` rebuilds from that setup's traces.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -60,10 +64,12 @@ SETUPS = (
      ["--iterations", "1000", "--burn-in", "200", "--chains", "2", "--seed", "7", "--inner-model-moves", "2"], None),
     ("readme-all-censored", "readme-flag-1",
      ["--iterations", "1000", "--burn-in", "200", "--chains", "2", "--seed", "7", "--inner-model-moves", "2"], None),
+    ("readme-standardized", "readme-standardized",
+     ["--iterations", "1000", "--burn-in", "200", "--chains", "2", "--seed", "11"], None),
 )
 
 
-def _schema(p: int, q: int) -> str:
+def _schema(p: int, q: int, standardize: bool = False) -> str:
     return "\n".join([
         "response = y",
         "censored = censored",
@@ -71,7 +77,7 @@ def _schema(p: int, q: int) -> str:
         "outcome = " + ", ".join(f"x{j}" for j in range(1, q + 1)),
         "add_intercept_selection = true",
         "add_intercept_outcome = true",
-    ]) + "\n"
+    ] + ["standardize = true"] * standardize) + "\n"
 
 
 def _with_flag(source: Path, target: Path, flag: str) -> None:
@@ -116,6 +122,11 @@ def main(argv: list[str]) -> int:
         _with_flag(data["readme"] / "data.csv", folder / "data.csv", flag)
         (folder / "schema.cfg").write_text(_schema(6, 6), encoding="utf-8")
         data[f"readme-flag-{flag}"] = folder
+    folder = Path("data-readme-standardized")
+    folder.mkdir(exist_ok=True)
+    shutil.copyfile(data["readme"] / "data.csv", folder / "data.csv")
+    (folder / "schema.cfg").write_text(_schema(6, 6, standardize=True), encoding="utf-8")
+    data["readme-standardized"] = folder
 
     for name, data_name, flags, prior_lines in SETUPS:
         folder = Path(name)

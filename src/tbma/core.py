@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from .blas import numpy_blas_single_thread
 from .errors import InvalidParameter, InvalidState, NumericalError
 
 __all__ = [
@@ -150,12 +151,12 @@ class TobitDataset:
         unc = np.flatnonzero(~self.censored)
         cen = np.flatnonzero(self.censored)
         p = self.p
-        # A @ A.T runs as one BLAS syrk.  OpenBLAS's threaded general matrix
-        # product sums in an order that depends on the thread count; its syrk
-        # gave the same bits at one and at two threads on the paper's shape.
+        # A @ A.T runs as one BLAS syrk, on one thread (see ``tbma.blas``).
         WX_unc = _transposed_rows((self.W, self.X), unc)
-        gram_unc = WX_unc @ WX_unc.T
         W_cen = _transposed_rows((self.W,), cen)
+        with numpy_blas_single_thread():
+            gram_unc = WX_unc @ WX_unc.T
+            gram_cen = W_cen @ W_cen.T
         y_unc = self.y[unc]
         y_unc.setflags(write=False)
         return _DesignSplit(
@@ -168,7 +169,7 @@ class TobitDataset:
             gram_ww_unc=gram_unc[:p, :p],
             gram_wx_unc=gram_unc[:p, p:],
             gram_xx_unc=gram_unc[p:, p:],
-            gram_ww_cen=W_cen @ W_cen.T,
+            gram_ww_cen=gram_cen,
         )
 
     @cached_property

@@ -18,6 +18,7 @@ from .errors import EmptyChain, InvalidParameter, IoError, ParseError, SchemaErr
 
 __all__ = [
     "INTERCEPT_NAME",
+    "WRITE_BLOCK_ROWS",
     "DataSchema",
     "Standardization",
     "LoadedData",
@@ -39,6 +40,9 @@ INTERCEPT_NAME = "(intercept)"
 
 _SUMMARY_FMT = "%.6f"
 _TRACE_FMT = "%.17g"
+# Rows of numbers formatted per write: memory for the Python objects of one
+# block stays small at any trace length, and the per-block costs vanish.
+WRITE_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,17 @@ class DataSchema:
             raise SchemaError("selection equation has no columns")
         if not self.outcome and not self.add_intercept_outcome:
             raise SchemaError("outcome equation has no columns")
-        for names, label in ((self.selection, "selection"), (self.outcome, "outcome")):
+        for names, label, intercept in (
+            (self.selection, "selection", self.add_intercept_selection),
+            (self.outcome, "outcome", self.add_intercept_outcome),
+        ):
             if len(set(names)) != len(names):
                 raise SchemaError(f"duplicate column in {label} list")
+            if intercept and INTERCEPT_NAME in names:
+                raise SchemaError(
+                    f"{label} column {INTERCEPT_NAME!r} has the name of the intercept that "
+                    f"add_intercept_{label} adds; rename the column or set add_intercept_{label} = false"
+                )
 
 
 @dataclass(frozen=True)
@@ -294,10 +306,53 @@ def _column_moments(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return center, scale
 
 
+@dataclass(frozen=True)
+class _NumberRows:
+    """A table of numbers for ``write_csv``: column groups side by side, each
+    a ``%`` cell format and an array of one cell per row (1-d) or of several
+    (2-d).  A boolean group takes ``%d``; numpy writes its 0 and 1 cells.
+    Numbers need no CSV quoting, so the rows are formatted without ``csv``,
+    ``WRITE_BLOCK_ROWS`` rows at a time, and end in CRLF as ``csv.writer``'s do."""
+
+    groups: tuple[tuple[str, np.ndarray], ...]
+
+    def blocks(self):
+        """The formatted rows, one string per block of rows."""
+        groups = [(fmt, values) for fmt, values in self.groups if values.ndim == 1 or values.shape[1]]
+        for start in range(0, len(groups[0][1]), WRITE_BLOCK_ROWS):
+            rows = slice(start, start + WRITE_BLOCK_ROWS)
+            cells = [_row_cells(fmt, values[rows]) for fmt, values in groups]
+            yield "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
+
+def _row_cells(fmt: str, values: np.ndarray) -> list[str]:
+    """The cells of each row of one column group, joined by commas."""
+    if values.dtype == bool:
+        # '0' or '1' per cell, commas between cells and a newline after each row.
+        bits = values.reshape(len(values), -1)
+        text = np.full((len(bits), 2 * bits.shape[1]), ord(","), dtype=np.uint8)
+        text[:, 0::2] = bits + np.uint8(ord("0"))
+        text[:, -1] = ord("\n")
+        return text.tobytes().decode("ascii").split("\n")[:-1]
+    if values.ndim == 1:
+        return [fmt % v for v in values.tolist()]
+    # Most coefficient cells of a sparse chain are +0.0 (not -0.0, which
+    # prints its sign): when over 3 in 4 are, format only the others.
+    zero = (values == 0.0) & ~np.signbit(values)
+    if 4 * np.count_nonzero(zero) > 3 * zero.size:
+        text = np.full(values.shape, fmt % 0.0, dtype=object)
+        text[~zero] = [fmt % v for v in values[~zero].tolist()]
+        return list(map(",".join, text.tolist()))
+    row_format = ",".join([fmt] * values.shape[1])
+    return [row_format % tuple(row) for row in values.tolist()]
+
+
 def write_csv(path, header, rows, preamble) -> None:
-    """Write one ``# <entry>`` line per preamble entry, then the header and
-    the rows through ``csv.writer``; ``rows`` may be any iterable and is
-    consumed as it is written.  Parent directories are created."""
+    """Write one ``# <entry>`` line per preamble entry, ending in LF, then the
+    header and the rows as CSV rows ending in CRLF.  ``rows`` is either an
+    iterable of cell lists, quoted by ``csv.writer`` and consumed as it is
+    written, or a ``_NumberRows`` table, formatted a block of rows at a time.
+    Parent directories are created."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -306,9 +361,49 @@ def write_csv(path, header, rows, preamble) -> None:
                 fh.write(f"# {entry}\n")
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
+            if isinstance(rows, _NumberRows):
+                fh.writelines(rows.blocks())
+            else:
+                writer.writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+class _Lines:
+    """The physical lines of an open file, remembering the last one read: its
+    line ending shows whether the file is whole."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.last = ""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        self.last = next(self._fh)
+        return self.last
+
+
+def _tagged_head(lines: _Lines, path):
+    """The ``# key = value`` entries before the header, the header, the count
+    of lines before it and the ``csv`` reader that read it; ``lines`` then
+    stands at the line after the header.  Other ``#`` lines and blank lines
+    are skipped."""
+    meta: dict[str, str] = {}
+    preamble = 0
+    for line in lines:
+        if line.startswith("#"):
+            key, eq, value = line[1:].partition("=")
+            if eq:
+                meta[key.strip()] = value.strip()
+        elif line.strip("\r\n"):
+            break
+        preamble += 1
+    else:
+        raise ParseError(f"{path} has no header row")
+    reader = csv.reader(itertools.chain([line], lines))
+    return meta, next(reader), preamble, reader
 
 
 def read_tagged_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
@@ -319,30 +414,10 @@ def read_tagged_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     line without a line ending (a file cut short), is a ParseError naming
     ``file:line``."""
     path = path if hasattr(path, "open") else Path(path)
-    meta: dict[str, str] = {}
     rows: list[list[str]] = []
-    last = ""  # the last physical line: its line ending shows the file is whole
-
-    def lines(fh):
-        nonlocal last
-        for last in fh:
-            yield last
-
     with path.open(newline="", encoding="utf-8") as fh:
-        source = lines(fh)
-        preamble = 0
-        for line in source:
-            if line.startswith("#"):
-                key, eq, value = line[1:].partition("=")
-                if eq:
-                    meta[key.strip()] = value.strip()
-            elif line.strip("\r\n"):
-                break
-            preamble += 1
-        else:
-            raise ParseError(f"{path} has no header row")
-        reader = csv.reader(itertools.chain([line], source))
-        header = next(reader)
+        lines = _Lines(fh)
+        meta, header, preamble, reader = _tagged_head(lines, path)
         for cells in reader:
             if len(cells) == len(header):
                 rows.append(cells)
@@ -351,7 +426,7 @@ def read_tagged_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
                     f"{path}:{preamble + reader.line_num}: "
                     f"{len(cells)} cells where the header has {len(header)}"
                 )
-    if not last.endswith(("\n", "\r")):
+    if not lines.last.endswith(("\n", "\r")):
         raise ParseError(
             f"{path}:{preamble + reader.line_num}: last line has no line ending; the file is cut short"
         )
@@ -364,16 +439,11 @@ def write_dataset(dataset: TobitDataset, path) -> None:
     Reals carry 17 significant digits so a load/write cycle round-trips
     every double exactly.
     """
-    def rows():
-        for i in range(dataset.n):
-            row = [_TRACE_FMT % v for v in dataset.W[i]]
-            row += [_TRACE_FMT % v for v in dataset.X[i]]
-            row.append(_TRACE_FMT % dataset.y[i])
-            row.append("1" if dataset.censored[i] else "0")
-            yield row
-
+    rows = _NumberRows((
+        (_TRACE_FMT, dataset.W), (_TRACE_FMT, dataset.X), (_TRACE_FMT, dataset.y), ("%d", dataset.censored),
+    ))
     header = list(dataset.column_names_w) + list(dataset.column_names_x) + ["y", "censored"]
-    write_csv(path, header, rows(), ())
+    write_csv(path, header, rows, ())
 
 
 def write_standardization(loaded: LoadedData, response: str, path) -> None:
@@ -424,56 +494,91 @@ def write_trace(output: ChainOutput, path) -> None:
                 f"dataset_fingerprint = {output.dataset_fingerprint}",
                 f"config_fingerprint = {output.config_fingerprint}"]
 
-    def rows():
-        for i in range(output.kept):
-            row = [
-                str(int(output.sweeps[i])),
-                "1" if output.is_burnin[i] else "0",
-                "1" if output.accepted[i] else "0",
-                _TRACE_FMT % output.gammas[i],
-                _TRACE_FMT % output.phis[i],
-            ]
-            row += ["1" if b else "0" for b in output.models[i]]
-            row += [_TRACE_FMT % v for v in output.psis[i]]
-            yield row
-
-    write_csv(path, header, rows(), preamble)
+    rows = _NumberRows((
+        ("%d", output.sweeps), ("%d", output.is_burnin), ("%d", output.accepted), (_TRACE_FMT, output.gammas),
+        (_TRACE_FMT, output.phis), ("%d", output.models), (_TRACE_FMT, output.psis),
+    ))
+    write_csv(path, header, rows, preamble)
 
 
 def load_trace(path) -> ChainOutput:
-    """Rebuild a ChainOutput from a trace file written by write_trace."""
-    meta, header, rows = read_tagged_csv(path)
+    """Rebuild a ChainOutput from a trace file written by write_trace.
+
+    The body is parsed in one ``np.loadtxt`` pass.  A file that pass cannot
+    read is read again through ``read_tagged_csv``, so that a ragged row, a
+    bad cell or a file cut short fails as it would there, naming the file
+    and, for the first and last, the line."""
+    path = Path(path)
+    fields = _parse_trace(path)
+    meta, header, sweeps, flags, values = fields if fields is not None else _read_trace_rows(path)
+    p, q = int(meta["p"]), int(meta["q"])
+    return ChainOutput(
+        column_names_w=tuple(c[len("in_sel_") :] for c in header[5 : 5 + p]),
+        column_names_x=tuple(c[len("in_out_") :] for c in header[5 + p : 5 + p + q]),
+        sweeps=sweeps,
+        is_burnin=flags[:, 0].astype(bool),
+        accepted=flags[:, 1].astype(bool),
+        gammas=values[:, 0],
+        phis=values[:, 1],
+        models=values[:, 2 : 2 + p + q].astype(bool),
+        psis=values[:, 2 + p + q :],
+        chain_id=int(meta.get("chain_id", "0")),
+        dataset_fingerprint=meta.get("dataset_fingerprint", ""),
+        config_fingerprint=meta.get("config_fingerprint", ""),
+    )
+
+
+def _trace_shape(path: Path, meta: dict[str, str], header: list[str]) -> tuple[int, int]:
+    """p and q of a trace, checked against its header."""
     try:
         p, q = int(meta["p"]), int(meta["q"])
     except KeyError as exc:
         raise ParseError(f"{path} is missing trace metadata {exc}") from None
     if len(header) != 5 + 2 * (p + q):
         raise ParseError(f"{path}: {len(header)} columns where p = {p}, q = {q} need {5 + 2 * (p + q)}")
+    return p, q
+
+
+def _parse_trace(path: Path):
+    """A trace's metadata, header, sweeps, burn-in and acceptance flags, and
+    (gamma, phi, inclusion bits, coefficients) columns, its body parsed by
+    ``np.loadtxt``; None when the file is not a whole trace that pass reads."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        lines = _Lines(fh)
+        meta, header, _, _ = _tagged_head(lines, path)
+        try:
+            p, q = _trace_shape(path, meta, header)
+        except (ParseError, ValueError):
+            return None
+        body = (line for line in lines if line.strip("\r\n"))
+        first = next(body, None)
+        if first is None:
+            return None
+        try:
+            dtype = np.dtype([("sweep", np.int64), ("flags", np.int64, (2,)), ("values", np.float64, (2 + 2 * (p + q),))])
+            table = np.loadtxt(
+                itertools.chain([first], body), delimiter=",", quotechar='"', comments=None, dtype=dtype, ndmin=1
+            )
+        except ValueError:
+            return None
+    if not lines.last.endswith(("\n", "\r")):
+        return None
+    return meta, header, table["sweep"], table["flags"], table["values"]
+
+
+def _read_trace_rows(path: Path):
+    """What ``_parse_trace`` gives, read through ``read_tagged_csv``; every
+    fault is a ParseError."""
+    meta, header, rows = read_tagged_csv(path)
+    _trace_shape(path, meta, header)
     if not rows:
         raise ParseError(f"{path} contains no sweep records")
-    names_w = tuple(c[len("in_sel_") :] for c in header[5 : 5 + p])
-    names_x = tuple(c[len("in_out_") :] for c in header[5 + p : 5 + p + q])
     data = np.array(rows, dtype=object)
     try:
-        as_float = data[:, 3:].astype(np.float64)
-        sweeps = data[:, 0].astype(np.int64)
-        flags = data[:, 1:3].astype(np.int64).astype(bool)
-    except ValueError as exc:
+        values = data[:, 3:].astype(np.float64)
+        return meta, header, data[:, 0].astype(np.int64), data[:, 1:3].astype(np.int64), values
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return ChainOutput(
-        column_names_w=names_w,
-        column_names_x=names_x,
-        sweeps=sweeps,
-        is_burnin=flags[:, 0],
-        accepted=flags[:, 1],
-        gammas=as_float[:, 0],
-        phis=as_float[:, 1],
-        models=as_float[:, 2 : 2 + p + q].astype(bool),
-        psis=as_float[:, 2 + p + q :],
-        chain_id=int(meta.get("chain_id", "0")),
-        dataset_fingerprint=meta.get("dataset_fingerprint", ""),
-        config_fingerprint=meta.get("config_fingerprint", ""),
-    )
 
 
 def write_diagnostics(series: np.ndarray, path) -> None:
@@ -482,8 +587,7 @@ def write_diagnostics(series: np.ndarray, path) -> None:
     if series.size == 0:
         raise EmptyChain("refusing to write empty diagnostics")
     header = ["sweep", "running_size_selection", "running_size_outcome", "cumulative_jump_rate"]
-    rows = ([str(int(row[0]))] + [_SUMMARY_FMT % v for v in row[1:]] for row in series)
-    write_csv(path, header, rows, ())
+    write_csv(path, header, _NumberRows((("%d", series[:, 0]), (_SUMMARY_FMT, series[:, 1:]))), ())
 
 
 def parse_bool(raw: str) -> bool:

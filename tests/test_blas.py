@@ -1,23 +1,28 @@
-"""scipy's OpenBLAS runs on one thread during ``run_chain`` and gets its
-thread count back afterwards, unless the environment fixes the count."""
+"""scipy's OpenBLAS runs on one thread during ``run_chain``, and numpy's
+during the Gram products of ``TobitDataset.split``; each gets its thread
+count back afterwards, unless the environment fixes the count."""
 
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tbma
 import tbma.chain as chain_mod
+import tbma.core as core_mod
 from conftest import make_dataset, unit_prior
-from tbma.blas import THREAD_ENV, scipy_openblas
+from tbma.blas import THREAD_ENV, numpy_blas_single_thread, numpy_openblas, scipy_openblas
 from tbma.chain import ChainConfig, run_chain
 from tbma.errors import NumericalError
 
 LIB = scipy_openblas()
-pytestmark = pytest.mark.skipif(LIB is None, reason="scipy shares numpy's BLAS or has no OpenBLAS of its own")
+NUMPY_LIB = numpy_openblas()
+needs_scipy_lib = pytest.mark.skipif(LIB is None, reason="scipy shares numpy's BLAS or has no OpenBLAS of its own")
 
 CHAIN = ChainConfig(iterations=5, burn_in=0, seed=1, chains=1)
 
@@ -25,6 +30,8 @@ CHAIN = ChainConfig(iterations=5, burn_in=0, seed=1, chains=1)
 @pytest.fixture
 def two_threads(monkeypatch):
     """No thread-count variable in the environment, and scipy's pool at two threads."""
+    if LIB is None:
+        pytest.skip("scipy shares numpy's BLAS or has no OpenBLAS of its own")
     for name in THREAD_ENV:
         monkeypatch.delenv(name, raising=False)
     before = LIB.threads()
@@ -100,6 +107,7 @@ def run_child(variable):
     return json.loads(child.stdout.strip().splitlines()[-1])
 
 
+@needs_scipy_lib
 @pytest.mark.parametrize("variable", THREAD_ENV)
 def test_explicit_environment_wins(variable):
     counts = run_child(variable)
@@ -107,7 +115,64 @@ def test_explicit_environment_wins(variable):
     assert counts["after"] == counts["before"]
 
 
+@needs_scipy_lib
 def test_child_without_environment_is_pinned():
     counts = run_child(None)
     assert counts["during"] == [1]
     assert counts["after"] == counts["before"]
+
+
+@pytest.fixture
+def numpy_two_threads(monkeypatch):
+    """No thread-count variable in the environment, and numpy's pool at two threads."""
+    if NUMPY_LIB is None:
+        pytest.skip("numpy has no OpenBLAS of its own")
+    for name in THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    before = NUMPY_LIB.threads()
+    NUMPY_LIB.set_threads(2)
+    yield
+    NUMPY_LIB.set_threads(before)
+
+
+def test_split_grams_on_one_thread_match_the_two_thread_product(monkeypatch, numpy_two_threads):
+    """At the paper's width, the Grams ``split`` forms on one thread have the
+    bits of the same products at two threads, and the pool gets its two
+    threads back."""
+    seen = []
+    real = core_mod.numpy_blas_single_thread
+
+    @contextmanager
+    def recording():
+        with real():
+            seen.append(NUMPY_LIB.threads())
+            yield
+
+    monkeypatch.setattr(core_mod, "numpy_blas_single_thread", recording)
+    ds = make_dataset(n=6000, p=56, q=56, seed=4)
+    split = ds.split
+    assert seen == [1]
+    assert NUMPY_LIB.threads() == 2
+    unc = ~ds.censored
+    WX = np.hstack([ds.W, ds.X])[unc].T.copy()
+    W_cen = ds.W[~unc].T.copy()
+    gram = WX @ WX.T
+    assert np.array_equal(np.block([[split.gram_ww_unc, split.gram_wx_unc],
+                                    [split.gram_wx_unc.T, split.gram_xx_unc]]), gram)
+    assert np.array_equal(split.gram_ww_cen, W_cen @ W_cen.T)
+
+
+def test_numpy_pin_restored_when_the_block_raises(numpy_two_threads):
+    with pytest.raises(NumericalError, match="synthetic"):
+        with numpy_blas_single_thread():
+            assert NUMPY_LIB.threads() == 1
+            raise NumericalError("synthetic failure")
+    assert NUMPY_LIB.threads() == 2
+
+
+@pytest.mark.parametrize("variable", THREAD_ENV)
+def test_numpy_pin_skipped_when_the_environment_sets_threads(monkeypatch, numpy_two_threads, variable):
+    monkeypatch.setenv(variable, "2")
+    with numpy_blas_single_thread():
+        assert NUMPY_LIB.threads() == 2
+    assert NUMPY_LIB.threads() == 2

@@ -393,6 +393,19 @@ class TestErrorPaths:
         assert code == 2
         assert f"{schema}:5: unknown key 'add_intercept_selction'" in capsys.readouterr().err
 
+    def test_column_named_like_the_added_intercept_exits_2(self, tmp_path, capsys):
+        data = write(tmp_path / "d.csv", ["y,censored,(intercept),x", "1.5,0,1,0.2", "0,1,1,0.4", "2.5,0,1,-0.1"])
+        schema = write(tmp_path / "schema.cfg", [
+            "response = y", "censored = censored", "selection = (intercept), x", "outcome = x",
+        ])
+        code = run_cli("run", "--data", data, "--schema", schema, "--iterations", 10,
+                       "--burn-in", 1, "--out-dir", tmp_path / "o")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "selection column '(intercept)' has the name of the intercept that add_intercept_selection adds" in err
+        assert "set add_intercept_selection = false" in err
+        assert not (tmp_path / "o").exists()
+
     def test_wrong_theta_length_exits_2(self, tmp_path):
         assert run_cli(
             "synth", "--n", 10, "--p", 2, "--q", 1, "--theta", "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -67,6 +68,20 @@ class TestSchema:
     def test_duplicate_columns_rejected(self):
         with pytest.raises(SchemaError):
             basic_schema(selection=("a", "a"))
+
+    @pytest.mark.parametrize("equation", ["selection", "outcome"])
+    def test_column_named_like_the_added_intercept_names_equation_and_key(self, equation):
+        with pytest.raises(
+            SchemaError,
+            match=rf"{equation} column '\(intercept\)' has the name of the intercept that add_intercept_{equation} "
+                  rf"adds; rename the column or set add_intercept_{equation} = false",
+        ):
+            basic_schema(**{equation: (INTERCEPT_NAME, "a"), f"add_intercept_{equation}": True})
+
+    def test_column_named_like_the_intercept_loads_when_none_is_added(self, tmp_path):
+        path = write_lines(tmp_path / "d.csv", ["y,cens,(intercept),a", "1.5,0,1,0.2", "0,1,1,0.4", "2.5,0,1,-0.1"])
+        loaded = load_csv(path, basic_schema(selection=(INTERCEPT_NAME, "a"), outcome=("a",)))
+        assert loaded.dataset.column_names_w == (INTERCEPT_NAME, "a")
 
 
 class TestLoadCsv:
@@ -333,6 +348,74 @@ class TestTraceRoundTrip:
         lines[2] = b",".join(cells)
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(ParseError, match=rf"{path}: .*'abc'"):
+            load_trace(path)
+
+    @staticmethod
+    def trace_bytes(tmp_path, sweeps=None):
+        ds = make_dataset(n=20, seed=9)
+        out = run_chain(ds, unit_prior(2, 2), ChainConfig(iterations=6, burn_in=2, seed=3, chains=1))
+        if sweeps is not None:
+            out = dataclasses.replace(out, sweeps=np.asarray(sweeps, dtype=np.int64))
+        write_trace(out, tmp_path / "trace.csv")
+        return out, (tmp_path / "trace.csv").read_bytes()
+
+    def test_huge_sweep_indices_round_trip_exactly(self, tmp_path):
+        sweeps = [2**62 + 1, 2**63 - 1, -(2**63), 0, 7, 2**53 + 1]
+        out, _ = self.trace_bytes(tmp_path, sweeps)
+        back = load_trace(tmp_path / "trace.csv")
+        assert back.sweeps.dtype == np.int64 and back.sweeps.tolist() == sweeps
+        assert np.array_equal(back.psis, out.psis)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        out, raw = self.trace_bytes(tmp_path)
+        head, body = raw.split(b"\r\n", 1)
+        (tmp_path / "trace.csv").write_bytes(head + b"\r\n\r\n" + body.replace(b"\r\n", b"\r\n\n", 2))
+        back = load_trace(tmp_path / "trace.csv")
+        assert np.array_equal(back.psis, out.psis) and np.array_equal(back.sweeps, out.sweeps)
+
+    def test_cells_numpy_does_not_parse_load_as_python_reads_them(self, tmp_path):
+        """Digit-group underscores are an int to Python, not to ``np.loadtxt``:
+        such a trace loads through the row-by-row reader."""
+        out, raw = self.trace_bytes(tmp_path)
+        lines = raw.split(b"\r\n")
+        cells = lines[1].split(b",")
+        cells[0] = b"1_000"
+        lines[1] = b",".join(cells)
+        (tmp_path / "trace.csv").write_bytes(b"\r\n".join(lines))
+        back = load_trace(tmp_path / "trace.csv")
+        assert back.sweeps[0] == 1000 and np.array_equal(back.sweeps[1:], out.sweeps[1:])
+
+    def test_ragged_row_names_file_and_line(self, tmp_path):
+        _, raw = self.trace_bytes(tmp_path)
+        lines = raw.split(b"\r\n")
+        lines[3] = lines[3].rsplit(b",", 1)[0]
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        # Six preamble lines, the header, then data rows: lines[3] is the file's tenth line.
+        with pytest.raises(ParseError, match=rf"{path}:10: 12 cells where the header has 13"):
+            load_trace(path)
+
+    def test_file_cut_short_names_file_and_line(self, tmp_path):
+        _, raw = self.trace_bytes(tmp_path)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(raw[:-2])
+        with pytest.raises(ParseError, match=rf"{path}:13: last line has no line ending"):
+            load_trace(path)
+
+    def test_sweep_index_past_int64_is_a_parse_error(self, tmp_path):
+        _, raw = self.trace_bytes(tmp_path)
+        lines = raw.split(b"\r\n")
+        lines[2] = b"9223372036854775808" + lines[2][lines[2].index(b","):]
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ParseError, match=rf"{path}: "):
+            load_trace(path)
+
+    def test_header_only_trace_has_no_records(self, tmp_path):
+        _, raw = self.trace_bytes(tmp_path)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(raw.split(b"\r\n", 1)[0] + b"\r\n\r\n")
+        with pytest.raises(ParseError, match=rf"{path} contains no sweep records"):
             load_trace(path)
 
     def test_diagnostics_writer(self, tmp_path):
