@@ -110,8 +110,9 @@ def scipy_openblas() -> OpenBLAS | None:
 
 @cache
 def numpy_openblas() -> OpenBLAS | None:
-    """numpy's own OpenBLAS, or None when numpy has none of its own.  When
-    numpy and scipy share one library, this is that one."""
+    """numpy's own OpenBLAS: the one installed with numpy, in its folder or in
+    the ``numpy.libs`` folder beside it.  None otherwise, also when numpy
+    runs on a system or conda OpenBLAS installed elsewhere."""
     return _own_openblas(np, _openblas_paths())
 
 

