@@ -1,4 +1,4 @@
-"""Write the outputs of seven fixed ``tbma synth`` + ``tbma run`` setups, and
+"""Write the outputs of eight fixed synthetic-data + ``tbma run`` setups, and
 of ``tbma summarize`` on each setup's traces, so that two checkouts can be
 compared for byte-identical chains and for a trace reader that rebuilds the
 same summaries:
@@ -7,8 +7,8 @@ same summaries:
 
 Run it once from each checkout (the package is imported from the ``src``
 directory next to this script) and compare with ``diff -r OUTDIR_A OUTDIR_B``.
-Chains at paper scale depend on the BLAS thread count, so compare runs made
-at the same ``OPENBLAS_NUM_THREADS``.
+Every setup's files are the same at every BLAS thread count, so a run at
+``OPENBLAS_NUM_THREADS=1`` and one at the default threads compare equal too.
 
 Setups, one subdirectory each:
 
@@ -17,6 +17,9 @@ Setups, one subdirectory each:
 * ``paper-null``: paper shape (n = 14 863, 55 + 55 columns plus intercepts,
   4 true effects per equation), null-model start, 300 sweeps;
 * ``paper-full``: the same data, full-model start, 30 sweeps;
+* ``paper-large``: n = 16 000 rows of 56 + 56 columns whose first columns
+  are intercepts, 12 180 of them uncensored, full-model start, 12 sweeps: past
+  the sizes at which OpenBLAS threads a product;
 * ``readme-prior``: the README data with forced intercepts, prior-draw start
   and a Bernoulli model prior with pi = 0.3, 2000 sweeps, 2 chains;
 * ``readme-no-censoring`` and ``readme-all-censored``: the README data with
@@ -48,6 +51,14 @@ PAPER_DATA = ["--n", "14863", "--p", str(PAPER_WIDTH), "--q", str(PAPER_WIDTH),
               "--theta=" + ",".join(["-0.5", "0.5", "-0.5", "0.4"] + ["0"] * (PAPER_WIDTH - 4)),
               "--beta=" + ",".join(["0.8", "-0.6", "0.5", "0.3"] + ["0"] * (PAPER_WIDTH - 4)),
               "--gamma", "0.5", "--seed", "7"]
+# ``tbma synth`` draws no intercept, so it censors about half the rows; the
+# paper-large data come from the generator with intercepts in the first
+# columns, so that more rows are uncensored.
+LARGE_WIDTH = 56
+LARGE_SPEC = dict(n=16000, p=LARGE_WIDTH, q=LARGE_WIDTH,
+                  true_theta=[1.0, -0.5, 0.5, -0.5, 0.4] + [0.0] * (LARGE_WIDTH - 5),
+                  true_beta=[1.0, 0.8, -0.6, 0.5, 0.3] + [0.0] * (LARGE_WIDTH - 5),
+                  gamma=0.5, phi=1.0, seed=7, intercepts=True)
 
 # (name, data set, run flags, prior config lines or None)
 SETUPS = (
@@ -57,6 +68,8 @@ SETUPS = (
      ["--iterations", "300", "--burn-in", "100", "--chains", "1", "--seed", "3", "--init", "null-model"], None),
     ("paper-full", "paper",
      ["--iterations", "30", "--burn-in", "10", "--chains", "1", "--seed", "3", "--init", "full-model"], None),
+    ("paper-large", "large",
+     ["--iterations", "12", "--burn-in", "2", "--chains", "1", "--seed", "3", "--init", "full-model"], None),
     ("readme-prior", "readme",
      ["--iterations", "2000", "--burn-in", "500", "--chains", "2", "--seed", "5", "--init", "prior-draw"],
      ["model_prior = bernoulli", "bernoulli_pi = 0.3"]),
@@ -69,14 +82,14 @@ SETUPS = (
 )
 
 
-def _schema(p: int, q: int, standardize: bool = False) -> str:
+def _schema(p: int, q: int, standardize: bool = False, intercepts: bool = True) -> str:
     return "\n".join([
         "response = y",
         "censored = censored",
         "selection = " + ", ".join(f"w{j}" for j in range(1, p + 1)),
         "outcome = " + ", ".join(f"x{j}" for j in range(1, q + 1)),
-        "add_intercept_selection = true",
-        "add_intercept_outcome = true",
+        f"add_intercept_selection = {str(intercepts).lower()}",
+        f"add_intercept_outcome = {str(intercepts).lower()}",
     ] + ["standardize = true"] * standardize) + "\n"
 
 
@@ -108,6 +121,8 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # Relative paths keep OUTDIR's own name out of the files (the .truth header).
     os.chdir(out)
+    from tbma.io import write_dataset
+    from tbma.oracle import SynthSpec, generate_synthetic
 
     data = {}
     for name, flags, width in (("readme", README_DATA, 6), ("paper", PAPER_DATA, PAPER_WIDTH)):
@@ -127,6 +142,11 @@ def main(argv: list[str]) -> int:
     shutil.copyfile(data["readme"] / "data.csv", folder / "data.csv")
     (folder / "schema.cfg").write_text(_schema(6, 6, standardize=True), encoding="utf-8")
     data["readme-standardized"] = folder
+    folder = Path("data-large")
+    folder.mkdir(exist_ok=True)
+    write_dataset(generate_synthetic(SynthSpec(**LARGE_SPEC))[0], folder / "data.csv")
+    (folder / "schema.cfg").write_text(_schema(LARGE_WIDTH, LARGE_WIDTH, intercepts=False), encoding="utf-8")
+    data["large"] = folder
 
     for name, data_name, flags, prior_lines in SETUPS:
         folder = Path(name)

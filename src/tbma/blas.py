@@ -1,20 +1,26 @@
-"""The thread counts of the OpenBLAS builds that numpy and scipy run on.
+"""Every OpenBLAS pool in the process on one thread while tbma computes.
 
 numpy and scipy wheels each bundle their own OpenBLAS, and each library
-keeps its own pool of worker threads.  On a machine with few cores the two
-pools starve each other: after a call, an OpenBLAS pool's threads keep
-spinning for a while, so scipy's pool, woken by every Cholesky call of the
-model scoring, holds the cores that numpy's matrix-vector products wait for.
-``scipy_blas_single_thread`` runs scipy's pool on one thread for the length
-of a block.  The scoring factors matrices of at most p + q rows, too small
-for a second thread to help.  During the sweeps numpy's pool is left alone.
+keeps its own pool of worker threads.  ``blas_single_thread`` runs every
+OpenBLAS library mapped into the process on one thread for the length of a
+block, then gives each its thread count back.  ``TobitDataset.split`` and
+``run_chain`` compute inside it, for three reasons:
 
-``numpy_blas_single_thread`` runs numpy's pool on one thread for a block:
-``TobitDataset.split`` forms its two Gram products in one.  On a 2-vCPU
-host the paper-shape product (112 x 5 192 times its transpose) took about
-110 ms on numpy's pool as loaded, against about 2 ms on one thread, with
-the same bits; on one thread the Grams do not depend on the thread count at
-any data size.
+* A threaded product sums in an order that depends on the thread count.
+  OpenBLAS threads a ``ddot`` of more than 10 000 elements and a gemv of
+  more than 460 800, so on data past the paper's shape a chain would depend
+  on the thread count.  On one thread it does not, at any data size.
+* On a machine with few cores the pools starve each other: after a call, a
+  pool's threads keep spinning for a while, so scipy's pool, woken by every
+  Cholesky call of the model scoring, holds the cores that numpy's products
+  wait for.  The scoring factors matrices of at most p + q rows, too small
+  for a second thread to help.
+* numpy's pool, as loaded, sometimes runs a threaded product far slower than
+  on one thread: on a 2-vCPU host the paper-shape Gram (112 x 5 192 times
+  its transpose) took about 110 ms, against about 2 ms on one thread.
+
+An explicit ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` wins: with
+either set, the libraries are left alone.
 """
 
 from __future__ import annotations
@@ -27,9 +33,7 @@ from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
-__all__ = ["OpenBLAS", "scipy_openblas", "numpy_openblas", "scipy_blas_single_thread", "numpy_blas_single_thread"]
+__all__ = ["OpenBLAS", "openblas_libraries", "blas_single_thread"]
 
 # Either variable fixes every OpenBLAS pool's size at load time; an explicit
 # choice wins over the pin.
@@ -82,63 +86,28 @@ def _load(path: Path) -> OpenBLAS | None:
     return None
 
 
-def _own_openblas(package, paths: list[Path]) -> OpenBLAS | None:
-    """The one library of ``paths`` installed with ``package``: in its folder
-    or in the ``<package>.libs`` folder beside it; None when there is not
-    exactly one."""
-    folder = Path(package.__file__).resolve().parent
-    roots = (folder, folder.with_name(f"{folder.name}.libs"))
-    own = [path for path in paths if any(root in path.resolve().parents for root in roots)]
-    return _load(own[0]) if len(own) == 1 else None
-
-
-# The lookups read /proc/self/maps, about a millisecond each; the libraries
-# mapped into the process no longer change once numpy and scipy are loaded.
+# The lookup reads /proc/self/maps, about a millisecond; the libraries mapped
+# into the process no longer change once numpy and scipy are loaded.
 @cache
-def scipy_openblas() -> OpenBLAS | None:
-    """scipy's own OpenBLAS, or None when scipy has none that numpy lacks.
-
-    When only one OpenBLAS is mapped, numpy and scipy share it, and pinning
-    it would pin numpy's pool too.
-    """
-    import scipy
+def openblas_libraries() -> tuple[OpenBLAS, ...]:
+    """Every OpenBLAS library mapped into this process whose thread count
+    can be set: numpy's, scipy's, or the one they share."""
     import scipy.linalg  # noqa: F401  (maps scipy's LAPACK into the process)
 
-    paths = _openblas_paths()
-    return _own_openblas(scipy, paths) if len(paths) >= 2 else None
-
-
-@cache
-def numpy_openblas() -> OpenBLAS | None:
-    """numpy's own OpenBLAS: the one installed with numpy, in its folder or in
-    the ``numpy.libs`` folder beside it.  None otherwise, also when numpy
-    runs on a system or conda OpenBLAS installed elsewhere."""
-    return _own_openblas(np, _openblas_paths())
+    return tuple(lib for lib in map(_load, _openblas_paths()) if lib is not None)
 
 
 @contextmanager
-def _single_thread(find: Callable[[], OpenBLAS | None]):
-    """Run the library ``find`` gives on one thread inside the block, then
-    restore its thread count, also when the block raises.  Does nothing when
-    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, or when ``find``
-    gives None."""
-    lib = None if any(os.environ.get(name) for name in THREAD_ENV) else find()
-    if lib is None:
-        yield
-        return
-    before = lib.threads()
-    lib.set_threads(1)
+def blas_single_thread():
+    """Run every OpenBLAS library on one thread inside the block, then restore
+    each one's thread count, also when the block raises.  Does nothing when
+    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set."""
+    libs = () if any(os.environ.get(name) for name in THREAD_ENV) else openblas_libraries()
+    before = [lib.threads() for lib in libs]
+    for lib in libs:
+        lib.set_threads(1)
     try:
         yield
     finally:
-        lib.set_threads(before)
-
-
-def scipy_blas_single_thread():
-    """``_single_thread`` on ``scipy_openblas``: for the sweeps."""
-    return _single_thread(scipy_openblas)
-
-
-def numpy_blas_single_thread():
-    """``_single_thread`` on ``numpy_openblas``: for a dataset's Gram products."""
-    return _single_thread(numpy_openblas)
+        for lib, count in zip(libs, before):
+            lib.set_threads(count)

@@ -18,8 +18,8 @@ conditional's data statistics once and scores its starting model once; each
 move then scores only its proposal and passes the retained model's
 posterior on to the next move and to the coefficient draw.
 
-``run_chain`` builds the initial state, loops over ``sweep`` with scipy's
-OpenBLAS on one thread (see ``tbma.blas``), and stores the records.
+``run_chain`` builds the initial state, loops over ``sweep`` with every
+OpenBLAS pool on one thread (see ``tbma.blas``), and stores the records.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import search
-from .blas import scipy_blas_single_thread
+from .blas import blas_single_thread
 from .conditionals import (
     ModelRows,
     draw_gamma,
@@ -305,9 +305,6 @@ def run_chain(
         raise InvalidParameter(
             f"model template has (p, q) = ({template.p}, {template.q}), dataset ({dataset.p}, {dataset.q})"
         )
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(chain_id)]))
-    state = _initial_state(dataset, prior, config, template, rng)
-
     # Block-end thinning keeps exactly floor((iterations - burn_in) / thin)
     # post-burn-in records; burn-in records are kept at the same cadence.
     keep_burn = np.arange(config.thin - 1, config.burn_in, config.thin)
@@ -325,9 +322,11 @@ def run_chain(
     phis = np.zeros(kept)
     accepted_flags = np.zeros(kept, dtype=bool)
 
-    # scipy's LAPACK scores models of at most p + q covariates; its own
-    # thread pool only takes cores from numpy's matrix-vector products.
-    with scipy_blas_single_thread():
+    # On one thread, the products sum in one order at any data size, so the
+    # chain does not depend on the thread count (see ``tbma.blas``).
+    with blas_single_thread():
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, int(chain_id)]))
+        state = _initial_state(dataset, prior, config, template, rng)
         for index in range(config.iterations):
             try:
                 state, accepted = sweep(state, prior, config.inner_model_moves, rng)

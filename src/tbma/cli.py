@@ -114,8 +114,17 @@ def _locate(config: io_mod.ConfigFile, exc: InvalidParameter, field_keys: dict[s
 
 
 def _seed_default() -> int:
+    """The seed ``TBMA_SEED`` sets; 0 when it is unset or empty."""
     raw = os.environ.get(_ENV_SEED)
-    return int(raw) if raw else 0
+    if not raw:
+        return 0
+    try:
+        seed = int(raw)
+        if not 0 <= seed < 2**64:
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"{_ENV_SEED}={raw!r}: the seed must be an integer in [0, 2**64)") from None
+    return seed
 
 
 def _read_config(path, known: frozenset[str]) -> io_mod.ConfigFile:

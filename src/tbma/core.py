@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .blas import numpy_blas_single_thread
+from .blas import blas_single_thread
 from .errors import InvalidParameter, InvalidState, NumericalError
 
 __all__ = [
@@ -45,10 +45,9 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 def row_dots(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """``rows @ vec`` as one BLAS dot product per row: numpy runs a stack of
-    1 x n by n products as ``ddot`` calls, each summing as ``np.dot(row, vec)``
-    does.  OpenBLAS sums one matrix-vector product over several rows in an
-    order that depends on the thread count; a ``ddot`` of at most 10 000
-    elements runs on one thread."""
+    1 x n by n products as ``ddot`` calls, so each entry has the bits of
+    ``np.dot(row, vec)``.  One matrix-vector product over the rows would sum
+    in another order, and the chains' bits would change."""
     return np.matmul(rows[:, None, :], vec)[:, 0]
 
 
@@ -148,29 +147,29 @@ class TobitDataset:
 
     @cached_property
     def split(self) -> _DesignSplit:
-        unc = np.flatnonzero(~self.censored)
-        cen = np.flatnonzero(self.censored)
-        p = self.p
-        # A @ A.T runs as one BLAS syrk, on one thread (see ``tbma.blas``).
-        WX_unc = _transposed_rows((self.W, self.X), unc)
-        W_cen = _transposed_rows((self.W,), cen)
-        with numpy_blas_single_thread():
+        # Every product runs on one thread, so its sums do not depend on the
+        # thread count (see ``tbma.blas``); A @ A.T runs as one BLAS syrk.
+        with blas_single_thread():
+            unc = np.flatnonzero(~self.censored)
+            cen = np.flatnonzero(self.censored)
+            p = self.p
+            WX_unc = _transposed_rows((self.W, self.X), unc)
+            W_cen = _transposed_rows((self.W,), cen)
             gram_unc = WX_unc @ WX_unc.T
-            gram_cen = W_cen @ W_cen.T
-        y_unc = self.y[unc]
-        y_unc.setflags(write=False)
-        return _DesignSplit(
-            uncensored_idx=unc,
-            censored_idx=cen,
-            WX_unc=WX_unc,
-            y_unc=y_unc,
-            W_cen=W_cen,
-            cross_y_unc=row_dots(WX_unc, y_unc),
-            gram_ww_unc=gram_unc[:p, :p],
-            gram_wx_unc=gram_unc[:p, p:],
-            gram_xx_unc=gram_unc[p:, p:],
-            gram_ww_cen=gram_cen,
-        )
+            y_unc = self.y[unc]
+            y_unc.setflags(write=False)
+            return _DesignSplit(
+                uncensored_idx=unc,
+                censored_idx=cen,
+                WX_unc=WX_unc,
+                y_unc=y_unc,
+                W_cen=W_cen,
+                cross_y_unc=row_dots(WX_unc, y_unc),
+                gram_ww_unc=gram_unc[:p, :p],
+                gram_wx_unc=gram_unc[:p, p:],
+                gram_xx_unc=gram_unc[p:, p:],
+                gram_ww_cen=W_cen @ W_cen.T,
+            )
 
     @cached_property
     def fingerprint(self) -> str:

@@ -534,10 +534,15 @@ def load_trace(path) -> ChainOutput:
 
 def _trace_shape(path: Path, meta: dict[str, str], header: list[str]) -> tuple[int, int]:
     """p and q of a trace, checked against its header."""
-    try:
-        p, q = int(meta["p"]), int(meta["q"])
-    except KeyError as exc:
-        raise ParseError(f"{path} is missing trace metadata {exc}") from None
+    shape = []
+    for key in ("p", "q"):
+        try:
+            shape.append(int(meta[key]))
+        except KeyError:
+            raise ParseError(f"{path} is missing trace metadata {key!r}") from None
+        except ValueError:
+            raise ParseError(f"{path}: trace metadata {key} = {meta[key]!r} is not an integer") from None
+    p, q = shape
     if len(header) != 5 + 2 * (p + q):
         raise ParseError(f"{path}: {len(header)} columns where p = {p}, q = {q} need {5 + 2 * (p + q)}")
     return p, q
@@ -552,7 +557,7 @@ def _parse_trace(path: Path):
         meta, header, _, _ = _tagged_head(lines, path)
         try:
             p, q = _trace_shape(path, meta, header)
-        except (ParseError, ValueError):
+        except ParseError:
             return None
         body = (line for line in lines if line.strip("\r\n"))
         first = next(body, None)

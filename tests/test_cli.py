@@ -101,6 +101,19 @@ class TestSynthRunSummarize:
         assert f"{trace}:{line}: 11 cells where the header has 13" in capsys.readouterr().err
 
 
+    def test_non_integer_trace_shape_exits_2_naming_file_and_key(self, tmp_path, schema_file, capsys):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 50, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        out_dir = tmp_path / "run"
+        run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 20,
+                "--burn-in", 5, "--chains", 1, "--seed", 2, "--out-dir", out_dir)
+        trace = out_dir / "trace_chain0.csv"
+        trace.write_bytes(trace.read_bytes().replace(b"# p = 2\n", b"# p = two\n", 1))
+        code = run_cli("summarize", "--traces", trace, "--out-dir", tmp_path / "s")
+        assert code == 2
+        assert f"{trace}: trace metadata p = 'two' is not an integer" in capsys.readouterr().err
+
     @pytest.fixture
     def two_seed_runs(self, tmp_path, schema_file):
         data = tmp_path / "synth.csv"
@@ -438,3 +451,21 @@ class TestSeedPrecedence:
         config = write(tmp_path / "run.cfg", ["seed = 99"])
         from_config = run_with(["--config", config], env="123", tag="c")
         assert from_config == from_flag  # config wins over env too
+
+    @pytest.mark.parametrize("value", ["abc", "-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_bad_env_seed_exits_2_naming_the_variable(self, tmp_path, schema_file, monkeypatch, capsys, command, value):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 40, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        monkeypatch.setenv("TBMA_SEED", value)
+        if command == "run":
+            argv = ["run", "--data", data, "--schema", schema_file, "--iterations", 15,
+                    "--burn-in", 2, "--chains", 1, "--out-dir", tmp_path / "out"]
+        else:
+            argv = ["synth", "--n", 40, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                    "--out", tmp_path / "again.csv"]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert f"error: TBMA_SEED={value!r}: the seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "again.csv").exists()

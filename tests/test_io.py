@@ -411,6 +411,14 @@ class TestTraceRoundTrip:
         with pytest.raises(ParseError, match=rf"{path}: "):
             load_trace(path)
 
+    @pytest.mark.parametrize("key", ["p", "q"])
+    def test_non_integer_shape_names_the_file_and_key(self, tmp_path, key):
+        _, raw = self.trace_bytes(tmp_path)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(raw.replace(f"# {key} = 2\n".encode(), f"# {key} = two\n".encode(), 1))
+        with pytest.raises(ParseError, match=rf"{path}: trace metadata {key} = 'two' is not an integer"):
+            load_trace(path)
+
     def test_header_only_trace_has_no_records(self, tmp_path):
         _, raw = self.trace_bytes(tmp_path)
         path = tmp_path / "trace.csv"
