@@ -1,4 +1,4 @@
-"""Write the outputs of eight fixed synthetic-data + ``tbma run`` setups, and
+"""Write the outputs of nine fixed synthetic-data + ``tbma run`` setups, and
 of ``tbma summarize`` on each setup's traces, so that two checkouts can be
 compared for byte-identical chains and for a trace reader that rebuilds the
 same summaries:
@@ -17,6 +17,8 @@ Setups, one subdirectory each:
 * ``paper-null``: paper shape (n = 14 863, 55 + 55 columns plus intercepts,
   4 true effects per equation), null-model start, 300 sweeps;
 * ``paper-full``: the same data, full-model start, 30 sweeps;
+* ``paper-moves``: the same data, null-model start, 300 sweeps with 8 model
+  moves each, so that thousands of toggles are scored at the paper's width;
 * ``paper-large``: n = 16 000 rows of 56 + 56 columns whose first columns
   are intercepts, 12 180 of them uncensored, full-model start, 12 sweeps: past
   the sizes at which OpenBLAS threads a product;
@@ -68,6 +70,9 @@ SETUPS = (
      ["--iterations", "300", "--burn-in", "100", "--chains", "1", "--seed", "3", "--init", "null-model"], None),
     ("paper-full", "paper",
      ["--iterations", "30", "--burn-in", "10", "--chains", "1", "--seed", "3", "--init", "full-model"], None),
+    ("paper-moves", "paper",
+     ["--iterations", "300", "--burn-in", "100", "--chains", "1", "--seed", "5", "--init", "null-model",
+      "--inner-model-moves", "8"], None),
     ("paper-large", "large",
      ["--iterations", "12", "--burn-in", "2", "--chains", "1", "--seed", "3", "--init", "full-model"], None),
     ("readme-prior", "readme",

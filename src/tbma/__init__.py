@@ -39,6 +39,7 @@ from .conditionals import (
     phi_posterior_params,
     sample_latent,
     sweep_statistics,
+    toggle_log_bayes_factor,
 )
 from .core import (
     LatentScores,
@@ -63,6 +64,6 @@ from .oracle import (
     quadrature_conditional_marginal,
     run_fixture_suite,
 )
-from .search import mc3_step, propose_neighbor
+from .search import mc3_step, propose_position
 
 __version__ = "0.1.0"

@@ -30,16 +30,25 @@ weighted Gram matrix and linear term of every covariate are the same for
 every model.  The Gram blocks are fixed by the censoring pattern, so only
 their weights change.  The linear term is formed at the retained model's
 covariates, one dot product per row and half; a covariate a proposal adds
-gets its entry the first time a scored model reads it.
+gets its entry the first time a score reads it.
 ``conditional_log_marginal`` scores one model from them by indexing its
 active rows and columns, adding the restricted prior and factoring once,
 with LAPACK's Cholesky routines called directly.  The prior block depends
 only on the model, so it is restricted and inverted once per model, kept in
 a bounded cache on the prior (``PriorSpec.restricted``).
+
+The model move compares a scored model with the model one bit away.
+``toggle_log_bayes_factor`` gives that log conditional Bayes factor from
+the scored model's precision factor and posterior mean: with a diagonal
+prior, the toggled model's precision is the current one bordered by, or
+stripped of, one row and column, so the factor costs one triangular solve
+and no factorisation.  A prior that is not diagonal scores the toggled
+model with ``conditional_log_marginal`` instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +77,7 @@ __all__ = [
     "sample_latent",
     "sweep_statistics",
     "conditional_log_marginal",
+    "toggle_log_bayes_factor",
     "gamma_posterior_params",
     "phi_posterior_params",
     "draw_psi",
@@ -78,6 +88,9 @@ __all__ = [
 # Standardized truncation point beyond which the inverse CDF is replaced by
 # an exponential-proposal rejection sampler.
 TAIL_SWITCH = 5.0
+
+# The largest censored latent score: the negated smallest normal double.
+_NEG_TINY = -np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +239,12 @@ def _survival_quantile(neg_cut: np.ndarray, uniform: np.ndarray) -> np.ndarray:
     return ndtri(uniform, out=uniform)
 
 
+def _all_at_least(values: np.ndarray, bound: float) -> bool:
+    """Whether every entry of ``values`` is at least ``bound``; False when
+    one is NaN.  One reduction, with no boolean temporary."""
+    return not values.size or bool(values.min() >= bound)
+
+
 def _std_trunc_lower(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draws of u ~ N(0, 1) conditioned on u >= a, elementwise, in row order.
 
@@ -302,7 +321,8 @@ def sample_latent(
     # -cut on each half: mu / c equals -(-mu / c) bit for bit.
     neg_cut_unc = mu_unc / c
     neg_cut_cen = np.negative(fit.sel_cen)
-    if (neg_cut_unc >= -TAIL_SWITCH).all() and (neg_cut_cen >= -TAIL_SWITCH).all():
+    # A NaN minimum fails the test, so NaN takes the row-order path.
+    if _all_at_least(neg_cut_unc, -TAIL_SWITCH) and _all_at_least(neg_cut_cen, -TAIL_SWITCH):
         uniform = rng.random(dataset.n)
         v_unc = _survival_quantile(neg_cut_unc, np.take(uniform, unc))
         v_cen = _survival_quantile(neg_cut_cen, np.take(uniform, cen))
@@ -317,7 +337,7 @@ def sample_latent(
     z_unc = np.subtract(mu_unc, np.multiply(v_unc, c, out=v_unc), out=v_unc)
     np.maximum(z_unc, 0.0, out=z_unc)
     z_cen = np.add(fit.sel_cen, v_cen, out=v_cen)
-    np.minimum(z_cen, -np.finfo(np.float64).tiny, out=z_cen)
+    np.minimum(z_cen, _NEG_TINY, out=z_cen)
     for half in (z_unc, z_cen):
         half.setflags(write=False)
     return LatentScores(z_unc, z_cen)
@@ -334,7 +354,7 @@ def sweep_statistics(rows: ModelRows, latent: LatentScores, sp: SigmaParams) -> 
     [a11 W_u'z_u + W_c'z_c + a12 W_u'y_u ; a12 X_u'z_u + a22 X_u'y_u].  The
     row-split Gram blocks and W_u'y_u, X_u'y_u are cached on the dataset.
     The linear term is formed here at the covariates of ``rows.model``, the
-    sweep's retained model, and elsewhere only when a scored model reads it
+    sweep's retained model, and elsewhere only when a score reads it
     (``SweepStatistics.linear_term``).
     """
     dataset = rows.dataset
@@ -344,12 +364,14 @@ def sweep_statistics(rows: ModelRows, latent: LatentScores, sp: SigmaParams) -> 
     g, phi = sp.gamma, sp.phi
     a11, a12, a22 = 1.0 + g * g / phi, -g / phi, 1.0 / phi  # inverse error covariance
 
+    # Each block is written in place; a12 x is the same float in both
+    # off-diagonal blocks, so the lower one needs no transposed copy.
     gram = np.empty((pq, pq))
-    gram[:p, :p] = a11 * split.gram_ww_unc + split.gram_ww_cen
-    gram[:p, p:] = a12 * split.gram_wx_unc
-    gram[p:, :p] = gram[:p, p:].T
-    gram[p:, p:] = a22 * split.gram_xx_unc
-
+    ww = np.multiply(split.gram_ww_unc, a11, out=gram[:p, :p])
+    np.add(ww, split.gram_ww_cen, out=ww)
+    np.multiply(split.gram_wx_unc, a12, out=gram[:p, p:])
+    np.multiply(split.gram_wx_unc.T, a12, out=gram[p:, :p])
+    np.multiply(split.gram_xx_unc, a22, out=gram[p:, p:])
     gram.setflags(write=False)
     stats = SweepStatistics(gram, dataset, latent.z_unc, latent.z_cen, a11, a12, a22)
     stats._form_from_rows(rows)
@@ -393,6 +415,65 @@ def conditional_log_marginal(
     # psi1' Psi1^{-1} psi1 equals psi1 . lin because Psi1^{-1} psi1 = lin.
     value = 0.5 * (-logdet_prec - prior_terms.logdet - prior_terms.quad + float(psi1 @ lin))
     return PsiPosterior(model, psi1, value, chol)
+
+
+def _check_pivot(pivot: float, other: float, what: str) -> None:
+    """Require a finite positive ``pivot`` of ``what`` and a finite ``other``,
+    the score's other data term."""
+    if not (math.isfinite(pivot) and math.isfinite(other)):
+        raise NumericalError(f"non-finite values in {what}")
+    if not pivot > 0.0:
+        raise NumericalError(f"{what} is not positive definite (pivot {pivot})")
+
+
+def toggle_log_bayes_factor(
+    stats: SweepStatistics,
+    prior: PriorSpec,
+    current: PsiPosterior,
+    position: int,
+) -> float:
+    """log conditional Bayes factor of ``current.model`` with the bit at
+    stacked ``position`` toggled, against ``current.model``, at the latent
+    scores and covariance ``stats`` was built from.
+
+    With a diagonal prior, the toggled model's precision is the current one
+    bordered by, or stripped of, one row and column, so the factor follows
+    from the current model's precision factor L and posterior mean psi1
+    (G. H. Golub and C. F. Van Loan, *Matrix Computations*, sec. 6.5), with
+    v and m the prior variance and mean at ``position``:
+
+    * adding j: u = L^{-1} G[A, j], w = L' psi1, s = G_jj + 1/v - u.u and
+      r = lin_j + m/v - u.w give (-log s - log v - m^2/v + r^2/s) / 2;
+    * dropping the k-th active covariate: D = |L^{-1} e_k|^2, the k-th
+      diagonal entry of the posterior covariance, gives
+      (-log D + log v + m^2/v - psi1_k^2/D) / 2.
+
+    It agrees with the difference of the two models' ``conditional_log_marginal``
+    values to rounding.  A prior that is not diagonal scores the toggled
+    model with ``conditional_log_marginal`` instead.
+    """
+    model = current.model
+    if not prior.is_diagonal:
+        toggled = conditional_log_marginal(stats, prior, model.with_toggled(position))
+        return toggled.log_conditional_marginal - current.log_conditional_marginal
+    v, m = float(prior.variances[position]), float(prior.psi0[position])
+    chol, active = current.chol, model.active_positions
+    if model.include[position]:
+        k = int(np.searchsorted(active, position))
+        unit = np.zeros(active.size - k)
+        unit[0] = 1.0
+        x, _ = dtrtrs(chol[k:, k:], unit, lower=1)
+        D, mean = float(x @ x), float(current.psi1[k])
+        _check_pivot(D, mean, f"the precision stripped of position {position}")
+        return 0.5 * (-math.log(D) + math.log(v) + m * m / v - mean * mean / D)
+    s = float(stats.gram[position, position]) + 1.0 / v
+    r = float(stats.linear_term(np.array([position]))[0]) + m / v
+    if active.size:
+        u, _ = dtrtrs(chol, stats.gram[active, position], lower=1)
+        s -= float(u @ u)
+        r -= float(u @ (current.psi1 @ chol))
+    _check_pivot(s, r, f"the precision bordered at position {position}")
+    return 0.5 * (-math.log(s) - math.log(v) - m * m / v + r * r / s)
 
 
 def gamma_posterior_params(e_z: np.ndarray, e_y: np.ndarray, phi: float, prior: PriorSpec) -> GammaPosterior:

@@ -253,9 +253,6 @@ class ModelIndicator:
         free.setflags(write=False)
         return free
 
-    def n_free_active(self) -> int:
-        return int(np.count_nonzero(self.include & ~self.forced))
-
     def with_toggled(self, position: int) -> "ModelIndicator":
         """Return a copy with one stacked inclusion bit flipped."""
         if not 0 <= position < self.include.size:
@@ -304,12 +301,14 @@ class ModelPrior:
             if self.pi is None or not 0.0 < self.pi < 1.0:
                 raise InvalidParameter("bernoulli model prior needs pi in (0, 1)")
 
-    def log_ratio(self, proposed: ModelIndicator, current: ModelIndicator) -> float:
-        """log pr(proposed) - log pr(current); forced bits carry no mass."""
+    def toggle_log_ratio(self, adding: bool) -> float:
+        """log pr(toggled) - log pr(current) for a model that toggles one
+        free bit: on when ``adding``, off otherwise.  Forced bits carry no
+        mass, and a toggle never reaches them."""
         if self.kind == "flat":
             return 0.0
-        delta = proposed.n_free_active() - current.n_free_active()
-        return delta * (np.log(self.pi) - np.log1p(-self.pi))
+        log_odds = np.log(self.pi) - np.log1p(-self.pi)
+        return log_odds if adding else -log_odds
 
 
 def _check_spd(name: str, mat: np.ndarray) -> np.ndarray:
@@ -397,6 +396,18 @@ class PriorSpec:
     @cached_property
     def Psi0(self) -> np.ndarray:
         return _frozen_array(block_diag(self.Theta0, self.B0), np.float64)
+
+    @cached_property
+    def variances(self) -> np.ndarray:
+        """The diagonal of ``Psi0``: each stacked coefficient's prior variance."""
+        return _frozen_array(np.diag(self.Psi0), np.float64)
+
+    @cached_property
+    def is_diagonal(self) -> bool:
+        """Whether ``Psi0`` is diagonal, so that the coefficients are a
+        priori independent and a model's prior terms are sums over its
+        covariates."""
+        return bool(np.array_equal(self.Psi0, np.diag(self.variances)))
 
     def restrict(self, model: ModelIndicator) -> tuple[np.ndarray, np.ndarray]:
         """Prior mean and covariance on the active coefficient subspace."""

@@ -13,29 +13,37 @@ def rng():
 
 @pytest.fixture
 def memo_marginals(monkeypatch):
-    """Memoize the marginals mc3_step scores, keyed by inclusion pattern.
+    """Memoize the scores mc3_step computes: the marginals, keyed by
+    inclusion pattern, and the toggles' log Bayes factors, keyed by the
+    current pattern and the toggled position.
 
-    ``install(adjust)`` rebinds ``tbma.search.conditional_log_marginal`` to a
-    fresh memo over the real function, optionally passing each new result
-    through ``adjust``.  Only valid while the latent scores and covariance
-    are held fixed, as in the enumeration checks.
+    ``install()`` rebinds ``tbma.search.conditional_log_marginal`` and
+    ``tbma.search.toggle_log_bayes_factor`` to fresh memos over the real
+    functions.  Only valid while the latent scores and covariance are held
+    fixed, as in the enumeration checks.
     """
     real = tbma.search.conditional_log_marginal
+    real_toggle = tbma.search.toggle_log_bayes_factor
 
-    def install(adjust=None):
-        memo = {}
+    def install():
+        marginals, toggles = {}, {}
 
         def memoized(stats, prior, model):
             key = model.key()
-            hit = memo.get(key)
+            hit = marginals.get(key)
             if hit is None:
-                hit = real(stats, prior, model)
-                if adjust is not None:
-                    hit = adjust(hit)
-                memo[key] = hit
+                hit = marginals[key] = real(stats, prior, model)
+            return hit
+
+        def memoized_toggle(stats, prior, current, position):
+            key = (current.model.key(), position)
+            hit = toggles.get(key)
+            if hit is None:
+                hit = toggles[key] = real_toggle(stats, prior, current, position)
             return hit
 
         monkeypatch.setattr(tbma.search, "conditional_log_marginal", memoized)
+        monkeypatch.setattr(tbma.search, "toggle_log_bayes_factor", memoized_toggle)
 
     return install
 

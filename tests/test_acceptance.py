@@ -507,6 +507,19 @@ GEWEKE_CASES = {
         forced=np.zeros(4, dtype=bool), inner_model_moves=3, sweeps_per_dataset=1,
         steps=40_000, seed=SEED + 11, z_scores=moving_model_z,
     ),
+    # A diagonal prior, so that every move scores its toggle from the
+    # current model's precision factor: unequal variances and nonzero means
+    # (a slip in log v or m^2/v), a forced bit, pi != 0.5 and two moves per
+    # sweep.  The cases above have dense blocks and score each toggled model.
+    "diagonal-prior-moves": GewekeCase(
+        prior=PriorSpec(
+            theta0=np.array([0.4, -0.3]), Theta0=np.diag([0.5, 0.3]),
+            beta0=np.array([0.3, 0.5]), B0=np.diag([0.6, 0.2]),
+            gamma0=0.2, G0=0.25, s0=12.0, S0=10.0, model_prior=ModelPrior("bernoulli", 0.3),
+        ),
+        forced=np.array([True, False, False, False]), inner_model_moves=2, sweeps_per_dataset=1,
+        steps=40_000, seed=SEED + 31, z_scores=moving_model_z,
+    ),
     # Eight coefficients with strongly correlated prior blocks, all bits
     # forced: with a precision this far from diagonal, a coefficient draw of
     # the wrong covariance moves the variances and cross moments past the

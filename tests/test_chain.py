@@ -188,6 +188,27 @@ class TestRunChainBookkeeping:
         with pytest.raises(NumericalError, match=rf"chain 1 aborted at sweep 2: .*{message}"):
             run_chain(self.ds, self.prior, config, chain_id=1)
 
+    def test_toggle_fault_names_chain_sweep_and_position(self, monkeypatch):
+        # NaN in the Gram rows of every covariate outside the sweep's
+        # starting model: that model scores, and the first toggle that adds
+        # a covariate fails.
+        from tbma.errors import NumericalError
+
+        real = chain_mod.sweep_statistics
+
+        def poisoned(rows, latent, sigma):
+            stats = real(rows, latent, sigma)
+            gram = stats.gram.copy()
+            outside = ~rows.model.include
+            gram[outside, :] = gram[:, outside] = np.nan
+            return replace(stats, gram=gram)
+
+        monkeypatch.setattr(chain_mod, "sweep_statistics", poisoned)
+        config = ChainConfig(iterations=10, burn_in=0, seed=1, chains=1)
+        with pytest.raises(NumericalError, match=r"chain 1 aborted at sweep 0: non-finite values in the "
+                                                 r"precision bordered at position \d"):
+            run_chain(self.ds, self.prior, config, chain_id=1)
+
 
 class TestSweepOrder:
     def test_one_sweep_is_z_gamma_phi_moves_psi(self, monkeypatch):
@@ -214,6 +235,7 @@ class TestSweepOrder:
     def test_statistics_built_once_and_each_model_scored_once_per_sweep(self, monkeypatch):
         counts = {"fitted": 0, "statistics": 0, "scores": 0, "rows": 0, "prior_fills": 0}
         scored = set()
+        accepted_moves = []
 
         def counting(name, fn):
             def inner(*args, **kwargs):
@@ -230,7 +252,15 @@ class TestSweepOrder:
             scored.add(model.key())
             return score(stats, prior, model)
 
+        real_move = chain_mod.mc3_step
+
+        def move(*args):
+            result = real_move(*args)
+            accepted_moves.append(result[1])
+            return result
+
         monkeypatch.setattr(tbma.search, "conditional_log_marginal", recording)
+        monkeypatch.setattr(chain_mod, "mc3_step", move)
         monkeypatch.setattr(PriorSpec, "restrict", counting("prior_fills", PriorSpec.restrict))
         ds = make_dataset(n=10, seed=2)
         config = ChainConfig(iterations=40, burn_in=0, seed=1, chains=1, inner_model_moves=3)
@@ -240,11 +270,16 @@ class TestSweepOrder:
         retained = np.vstack([np.zeros((1, 4), bool), out.models])
         changed = int(np.count_nonzero(np.any(retained[1:] != retained[:-1], axis=1)))
         assert 0 < changed < np.count_nonzero(out.accepted) < 40
-        # Prior terms are formed once per scored model with a covariate; the
-        # cache's byte budget holds all 16 models' 4 x 4 or smaller precisions.
+        # The starting model is scored once per sweep, and each accepted
+        # toggle once; a rejected toggle is scored from the retained model's
+        # factor.  Prior terms are formed once per scored model with a
+        # covariate; the cache's byte budget holds all 16 models' 4 x 4 or
+        # smaller precisions.
+        assert len(accepted_moves) == 40 * 3
         nonempty = sum(any(key) for key in scored)
         assert counts == {
-            "fitted": 40, "statistics": 40, "scores": 40 * (1 + 3), "rows": 1 + changed, "prior_fills": nonempty,
+            "fitted": 40, "statistics": 40, "scores": 40 + sum(accepted_moves), "rows": 1 + changed,
+            "prior_fills": nonempty,
         }
         assert nonempty > 1
 
@@ -362,9 +397,11 @@ class TestSweep:
         run = tracer.select("chain.run_chain")[0]
         for _, _, name, _ in TRACED_NAMES:
             spans = tracer.select(name)
-            # One score of the sweep's starting model, one per move's proposal.
-            per_sweep = 2 if name == "search.conditional_log_marginal" else 1
-            assert spans.size == per_sweep * sweeps, name
+            # One score of the sweep's starting model, one per accepted move.
+            if name == "search.conditional_log_marginal":
+                assert spans.size == sweeps + sum(tracer.observed["search.mc3_step"]), name
+            else:
+                assert spans.size == sweeps, name
         # chain.sweep_ms counts the latent draws directly under run_chain.
         assert [tracer.parents[i] for i in tracer.select("conditionals.sample_latent")] == [run] * sweeps
 

@@ -35,9 +35,11 @@ from tbma.conditionals import (
     phi_posterior_params,
     sample_latent,
     sweep_statistics,
+    toggle_log_bayes_factor,
 )
+import tbma.conditionals
 import tbma.core
-from tbma.core import LatentScores, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
+from tbma.core import LatentScores, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from tbma.errors import InvalidParameter, InvalidState, NumericalError
 from tbma.oracle import latent_conditional_params
 
@@ -621,6 +623,116 @@ class TestPriorTermCache:
         assert len(fills) == bound + 1
         conditional_log_marginal(stats, prior, others[0])
         assert fills[-1] == others[0].key() and len(fills) == bound + 2
+
+
+def log_model_prior(model_prior, model):
+    """log pr(model) up to a constant: each free bit is in with probability pi."""
+    if model_prior.kind == "flat":
+        return 0.0
+    free = ~model.forced
+    k = np.count_nonzero(model.include & free)
+    return k * np.log(model_prior.pi) + (np.count_nonzero(free) - k) * np.log1p(-model_prior.pi)
+
+
+def per_model_delta(stats, prior, current, position, model_prior=ModelPrior()):
+    """A toggle's log posterior ratio from two ``conditional_log_marginal``
+    scores and the model prior's mass of each model."""
+    model, toggled = current.model, current.model.with_toggled(position)
+    after = conditional_log_marginal(stats, prior, toggled).log_conditional_marginal
+    return (after + log_model_prior(model_prior, toggled)) - (
+        current.log_conditional_marginal + log_model_prior(model_prior, model))
+
+
+class TestToggleLogBayesFactor:
+    """The toggle's log conditional Bayes factor from the current model's
+    precision factor equals the difference of the two models' scores."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=scoring_problems(), seed=st.integers(0, 2**32 - 1), pi=st.sampled_from([None, 0.3, 0.8]))
+    def test_border_matches_the_per_model_difference(self, problem, seed, pi):
+        # Random models over forced masks; every free bit of each is toggled,
+        # so additions and deletions both come up.  Unequal prior variances,
+        # nonzero means, and both model priors through the toggle's ratio.
+        ds, z, sp, retained, order = problem
+        model_prior = ModelPrior() if pi is None else ModelPrior("bernoulli", pi)
+        prior = PriorSpec(**prior_kwargs(ds.p, ds.q, np.random.default_rng(seed), diagonal=True))
+        assert prior.is_diagonal
+        stats = sweep_statistics(model_rows(ds, retained), latent_scores(ds, z), sp)
+        for model in order:
+            current = conditional_log_marginal(stats, prior, model)
+            for position in model.free_positions().tolist():
+                adding = not model.include[position]
+                delta = toggle_log_bayes_factor(stats, prior, current, position) + model_prior.toggle_log_ratio(adding)
+                expected = per_model_delta(stats, prior, current, position, model_prior)
+                assert abs(delta - expected) <= 1e-9, (model.key(), position, delta, expected)
+
+    @pytest.mark.parametrize("n", [0, 25])
+    def test_to_and_from_the_null_model(self, n):
+        # d = 0 -> 1 reads an empty factor, 1 -> 0 strips a 1 x 1 one.
+        ds = make_dataset(n=n, p=2, q=2, seed=5)
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds, seed=3)), SigmaParams(0.4, 0.8))
+        prior = PriorSpec(**prior_kwargs(2, 2, np.random.default_rng(17), diagonal=True))
+        null = conditional_log_marginal(stats, prior, ModelIndicator.null_model(2, 2))
+        for position in range(4):
+            single = conditional_log_marginal(stats, prior, null.model.with_toggled(position))
+            difference = single.log_conditional_marginal - null.log_conditional_marginal
+            assert abs(toggle_log_bayes_factor(stats, prior, null, position) - difference) <= 1e-9
+            assert abs(toggle_log_bayes_factor(stats, prior, single, position) + difference) <= 1e-9
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_only_a_dense_prior_scores_the_toggled_model(self, diagonal):
+        ds = make_dataset(n=30, p=3, q=2, seed=8)
+        stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), SigmaParams(-0.5, 1.3))
+        prior = PriorSpec(**prior_kwargs(3, 2, np.random.default_rng(4), diagonal))
+        assert prior.is_diagonal == diagonal
+        current = conditional_log_marginal(stats, prior, ModelIndicator(np.array([1, 0, 1, 1, 0], bool),
+                                                                         np.zeros(5, bool), 3))
+        real = tbma.conditionals.conditional_log_marginal
+        for position in range(5):
+            with mock.patch.object(tbma.conditionals, "conditional_log_marginal", wraps=real) as scored:
+                delta = toggle_log_bayes_factor(stats, prior, current, position)
+            expected = per_model_delta(stats, prior, current, position)
+            if diagonal:
+                assert scored.call_count == 0
+                assert abs(delta - expected) <= 1e-9
+            else:
+                assert scored.call_count == 1
+                assert delta == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["gram", "lin"])
+    def test_non_finite_statistics_name_the_position(self, where, bad):
+        stats = TestScoringErrors.statistics()
+        prior = unit_prior(2, 2)
+        current = conditional_log_marginal(stats, prior, ModelIndicator(np.array([1, 0, 1, 0], bool),
+                                                                         np.zeros(4, bool), 2))
+        if where == "gram":
+            gram = stats.gram.copy()
+            gram[0, 3] = gram[3, 0] = bad
+            stats = dataclasses.replace(stats, gram=gram)
+        else:
+            z_unc = stats.z_unc.copy()
+            z_unc[1] = bad
+            stats = dataclasses.replace(stats, z_unc=z_unc)
+        with pytest.raises(NumericalError, match="non-finite values in the precision bordered at position 3"):
+            with np.errstate(invalid="ignore"):
+                toggle_log_bayes_factor(stats, prior, current, 3)
+
+    def test_non_positive_pivots_name_the_position(self):
+        stats = TestScoringErrors.statistics()
+        prior = unit_prior(2, 2)
+        current = conditional_log_marginal(stats, prior, ModelIndicator.null_model(2, 2))
+        gram = stats.gram.copy()
+        gram[1, 1] = -1e6
+        with pytest.raises(NumericalError, match=r"precision bordered at position 1 is not positive definite"):
+            toggle_log_bayes_factor(dataclasses.replace(stats, gram=gram), prior, current, 1)
+        # A factor this close to singular puts an infinite variance on the
+        # covariate a deletion drops.
+        model = ModelIndicator.null_model(2, 2).with_toggled(2)
+        tiny = PsiPosterior(model, np.zeros(1), 0.0, np.array([[1e-200]]))
+        with pytest.raises(NumericalError, match="non-finite values in the precision stripped of position 2"):
+            with np.errstate(over="ignore"):
+                toggle_log_bayes_factor(stats, prior, tiny, 2)
 
 
 class TestScoringErrors:

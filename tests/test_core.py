@@ -130,7 +130,6 @@ class TestModelIndicator:
         assert np.array_equal(m.free_positions(), np.flatnonzero(~forced))
         assert not m.free_positions().flags.writeable
         assert m.free_positions() is m.free_positions()
-        assert m.n_free_active() == np.count_nonzero(include & ~forced)
 
     @given(case=stacked_masks(), data=st.data())
     def test_toggle_flips_one_free_bit_and_shares_forced(self, case, data):
@@ -161,7 +160,6 @@ class TestModelIndicator:
             assert m == fresh
             assert np.array_equal(m.active_positions, fresh.active_positions)
             assert np.array_equal(m.free_positions(), fresh.free_positions())
-            assert m.n_free_active() == fresh.n_free_active()
 
     @given(case=stacked_masks())
     def test_constructor_rejects_malformed_masks(self, case):
@@ -184,14 +182,15 @@ class TestModelIndicator:
 class TestModelPrior:
     def test_flat_ratio_zero(self):
         mp = ModelPrior()
-        a = ModelIndicator.full_model(2, 2)
-        assert mp.log_ratio(a, a.with_toggled(0)) == 0.0
+        assert mp.toggle_log_ratio(True) == 0.0
+        assert mp.toggle_log_ratio(False) == 0.0
 
     def test_bernoulli_ratio(self):
+        # Adding a free covariate multiplies the prior by pi / (1 - pi);
+        # dropping one divides it, by the same float.
         mp = ModelPrior(kind="bernoulli", pi=0.25)
-        bigger = ModelIndicator.full_model(2, 2)
-        smaller = bigger.with_toggled(1)
-        assert np.isclose(mp.log_ratio(bigger, smaller), np.log(0.25 / 0.75))
+        assert np.isclose(mp.toggle_log_ratio(True), np.log(0.25 / 0.75))
+        assert mp.toggle_log_ratio(False) == -mp.toggle_log_ratio(True)
 
     def test_bad_pi_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -317,6 +316,16 @@ class TestPriorSpec:
         mean, cov = prior.restrict(model)
         assert mean.tolist() == [2.0, 4.0]
         assert np.array_equal(cov, np.diag([3.0, 6.0]))
+
+    def test_diagonal_and_its_variances_are_derived(self):
+        kwargs = dict(theta0=np.zeros(2), beta0=np.zeros(1), B0=np.array([[4.0]]), gamma0=0.0, G0=1.0, s0=2.0, S0=2.0)
+        diagonal = PriorSpec(Theta0=np.diag([2.0, 3.0]), **kwargs)
+        assert diagonal.is_diagonal
+        assert diagonal.variances.tolist() == [2.0, 3.0, 4.0]
+        assert not diagonal.variances.flags.writeable
+        dense = PriorSpec(Theta0=np.array([[2.0, 0.5], [0.5, 3.0]]), **kwargs)
+        assert not dense.is_diagonal
+        assert dense.variances.tolist() == [2.0, 3.0, 4.0]
 
     def test_non_spd_rejected(self):
         with pytest.raises(InvalidParameter):

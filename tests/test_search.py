@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,7 @@ from tbma.conditionals import conditional_log_marginal, sweep_statistics
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams
 from tbma.errors import NoMoveAvailable
 from tbma.oracle import conditional_log_marginal_rss, enumerate_model_posterior
-from tbma.search import mc3_step, propose_neighbor
+from tbma.search import mc3_step, propose_position
 
 
 def random_model(rng, p=3, q=3):
@@ -20,13 +18,34 @@ def random_model(rng, p=3, q=3):
     return ModelIndicator(include, np.zeros(p + q, bool), p)
 
 
+def record_scores(monkeypatch):
+    """Record each model mc3_step scores and each toggle's (current posterior, position)."""
+    scored, toggles = [], []
+    real = tbma.search.conditional_log_marginal
+    real_toggle = tbma.search.toggle_log_bayes_factor
+
+    def recording(stats, prior, model):
+        scored.append(real(stats, prior, model))
+        return scored[-1]
+
+    def recording_toggle(stats, prior, current, position):
+        toggles.append((current, position))
+        return real_toggle(stats, prior, current, position)
+
+    monkeypatch.setattr(tbma.search, "conditional_log_marginal", recording)
+    monkeypatch.setattr(tbma.search, "toggle_log_bayes_factor", recording_toggle)
+    return scored, toggles
+
+
 class TestProposeNeighbor:
+    """The proposal: a uniform draw of the free position whose bit is toggled."""
+
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(0, 99999))
     def test_hamming_distance_is_one(self, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng)
-        proposal = propose_neighbor(model, rng)
+        proposal = model.with_toggled(propose_position(model, rng))
         flips = np.count_nonzero(model.include != proposal.include)
         assert flips == 1
 
@@ -34,13 +53,13 @@ class TestProposeNeighbor:
         forced = np.array([True, False, False, False, False])
         model = ModelIndicator.null_model(3, 2, forced=forced)
         for _ in range(200):
-            proposal = propose_neighbor(model, rng)
-            assert proposal.include[0]
+            position = propose_position(model, rng)
+            assert isinstance(position, int) and 1 <= position < 5
 
     def test_all_forced_raises(self, rng):
         model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
         with pytest.raises(NoMoveAvailable):
-            propose_neighbor(model, rng)
+            propose_position(model, rng)
 
     def test_uniform_over_free_bits(self):
         # 12 free bits: each flip frequency within 1/12 +- 0.01 and a
@@ -50,9 +69,7 @@ class TestProposeNeighbor:
         trials = 100_000
         counts = np.zeros(12)
         for _ in range(trials):
-            proposal = propose_neighbor(model, rng)
-            pos = np.flatnonzero(model.include != proposal.include)[0]
-            counts[pos] += 1
+            counts[propose_position(model, rng)] += 1
         freq = counts / trials
         assert np.all(np.abs(freq - 1.0 / 12.0) < 0.01)
         assert chisquare(counts).pvalue > 0.001
@@ -99,21 +116,18 @@ class TestMc3Step:
         self.flat = ModelPrior()
         self.stats = sweep_statistics(null_rows(self.ds), latent_scores(self.ds, self.z), self.sp)
 
-    def test_always_accepts_when_bayes_factor_at_least_one(self, rng, memo_marginals):
-        # Raise every neighbor's marginal above the current model's; the
-        # acceptance probability min(1, CBF) must then be one.
-        model = ModelIndicator.null_model(2, 2)
-        cur = conditional_log_marginal(self.stats, self.prior, model)
-
-        def dominate(res):
-            if res.model == model:
-                return res
-            return replace(res, log_conditional_marginal=cur.log_conditional_marginal + 3.0)
-
-        memo_marginals(dominate)
-        for _ in range(200):
-            _, accepted, _ = mc3_step(self.stats, self.prior, cur, self.flat, rng)
+    def test_always_accepts_when_bayes_factor_at_least_one(self, rng, monkeypatch):
+        # Every toggle's conditional Bayes factor is one: the acceptance
+        # probability min(1, CBF) is then one, and each accepted toggle is
+        # scored once, as the model the move retains.
+        scored, _ = record_scores(monkeypatch)
+        monkeypatch.setattr(tbma.search, "toggle_log_bayes_factor", lambda stats, prior, current, position: 0.0)
+        current = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
+        for step in range(200):
+            retained, accepted, current = mc3_step(self.stats, self.prior, current, self.flat, rng)
             assert accepted
+            assert len(scored) == step + 1
+            assert current is scored[-1] and retained is current.model
 
     def test_no_move_available_returns_input(self, rng):
         model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
@@ -137,29 +151,37 @@ class TestMc3Step:
             assert acc_a == acc_b
             assert model_a == model_b
 
-    def test_acceptance_shift_invariant(self, memo_marginals):
-        # Adding a constant to both marginals leaves every decision unchanged.
-        def walk(adjust):
-            memo_marginals(adjust)
+    def test_acceptance_shift_invariant(self, monkeypatch):
+        # A walk that scores each toggle as the difference of the two models'
+        # marginals, both shifted by a constant, makes the decisions of the
+        # walk that borders the current model's factor.
+        def walk():
             rng = np.random.default_rng(99)
-            model = ModelIndicator.null_model(2, 2)
-            current = tbma.search.conditional_log_marginal(self.stats, self.prior, model)
+            current = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
             steps = []
             for _ in range(500):
                 model, accepted, current = mc3_step(self.stats, self.prior, current, self.flat, rng)
                 steps.append((model, accepted))
             return steps
 
-        base = walk(None)
-        shifted = walk(lambda res: replace(res, log_conditional_marginal=res.log_conditional_marginal + 123.456))
-        for (model_a, acc_a), (model_b, acc_b) in zip(base, shifted):
+        def shifted(stats, prior, current, position):
+            toggled = conditional_log_marginal(stats, prior, current.model.with_toggled(position))
+            return (toggled.log_conditional_marginal + 123.456) - (current.log_conditional_marginal + 123.456)
+
+        base = walk()
+        monkeypatch.setattr(tbma.search, "toggle_log_bayes_factor", shifted)
+        per_model = walk()
+        assert {accepted for _, accepted in base} == {True, False}
+        for (model_a, acc_a), (model_b, acc_b) in zip(base, per_model):
             assert acc_a == acc_b
             assert model_a == model_b
 
 
 class TestScoringContract:
-    """mc3_step scores only the proposal, through tbma.search.conditional_log_marginal,
-    and hands back the posterior of the model it retains."""
+    """mc3_step scores each toggle through tbma.search.toggle_log_bayes_factor,
+    scores only an accepted toggle's model, through
+    tbma.search.conditional_log_marginal, and hands back the posterior of the
+    model it retains."""
 
     def setup_method(self):
         self.ds = make_dataset(n=25, seed=14)
@@ -169,42 +191,35 @@ class TestScoringContract:
         self.flat = ModelPrior()
         self.stats = sweep_statistics(null_rows(self.ds), latent_scores(self.ds, self.z), self.sp)
 
-    def record_scores(self, monkeypatch):
-        scored = []
-        real = tbma.search.conditional_log_marginal
-
-        def recording(stats, prior, model):
-            scored.append(real(stats, prior, model))
-            return scored[-1]
-
-        monkeypatch.setattr(tbma.search, "conditional_log_marginal", recording)
-        return scored
-
-    def test_one_marginal_per_move(self, rng, monkeypatch):
-        scored = self.record_scores(monkeypatch)
+    def test_one_marginal_per_accepted_move(self, rng, monkeypatch):
+        scored, toggles = record_scores(monkeypatch)
         current = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
         outcomes = set()
-        for _ in range(100):
+        for step in range(100):
             before = len(scored)
             retained, accepted, post = mc3_step(self.stats, self.prior, current, self.flat, rng)
-            assert len(scored) == before + 1
-            proposed = scored[-1]
-            assert proposed.model != current.model
-            assert post is (proposed if accepted else current)
+            assert len(toggles) == step + 1 and toggles[-1][0] is current
+            position = toggles[-1][1]
+            assert len(scored) == before + accepted
+            if accepted:
+                assert post is scored[-1]
+                assert post.model == current.model.with_toggled(position)
+            else:
+                assert post is current
             assert retained is post.model
             outcomes.add(accepted)
             current = post
         assert outcomes == {True, False}
 
     def test_nothing_scored_when_no_bit_is_free(self, rng, monkeypatch):
-        scored = self.record_scores(monkeypatch)
+        scored, toggles = record_scores(monkeypatch)
         model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
         ds = make_dataset(n=12, seed=3, p=1, q=1)
         stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), self.sp)
         prior = unit_prior(1, 1)
         current = conditional_log_marginal(stats, prior, model)
         out, accepted, post = mc3_step(stats, prior, current, self.flat, rng)
-        assert scored == []
+        assert scored == [] and toggles == []
         assert post is current
         assert out is model and not accepted
 
