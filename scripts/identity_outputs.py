@@ -34,6 +34,9 @@ Setups, one subdirectory each:
 
 Each setup's ``summarize/`` subdirectory holds the summary and diagnostics
 that ``tbma summarize`` rebuilds from that setup's traces.
+
+``validate/fixtures.csv`` holds the error figures that ``tbma validate``
+prints for each committed fixture, as ``%.17g``, without its timings.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ def main(argv: list[str]) -> int:
     # Relative paths keep OUTDIR's own name out of the files (the .truth header).
     os.chdir(out)
     from tbma.io import write_dataset
-    from tbma.oracle import SynthSpec, generate_synthetic
+    from tbma.oracle import SynthSpec, generate_synthetic, run_fixture_suite
 
     data = {}
     for name, flags, width in (("readme", README_DATA, 6), ("paper", PAPER_DATA, PAPER_WIDTH)):
@@ -165,6 +168,12 @@ def main(argv: list[str]) -> int:
         _cli(argv_run)
         traces = sorted(str(path) for path in folder.glob("trace_chain*.csv"))
         _cli(["summarize", "--traces", *traces, "--out-dir", str(folder / "summarize")])
+
+    folder = Path("validate")
+    folder.mkdir(exist_ok=True)
+    lines = ["name,cbf_rel_err,rss_form_err"]
+    lines += [f"{check.name},{check.cbf_rel_err:.17g},{check.rss_form_err:.17g}" for check in run_fixture_suite()]
+    (folder / "fixtures.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

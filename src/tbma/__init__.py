@@ -54,13 +54,9 @@ from .oracle import (
     QuadratureSpec,
     SynthSpec,
     SynthTruth,
-    augmented_design,
     build_sigma,
-    complete_data_log_density,
     conditional_log_marginal_rss,
-    enumerate_model_posterior,
     generate_synthetic,
-    latent_conditional_params,
     quadrature_conditional_marginal,
     run_fixture_suite,
 )

@@ -254,11 +254,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_coef(raw: str, length: int, label: str) -> np.ndarray:
-    values = [float(s) for s in raw.split(",") if s.strip()]
-    if len(values) != length:
-        raise TbmaError(f"{label} needs {length} comma-separated values, got {len(values)}")
-    return np.asarray(values)
+def _parse_coef(raw: str) -> np.ndarray:
+    """The values of a comma-separated flag; ``SynthSpec`` checks their count."""
+    return np.asarray([float(s) for s in raw.split(",") if s.strip()])
 
 
 def _cmd_synth(args) -> int:
@@ -266,8 +264,8 @@ def _cmd_synth(args) -> int:
         n=args.n,
         p=args.p,
         q=args.q,
-        true_theta=_parse_coef(args.theta, args.p, "--theta"),
-        true_beta=_parse_coef(args.beta, args.q, "--beta"),
+        true_theta=_parse_coef(args.theta),
+        true_beta=_parse_coef(args.beta),
         gamma=args.gamma,
         phi=args.phi,
         covariate_distribution=args.covariates,

@@ -463,15 +463,15 @@ def toggle_log_bayes_factor(
         unit = np.zeros(active.size - k)
         unit[0] = 1.0
         x, _ = dtrtrs(chol[k:, k:], unit, lower=1)
-        D, mean = float(x @ x), float(current.psi1[k])
+        D, mean = float(np.vdot(x, x)), float(current.psi1[k])
         _check_pivot(D, mean, f"the precision stripped of position {position}")
         return 0.5 * (-math.log(D) + math.log(v) + m * m / v - mean * mean / D)
     s = float(stats.gram[position, position]) + 1.0 / v
     r = float(stats.linear_term(np.array([position]))[0]) + m / v
     if active.size:
         u, _ = dtrtrs(chol, stats.gram[active, position], lower=1)
-        s -= float(u @ u)
-        r -= float(u @ (current.psi1 @ chol))
+        s -= float(np.vdot(u, u))
+        r -= float(np.vdot(u, current.psi1 @ chol))
     _check_pivot(s, r, f"the precision bordered at position {position}")
     return 0.5 * (-math.log(s) - math.log(v) - m * m / v + r * r / s)
 

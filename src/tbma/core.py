@@ -338,9 +338,13 @@ class RestrictedPrior:
 
 
 # Bytes of restricted prior precisions (d^2 * 8 for a model of size d) that a
-# PriorSpec keeps.  Every model scored in an 800-sweep chain at the paper's
-# shape near d = 8 (about 0.23 MB), or in a 1 500-sweep chain on 6 + 6
-# covariates (about 0.02 MB), fits; at d = 100 about ten models do.
+# PriorSpec keeps.  Since a rejected toggle is scored from the retained
+# factor, only the starting and the accepted models are looked up: an
+# 800-sweep chain at the paper's shape near d = 8 made 814 lookups of 11
+# models (peak 4 080 B), a 1 500-sweep chain on 6 + 6 covariates with 4 moves
+# per sweep 1 543 lookups of 12 models (3 080 B).  A 100-sweep chain started
+# at the full paper model made 113 lookups of 14 models near d = 100, and
+# only there does the budget drop models (peak 1 008 392 B).
 PRIOR_CACHE_BYTES = 1 << 20
 
 
@@ -466,8 +470,10 @@ class LatentScores:
     over the uncensored rows and ``z_cen`` over the censored rows of a
     dataset, in the order of ``dataset.split``'s index arrays.
 
-    The constructor owns the sign contract inside the sampler: every
-    uncensored score is at least 0 and every censored score below 0.
+    The constructor owns the sign contract, for the sampler and for the
+    oracles of ``tbma.oracle`` alike: every uncensored score is at least 0
+    and every censored score below 0.  ``from_rows`` splits a row-order
+    vector and checks its length.
     """
 
     z_unc: np.ndarray
@@ -503,15 +509,3 @@ class LatentScores:
                 f"{n_unc} uncensored + {dataset.n - n_unc} censored rows"
             )
 
-
-def check_sign_consistency(dataset: TobitDataset, z: np.ndarray) -> np.ndarray:
-    """Require z < 0 exactly on censored rows of a row-order latent vector;
-    returns z as a float array.  The oracle's densities read z in row order;
-    the sampler's halves check the same contract in ``LatentScores``."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (dataset.n,):
-        raise InvalidParameter(f"z must have length {dataset.n}")
-    neg = z < 0.0
-    if not np.array_equal(neg, dataset.censored):
-        raise InvalidState("sign of z is inconsistent with the censoring pattern")
-    return z

@@ -1,18 +1,21 @@
-"""Independent brute-force oracles backing the test suite.
+"""What ``tbma validate`` and ``tbma synth`` run: independent references for
+the sampler's closed form, and a generator that draws data from the model.
 
-Everything here is deliberately simpler than the samplers it checks: direct
-per-row and whole-data transcriptions of the model (error covariance,
-augmented design, complete-data density, latent-score conditional), a plain
-tensor-grid quadrature for conditional marginals, exhaustive enumeration of
-small model spaces, a generator that draws data straight from the model
-equations, and a one-dimensional mixture reference for the uncensored
-conjugate reduction.  The committed fixtures pin small datasets with frozen
-latent scores so every cross-check is reproducible byte for byte.
+``tbma validate`` checks the conditional Bayes factor of each committed
+fixture against a plain tensor-grid quadrature of the complete-data density
+(``quadrature_conditional_marginal`` over ``batched_log_density``), and each
+model's conditional log marginal against a residual-sum rewrite
+(``conditional_log_marginal_rss``).  Both are written from the raw rows and
+share no algebra with the sampler; they take the latent scores in row order
+and check the sign contract with ``LatentScores.from_rows``.  The fixtures
+pin small datasets with frozen latent scores, so every check is reproducible
+byte for byte.  ``tbma synth`` draws data with ``generate_synthetic``.
+
+The references that only the test suite uses live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -23,32 +26,19 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from .conditionals import conditional_log_marginal, model_rows, sweep_statistics
-from .core import (
-    LatentScores,
-    ModelIndicator,
-    ModelPrior,
-    PriorSpec,
-    SigmaParams,
-    TobitDataset,
-    check_sign_consistency,
-)
+from .core import LatentScores, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 from .errors import DimensionError, InvalidParameter, ParseError
 from .io import read_tagged_csv
 
 __all__ = [
     "build_sigma",
-    "augmented_design",
-    "complete_data_log_density",
     "batched_log_density",
-    "latent_conditional_params",
     "QuadratureSpec",
     "quadrature_conditional_marginal",
     "conditional_log_marginal_rss",
-    "enumerate_model_posterior",
     "SynthSpec",
     "SynthTruth",
     "generate_synthetic",
-    "conjugate_regression_moments",
     "CbfFixture",
     "FixtureCheck",
     "load_fixture",
@@ -61,10 +51,6 @@ __all__ = [
 CBF_RATIO_TOL = 1e-3
 RSS_FORM_TOL = 1e-9
 
-# Truncation sides of a latent score's conditional.
-NEGATIVE = "negative"
-NONNEGATIVE = "nonnegative"
-
 # Fixtures pin the coefficient prior to standard normal per active column.
 _FIXTURE_PRIOR_HYPERS = dict(gamma0=0.0, G0=1.0, s0=4.0, S0=4.0)
 
@@ -73,82 +59,6 @@ def build_sigma(sp: SigmaParams) -> np.ndarray:
     """Error covariance [[1, gamma], [gamma, phi + gamma**2]]; determinant phi."""
     g = sp.gamma
     return np.array([[1.0, g], [g, sp.phi + g * g]])
-
-
-def augmented_design(row_index: int, dataset: TobitDataset, model: ModelIndicator):
-    """Stacked per-row response and design for the active coefficient set.
-
-    Returns ``(y_i, X_i)`` where ``y_i`` is a 2-vector whose first slot is a
-    placeholder (0.0) for the latent value supplied by the caller at sampling
-    time, and ``X_i`` is 2 x d(M).  On censored rows the outcome slot of
-    ``y_i`` and the second row of ``X_i`` are zero.
-    """
-    if not 0 <= row_index < dataset.n:
-        raise InvalidParameter(f"row_index {row_index} out of range")
-    aw, ax = model.active_w, model.active_x
-    dw, dx = aw.size, ax.size
-    xt = np.zeros((2, dw + dx))
-    xt[0, :dw] = dataset.W[row_index, aw]
-    yt = np.zeros(2)
-    if not dataset.censored[row_index]:
-        xt[1, dw:] = dataset.X[row_index, ax]
-        yt[1] = dataset.y[row_index]
-    return yt, xt
-
-
-def complete_data_log_density(
-    dataset: TobitDataset, z: np.ndarray, psi: np.ndarray, sp: SigmaParams
-) -> float:
-    """Log joint density of (z, observed y) given all parameters, with
-    ``psi`` the stacked length-(p + q) coefficient vector.
-
-    Proportional form: the 2*pi normalizing factors are dropped, everything
-    else (including the phi power) is kept, so values are comparable across
-    parameter settings on the same data.
-    """
-    z = check_sign_consistency(dataset, z)
-    if dataset.n == 0:
-        return 0.0
-    cen = dataset.censored
-    unc = ~cen
-    theta, beta = psi[: dataset.p], psi[dataset.p :]
-    e_z = z - dataset.W @ theta
-    quad = float(np.dot(e_z[cen], e_z[cen]))
-    n_o = dataset.n_o
-    if n_o:
-        g, phi = sp.gamma, sp.phi
-        e_zu = e_z[unc]
-        e_yu = dataset.y[unc] - dataset.X[unc] @ beta
-        quad += float(
-            (1.0 + g * g / phi) * np.dot(e_zu, e_zu)
-            - 2.0 * (g / phi) * np.dot(e_zu, e_yu)
-            + np.dot(e_yu, e_yu) / phi
-        )
-    return -0.5 * (n_o * np.log(sp.phi) + quad)
-
-
-def latent_conditional_params(
-    row_index: int, dataset: TobitDataset, psi: np.ndarray, sp: SigmaParams
-) -> tuple[float, float, str]:
-    """Mean, variance and truncation side of one latent score's conditional,
-    with ``psi`` the stacked length-(p + q) coefficient vector.
-
-    Censored rows marginalize the unobserved outcome, so their conditional is
-    the unit-variance selection prior; uncensored rows condition on y, which
-    shifts the mean by gamma / (phi + gamma^2) times the outcome residual and
-    shrinks the variance to phi / (phi + gamma^2).
-    """
-    if not 0 <= row_index < dataset.n:
-        raise InvalidParameter(f"row_index {row_index} out of range")
-    theta, beta = psi[: dataset.p], psi[dataset.p :]
-    mu = float(dataset.W[row_index] @ theta)
-    if dataset.censored[row_index]:
-        return mu, 1.0, NEGATIVE
-    g, phi = sp.gamma, sp.phi
-    resid = float(dataset.y[row_index] - dataset.X[row_index] @ beta)
-    mu += g / (phi + g * g) * resid
-    var = 1.0 - g * g / (phi + g * g)
-    return mu, var, NONNEGATIVE
 
 
 @dataclass(frozen=True)
@@ -172,11 +82,13 @@ def batched_log_density(
     model: ModelIndicator,
     coords: np.ndarray,
 ) -> np.ndarray:
-    """Complete-data log density at a batch of active coefficient points.
+    """Complete-data log density at a batch of active coefficient points,
+    with ``z`` in row order.
 
     Direct transcription of the censored/uncensored quadratic split; written
     independently of the sweep's sufficient-statistic algebra on purpose.
     """
+    latent = LatentScores.from_rows(dataset, z)
     split = dataset.split
     aw, ax = model.active_w, model.active_x
     dw = aw.size
@@ -184,8 +96,8 @@ def batched_log_density(
     beta = coords[:, dw:]
     g, phi = sp.gamma, sp.phi
 
-    e_z_cen = z[split.censored_idx][None, :] - theta @ split.W_cen[aw]
-    e_z_unc = z[split.uncensored_idx][None, :] - theta @ split.WX_unc[aw]
+    e_z_cen = latent.z_cen[None, :] - theta @ split.W_cen[aw]
+    e_z_unc = latent.z_unc[None, :] - theta @ split.WX_unc[aw]
     e_y = split.y_unc[None, :] - beta @ split.WX_unc[dataset.p + ax]
 
     quad = np.einsum("ij,ij->i", e_z_cen, e_z_cen)
@@ -212,7 +124,6 @@ def quadrature_conditional_marginal(
     across models at fixed (z, sigma) are directly comparable.
     """
     spec = spec or QuadratureSpec()
-    z = check_sign_consistency(dataset, z)
     d = model.d
     if d > 3:
         raise DimensionError(f"tensor-grid quadrature supports d <= 3, got {d}")
@@ -267,14 +178,13 @@ def conditional_log_marginal_rss(
     result match conditional_log_marginal to floating-point accuracy; no
     sampler code is shared, so it serves as an algebraic cross-check.
     """
-    z = check_sign_consistency(dataset, z)
+    latent = LatentScores.from_rows(dataset, z)
     aw, ax = model.active_w, model.active_x
     dw = aw.size
-    g, phi = sp.gamma, sp.phi
     (a11, a12), (_, a22) = np.linalg.inv(build_sigma(sp))
 
     unc = ~dataset.censored
-    z_cen, z_unc, y_unc = z[~unc], z[unc], dataset.y[unc]
+    z_cen, z_unc, y_unc = latent.z_cen, latent.z_unc, dataset.y[unc]
     W_cen = dataset.W[~unc][:, aw]
     W_unc = dataset.W[unc][:, aw]
     X_unc = dataset.X[unc][:, ax]
@@ -305,45 +215,6 @@ def conditional_log_marginal_rss(
     return 0.5 * (-float(logdet_prec) - float(logdet_Psi0) - rss + data_const)
 
 
-def enumerate_model_posterior(
-    dataset: TobitDataset,
-    z: np.ndarray,
-    sp: SigmaParams,
-    prior: PriorSpec,
-    model_prior: ModelPrior,
-    forced: np.ndarray | None = None,
-) -> dict[tuple[bool, ...], float]:
-    """Exact conditional posterior over every model, keyed by inclusion pattern.
-
-    Walks all combinations of the free bits, scores each with the closed-form
-    conditional marginal plus the log model prior, and normalizes with
-    log-sum-exp.  Probabilities sum to one to within accumulation error.
-    """
-    p, q = dataset.p, dataset.q
-    if p + q > 12:
-        raise DimensionError(f"enumeration supports p + q <= 12, got {p + q}")
-    base = ModelIndicator.null_model(p, q, forced)
-    free = base.free_positions()
-
-    stats = sweep_statistics(model_rows(dataset, base), LatentScores.from_rows(dataset, z), sp)
-    keys, scores = [], []
-    for bits in itertools.product((False, True), repeat=free.size):
-        include = base.include.copy()
-        include[free] = bits
-        model = ModelIndicator(include, base.forced, p)
-        score = conditional_log_marginal(stats, prior, model).log_conditional_marginal
-        if model_prior.kind == "bernoulli":
-            k = sum(bits)
-            score += k * np.log(model_prior.pi) + (free.size - k) * np.log1p(-model_prior.pi)
-        keys.append(model.key())
-        scores.append(score)
-
-    scores = np.asarray(scores)
-    probs = np.exp(scores - logsumexp(scores))
-    probs /= probs.sum()
-    return dict(zip(keys, probs.tolist()))
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator settings; the generator is the model itself.
@@ -364,14 +235,25 @@ class SynthSpec:
     intercepts: bool = False
 
     def __post_init__(self):
-        if self.phi <= 0.0:
-            raise InvalidParameter("phi must be positive")
+        if self.n < 1:
+            raise InvalidParameter(f"n must be at least 1, got {self.n}")
+        for name, width, coef in (("p", self.p, "true_theta"), ("q", self.q, "true_beta")):
+            if width < 0:
+                raise InvalidParameter(f"{name} must be at least 0, got {width}")
+            values = np.asarray(getattr(self, coef), dtype=np.float64)
+            object.__setattr__(self, coef, values)
+            if values.shape != (width,):
+                raise InvalidParameter(f"{coef} must hold {name} = {width} values, got {values.size}")
+            if not np.isfinite(values).all():
+                raise InvalidParameter(f"{coef} must be finite, got {values.tolist()}")
+        if not np.isfinite(self.gamma):
+            raise InvalidParameter(f"gamma must be finite, got {self.gamma}")
+        if not (np.isfinite(self.phi) and self.phi > 0.0):
+            raise InvalidParameter(f"phi must be positive and finite, got {self.phi}")
         if self.covariate_distribution not in ("normal", "uniform"):
             raise InvalidParameter("covariate_distribution must be 'normal' or 'uniform'")
-        object.__setattr__(self, "true_theta", np.asarray(self.true_theta, dtype=np.float64))
-        object.__setattr__(self, "true_beta", np.asarray(self.true_beta, dtype=np.float64))
-        if self.true_theta.shape != (self.p,) or self.true_beta.shape != (self.q,):
-            raise InvalidParameter("true coefficient lengths must match p and q")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameter("seed must fit in an unsigned 64-bit integer")
         if self.intercepts and (self.p < 1 or self.q < 1):
             raise InvalidParameter("intercepts require p >= 1 and q >= 1")
 
@@ -430,73 +312,6 @@ def generate_synthetic(spec: SynthSpec) -> tuple[TobitDataset, SynthTruth]:
         y_star=y_star,
     )
     return dataset, truth
-
-
-def conjugate_regression_moments(
-    y: np.ndarray,
-    X: np.ndarray,
-    beta0: np.ndarray,
-    B0: np.ndarray,
-    s0: float,
-    S0: float,
-    n_nodes: int = 801,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and covariance of the coefficients in y = X b + noise.
-
-    Semi-conjugate reference: conditional on the noise variance the posterior
-    is the textbook normal update, and the variance is integrated out on a
-    log grid against its exact marginal posterior (Gaussian evidence times
-    the inverse-gamma prior).  A wide scan locates the variance mass and a
-    second pass refines the grid there.  Used as the independent target for
-    the uncensored, decoupled reduction of the sweep.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    n, k = X.shape
-    B0_inv = np.linalg.inv(B0)
-    xty = X.T @ y
-    prior_solve = B0_inv @ beta0
-
-    def scan(log_phi):
-        m = log_phi.size
-        log_post = np.empty(m)
-        means = np.empty((m, k))
-        covs = np.empty((m, k, k))
-        for i, phi in enumerate(np.exp(log_phi)):
-            prec = B0_inv + (X.T @ X) / phi
-            cov = np.linalg.inv(prec)
-            means[i] = cov @ (prior_solve + xty / phi)
-            covs[i] = cov
-            # Gaussian evidence at this phi via the marginal N(X b0, phi I + X B0 X').
-            marg_cov = phi * np.eye(n) + X @ B0 @ X.T
-            chol = np.linalg.cholesky(marg_cov)
-            white = solve_triangular(chol, y - X @ beta0, lower=True)
-            log_evidence = -0.5 * (
-                n * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(chol))) + white @ white
-            )
-            # Unnormalized inverse-gamma prior; weights are renormalized.
-            log_prior = -(0.5 * s0 + 1.0) * np.log(phi) - 0.5 * S0 / phi
-            log_post[i] = log_evidence + log_prior + np.log(phi)  # log-grid Jacobian
-        w = np.exp(log_post - logsumexp(log_post))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        w /= w.sum()
-        return w, means, covs
-
-    coef_ls, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ coef_ls
-    like_center = np.log(max(float(resid @ resid) / max(n - k, 1), 1e-12))
-    prior_center = np.log(S0 / s0)
-    wide = np.linspace(min(like_center, prior_center) - 8.0, max(like_center, prior_center) + 8.0, 2001)
-    w, _, _ = scan(wide)
-    center = float(w @ wide)
-    spread = float(np.sqrt(max(w @ (wide - center) ** 2, (wide[1] - wide[0]) ** 2)))
-    fine = np.linspace(center - 10.0 * spread, center + 10.0 * spread, n_nodes)
-    w, means, covs = scan(fine)
-    mean = w @ means
-    second = np.einsum("i,ijk->jk", w, covs + np.einsum("ij,ik->ijk", means, means))
-    cov = second - np.outer(mean, mean)
-    return mean, cov
 
 
 # ---------------------------------------------------------------------------

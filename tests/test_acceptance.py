@@ -15,6 +15,7 @@ from scipy.stats import truncnorm
 
 import tbma.search
 from conftest import consistent_z, latent_scores, make_dataset, null_rows, truncated_normal_draws, unit_prior
+from oracles import conjugate_regression_moments, enumerate_model_posterior
 from tbma.chain import (
     ChainConfig,
     ChainState,
@@ -41,8 +42,6 @@ from tbma.oracle import (
     CBF_RATIO_TOL,
     RSS_FORM_TOL,
     SynthSpec,
-    conjugate_regression_moments,
-    enumerate_model_posterior,
     generate_synthetic,
     run_fixture_suite,
 )

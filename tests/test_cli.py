@@ -425,6 +425,28 @@ class TestErrorPaths:
             "--beta", "1", "--out", tmp_path / "d.csv",
         ) == 2
 
+    SYNTH_FAULTS = [
+        ("--n", "0", "n must be at least 1, got 0"),
+        ("--n", "-5", "n must be at least 1, got -5"),
+        ("--p", "-1", "p must be at least 0, got -1"),
+        ("--q", "-3", "q must be at least 0, got -3"),
+        ("--phi", "nan", "phi must be positive and finite, got nan"),
+        ("--phi", "inf", "phi must be positive and finite, got inf"),
+        ("--gamma", "nan", "gamma must be finite, got nan"),
+        ("--theta", "1,inf", "true_theta must be finite, got [1.0, inf]"),
+        ("--beta", "nan,0", "true_beta must be finite, got [nan, 0.0]"),
+        ("--beta", "1", "true_beta must hold q = 2 values, got 1"),
+        ("--seed", "-1", "seed must fit in an unsigned 64-bit integer"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag,value,message", SYNTH_FAULTS, ids=[f"{f[2:]}={v}" for f, v, _ in SYNTH_FAULTS])
+    def test_degenerate_synth_input_exits_2_naming_the_field(self, tmp_path, capsys, flag, value, message):
+        given = {"--n": "10", "--p": "2", "--q": "2", "--theta": "1,0", "--beta": "1,0", flag: value}
+        assert run_cli("synth", *[part for pair in given.items() for part in pair], "--out", tmp_path / "d.csv") == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestSeedPrecedence:
     def test_env_seed_is_lowest_precedence(self, tmp_path, schema_file, monkeypatch):

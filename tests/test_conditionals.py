@@ -21,6 +21,7 @@ from conftest import (
     uncensored_residuals,
     unit_prior,
 )
+from oracles import latent_conditional_params
 from tbma.conditionals import (
     TAIL_SWITCH,
     PsiPosterior,
@@ -41,7 +42,6 @@ import tbma.conditionals
 import tbma.core
 from tbma.core import LatentScores, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from tbma.errors import InvalidParameter, InvalidState, NumericalError
-from tbma.oracle import latent_conditional_params
 
 
 def posterior_with_covariance(model, mean, cov):
@@ -699,6 +699,7 @@ class TestToggleLogBayesFactor:
                 assert scored.call_count == 1
                 assert delta == expected
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["gram", "lin"])
     def test_non_finite_statistics_name_the_position(self, where, bad):
@@ -715,9 +716,9 @@ class TestToggleLogBayesFactor:
             z_unc[1] = bad
             stats = dataclasses.replace(stats, z_unc=z_unc)
         with pytest.raises(NumericalError, match="non-finite values in the precision bordered at position 3"):
-            with np.errstate(invalid="ignore"):
-                toggle_log_bayes_factor(stats, prior, current, 3)
+            toggle_log_bayes_factor(stats, prior, current, 3)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_positive_pivots_name_the_position(self):
         stats = TestScoringErrors.statistics()
         prior = unit_prior(2, 2)
@@ -731,8 +732,7 @@ class TestToggleLogBayesFactor:
         model = ModelIndicator.null_model(2, 2).with_toggled(2)
         tiny = PsiPosterior(model, np.zeros(1), 0.0, np.array([[1e-200]]))
         with pytest.raises(NumericalError, match="non-finite values in the precision stripped of position 2"):
-            with np.errstate(over="ignore"):
-                toggle_log_bayes_factor(stats, prior, tiny, 2)
+            toggle_log_bayes_factor(stats, prior, tiny, 2)
 
 
 class TestScoringErrors:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from conftest import consistent_z, make_dataset
+from oracles import augmented_design, complete_data_log_density
 from tbma.core import (
     ModelIndicator,
     ModelPrior,
@@ -13,7 +14,7 @@ from tbma.core import (
     TobitDataset,
 )
 from tbma.errors import InvalidParameter, InvalidState
-from tbma.oracle import augmented_design, build_sigma, complete_data_log_density
+from tbma.oracle import build_sigma
 
 finite_gamma = st.floats(-5.0, 5.0, allow_nan=False)
 positive_phi = st.floats(1e-3, 50.0, allow_nan=False)

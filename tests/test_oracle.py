@@ -3,15 +3,14 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from conftest import consistent_z, latent_scores, make_dataset, null_rows, unit_prior
+from oracles import complete_data_log_density, conjugate_regression_moments, enumerate_model_posterior
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams, TobitDataset
-from tbma.errors import DimensionError
+from tbma.errors import DimensionError, InvalidParameter, InvalidState
 from tbma.oracle import (
     QuadratureSpec,
     batched_log_density,
-    complete_data_log_density,
     SynthSpec,
-    conjugate_regression_moments,
-    enumerate_model_posterior,
+    conditional_log_marginal_rss,
     generate_synthetic,
     iter_fixtures,
     quadrature_conditional_marginal,
@@ -93,6 +92,46 @@ class TestQuadrature:
                 )
                 doubled = quadrature_conditional_marginal(fx.dataset, fx.z, model, fx.sp, prior, doubled_spec)
                 assert abs(np.expm1(doubled - base)) < 1e-4, fx.name
+
+
+VALIDATE_ORACLES = {
+    "batched_log_density": lambda ds, z, model, sp, prior: batched_log_density(
+        ds, z, sp, model, np.zeros((1, model.d))
+    ),
+    "quadrature_conditional_marginal": lambda ds, z, model, sp, prior: quadrature_conditional_marginal(
+        ds, z, model, sp, prior, QuadratureSpec(nodes_per_axis=5)
+    ),
+    "conditional_log_marginal_rss": conditional_log_marginal_rss,
+}
+
+
+class TestValidateOraclesSignContract:
+    """The oracles ``tbma validate`` runs take the latent sign contract from
+    ``LatentScores.from_rows``."""
+
+    @staticmethod
+    def call(name, z, ds):
+        model = ModelIndicator(np.array([True, False, False, True]), np.zeros(4, bool), 2)
+        return VALIDATE_ORACLES[name](ds, z, model, SigmaParams(0.4, 1.2), unit_prior(2, 2))
+
+    @pytest.mark.parametrize("fault", ["uncensored-negative", "censored-zero", "censored-nan"])
+    @pytest.mark.parametrize("name", sorted(VALIDATE_ORACLES))
+    def test_sign_break_raises_invalid_state(self, name, fault):
+        ds = make_dataset(n=12, seed=6)
+        z = consistent_z(ds)
+        half = ~ds.censored if fault == "uncensored-negative" else ds.censored
+        row = int(np.flatnonzero(half)[0])
+        z[row] = {"uncensored-negative": -0.5, "censored-zero": 0.0, "censored-nan": np.nan}[fault]
+        with pytest.raises(InvalidState):
+            self.call(name, z, ds)
+
+    @pytest.mark.parametrize("length", [11, 13])
+    @pytest.mark.parametrize("name", sorted(VALIDATE_ORACLES))
+    def test_wrong_length_raises_invalid_parameter(self, name, length):
+        ds = make_dataset(n=12, seed=6)
+        z = np.resize(consistent_z(ds), length)
+        with pytest.raises(InvalidParameter, match="z must have length 12"):
+            self.call(name, z, ds)
 
 
 class TestEnumeration:

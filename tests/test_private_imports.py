@@ -1,13 +1,15 @@
 """The rule that no module imports another module's private helpers: an
-``ast`` scan of every Python file of the package, its tests and its scripts
-for ``from tbma[.<module>] import _name`` (and, inside the package, the
-relative form ``from .<module> import _name``).  Dunder names are exempt."""
+``ast`` scan of every Python file of the package, its tests, its scripts and
+the benchmark harness (``perfbench/``) for ``from tbma[.<module>] import
+_name`` (and, inside the package, the relative form ``from .<module> import
+_name``).  Dunder names are exempt."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(path for folder in ("src/tbma", "tests", "scripts") for path in (ROOT / folder).rglob("*.py"))
+FOLDERS = ("src/tbma", "tests", "scripts", "perfbench")
+SOURCES = sorted(path for folder in FOLDERS for path in (ROOT / folder).rglob("*.py"))
 
 
 def private_imports(source: str):
@@ -24,7 +26,7 @@ def private_imports(source: str):
 
 
 def test_no_module_imports_a_private_tbma_name():
-    assert {path.parent.name for path in SOURCES} >= {"tbma", "tests", "scripts"}
+    assert {path.parent.name for path in SOURCES} >= {"tbma", "tests", "scripts", "perfbench"}
     found = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in SOURCES

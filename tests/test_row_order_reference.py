@@ -4,10 +4,11 @@ The sampler draws the latent scores straight into their row halves
 (``LatentScores``), and the gamma, phi and statistics steps read those
 halves.  This file keeps the row-order form of the same path: the cut
 scattered into row order, one standardized draw over all rows, z scattered
-back into row order and checked with ``check_sign_consistency``, then
-gathered again by each reader.  Both forms make every random draw and every
-per-element floating-point operation in the same order, so a chain must
-match the reference bit for bit, generator state included.
+back into row order, then gathered again by each reader (the statistics
+gather it with ``LatentScores.from_rows``, which checks its signs).  Both
+forms make every random draw and every per-element floating-point
+operation in the same order, so a chain must match the reference bit for
+bit, generator state included.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ from tbma.conditionals import (
     fitted_values,
     model_rows,
 )
-from tbma.core import ModelIndicator, SigmaParams, TobitDataset, check_sign_consistency
+from tbma.core import LatentScores, ModelIndicator, SigmaParams, TobitDataset
 from tbma.search import mc3_step
 
 
@@ -108,7 +109,7 @@ def row_order_phi(dataset, z, fit, gamma, prior):
 
 def row_order_statistics(rows, z, sp):
     dataset = rows.dataset
-    z = check_sign_consistency(dataset, z)
+    latent = LatentScores.from_rows(dataset, z)
     split = dataset.split
     p, pq = dataset.p, dataset.p + dataset.q
     g, phi = sp.gamma, sp.phi
@@ -118,10 +119,8 @@ def row_order_statistics(rows, z, sp):
     gram[:p, p:] = a12 * split.gram_wx_unc
     gram[p:, :p] = gram[:p, p:].T
     gram[p:, p:] = a22 * split.gram_xx_unc
-    z_unc, z_cen = z[split.uncensored_idx], z[split.censored_idx]
-    for values in (gram, z_unc, z_cen):
-        values.setflags(write=False)
-    stats = SweepStatistics(gram, dataset, z_unc, z_cen, a11, a12, a22)
+    gram.setflags(write=False)
+    stats = SweepStatistics(gram, dataset, latent.z_unc, latent.z_cen, a11, a12, a22)
     stats.linear_term(rows.model.active_positions)
     return stats
 

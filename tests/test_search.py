@@ -6,10 +6,11 @@ from scipy.stats import chisquare
 
 import tbma.search
 from conftest import consistent_z, latent_scores, make_dataset, null_rows, unit_prior
+from oracles import enumerate_model_posterior
 from tbma.conditionals import conditional_log_marginal, sweep_statistics
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams
 from tbma.errors import NoMoveAvailable
-from tbma.oracle import conditional_log_marginal_rss, enumerate_model_posterior
+from tbma.oracle import conditional_log_marginal_rss
 from tbma.search import mc3_step, propose_position
 
 
