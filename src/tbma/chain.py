@@ -215,14 +215,23 @@ class ChainState:
         cls, dataset: TobitDataset, model: ModelIndicator, psi: np.ndarray, sigma: SigmaParams
     ) -> "ChainState":
         """The state at (``model``, ``psi``, ``sigma``) on ``dataset``, with
-        ``psi`` the model's d active coefficients; ``psi`` is copied."""
+        ``psi`` the model's d active coefficients, all finite; ``psi`` is
+        copied."""
         if (model.p, model.q) != (dataset.p, dataset.q):
             raise InvalidParameter(
                 f"model has (p, q) = ({model.p}, {model.q}), dataset ({dataset.p}, {dataset.q})"
             )
         psi = np.array(psi, dtype=np.float64)
         psi.setflags(write=False)
-        return cls(model, psi, sigma, model_rows(dataset, model))
+        state = cls(model, psi, sigma, model_rows(dataset, model))
+        bad = np.flatnonzero(~np.isfinite(psi))
+        if bad.size:
+            position = int(model.active_positions[bad[0]])
+            name = (dataset.column_names_w + dataset.column_names_x)[position]
+            raise InvalidParameter(
+                f"start coefficient of {name} (stacked position {position}) is not finite: {psi[bad[0]]}"
+            )
+        return state
 
 
 def sweep(

@@ -20,8 +20,10 @@ coefficients, and every other coefficient is zero.
 The latent draw and its readers work on the two row halves of
 ``dataset.split`` and never form the scores in row order.
 ``sample_latent`` returns ``LatentScores`` (``tbma.core``), whose
-constructor owns the sign contract; only the uniforms are drawn in row
-order, and each half gathers its own.  The gamma and phi conditionals read
+constructor owns the sign contract.  Every sweep draws exactly n uniforms
+in row order, one per row, and each half gathers its own and turns each
+into a truncated-normal quantile; a row whose cut lies deep in the tail
+takes the same quantile in log space.  The gamma and phi conditionals read
 the uncensored residual pair, and ``sweep_statistics`` reads both halves.
 
 The coefficient conditional has two parts.  ``sweep_statistics`` does the
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .core import (
     LatentScores,
@@ -85,8 +87,10 @@ __all__ = [
     "draw_phi",
 ]
 
-# Standardized truncation point beyond which the inverse CDF is replaced by
-# an exponential-proposal rejection sampler.
+# Standardized cut beyond which a row's truncated-normal quantile is formed in
+# log space (``_negated_draw``).  The plain form's survival mass ndtr(-cut)
+# turns subnormal near a cut of 37.5 and underflows to 0 past 38.5; the log
+# form stays finite to cuts of about 1e154.
 TAIL_SWITCH = 5.0
 
 # The largest censored latent score: the negated smallest normal double.
@@ -202,28 +206,6 @@ class PhiPosterior:
     S1: float
 
 
-def _tail_rejection(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Standard normal conditioned on u >= a for a deep in the right tail.
-
-    Shifted-exponential proposal with rate (a + sqrt(a^2 + 4)) / 2 and
-    acceptance exp(-(x - rate)^2 / 2); vectorized rejection loop.  The rate
-    is computed in a form whose limit is exact for huge cuts, so the loop
-    terminates for arbitrarily extreme inputs (callers guarantee a > 0).
-    """
-    with np.errstate(over="ignore"):  # a*a -> inf collapses the correction to 0
-        lam = 0.5 * a * (1.0 + np.sqrt(1.0 + 4.0 / (a * a)))
-    out = np.empty_like(a)
-    todo = np.ones(a.shape, dtype=bool)
-    while np.any(todo):
-        idx = np.flatnonzero(todo)
-        x = a[idx] + rng.exponential(size=idx.size) / lam[idx]
-        accept = rng.uniform(size=idx.size) < np.exp(-0.5 * (x - lam[idx]) ** 2)
-        hit = idx[accept]
-        out[hit] = x[accept]
-        todo[hit] = False
-    return out
-
-
 def _survival_quantile(neg_cut: np.ndarray, uniform: np.ndarray) -> np.ndarray:
     """ndtri((1 - U) ndtr(-cut)) elementwise from ``neg_cut`` = -cut and the
     uniforms U: the negated inverse-CDF draw of u ~ N(0, 1) conditioned on
@@ -239,27 +221,32 @@ def _survival_quantile(neg_cut: np.ndarray, uniform: np.ndarray) -> np.ndarray:
     return ndtri(uniform, out=uniform)
 
 
-def _all_at_least(values: np.ndarray, bound: float) -> bool:
-    """Whether every entry of ``values`` is at least ``bound``; False when
-    one is NaN.  One reduction, with no boolean temporary."""
-    return not values.size or bool(values.min() >= bound)
+def _negated_draw(neg_cut: np.ndarray, uniform: np.ndarray, half: str) -> np.ndarray:
+    """v = -u for u ~ N(0, 1) conditioned on u >= cut, elementwise over one
+    row half, from ``neg_cut`` = -cut and one uniform U per row.  Works in
+    place: may overwrite both arguments, and returns ``uniform``.
 
-
-def _std_trunc_lower(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draws of u ~ N(0, 1) conditioned on u >= a, elementwise, in row order.
-
-    Rows with a <= ``TAIL_SWITCH`` take the survival-form inverse CDF, with
-    one uniform per such row in row order; the rest take the tail rejection
-    sampler afterwards.
+    Rows with cut <= ``TAIL_SWITCH`` take ``_survival_quantile``.  The rest
+    take the same quantile in log space, ndtri_exp(log1p(-U) + log_ndtr(-cut)).
+    Only a half whose smallest -cut fails the switch builds the tail mask.
+    Raises NumericalError naming ``half`` on a cut that is not finite, or so
+    deep (past about 1e154) that its log tail mass overflows.
     """
-    easy = a <= TAIL_SWITCH
-    out = np.empty_like(a)
-    if np.any(easy):
-        tail = np.negative(a[easy])
-        out[easy] = np.negative(_survival_quantile(tail, rng.random(tail.size)))
-    hard = ~easy
-    out[hard] = _tail_rejection(a[hard], rng)
-    return out
+    if not neg_cut.size:
+        return uniform
+    low, high = neg_cut.min(), neg_cut.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise NumericalError(f"non-finite latent cut in the {half} rows")
+    if low >= -TAIL_SWITCH:
+        return _survival_quantile(neg_cut, uniform)
+    tail = neg_cut < -TAIL_SWITCH
+    body = ~tail
+    uniform[body] = _survival_quantile(neg_cut[body], uniform[body])
+    v = ndtri_exp(np.log1p(-uniform[tail]) + log_ndtr(neg_cut[tail]))
+    if not math.isfinite(v.min()):
+        raise NumericalError(f"latent cut {-low:.6g} in the {half} rows is too deep in the tail to draw")
+    uniform[tail] = v
+    return uniform
 
 
 def model_rows(dataset: TobitDataset, model: ModelIndicator) -> ModelRows:
@@ -302,36 +289,24 @@ def sample_latent(
     uncensored row's is N(mu, c^2) restricted to [0, inf), with
     mu = W theta + gamma / (phi + gamma^2) (y - X beta) and
     c^2 = phi / (phi + gamma^2), one scale for the whole half.  Both halves
-    share one standardized draw u >= cut over all rows in row order: the
-    cut is W theta on censored rows, whose score is the mirror image
-    W theta - u, and -mu / c on uncensored rows, whose score is mu + c u.
+    share one standardized draw u >= cut over all rows: the cut is W theta
+    on censored rows, whose score is the mirror image W theta - u, and
+    -mu / c on uncensored rows, whose score is mu + c u.
 
-    When no cut lies past ``TAIL_SWITCH``, u is the inverse-CDF draw from n
-    uniforms taken in row order; each half gathers its own uniforms once and
-    forms its cut, transform and clamp in place.  Otherwise the draw runs in
-    row order (``_std_trunc_lower``), so that the tail sampler's draws keep
-    row order too, and is split into halves afterwards.
+    u is the inverse-CDF draw from exactly n uniforms taken in row order,
+    whatever the cuts; each half gathers its own uniforms once and forms its
+    cut, transform and clamp in place (``_negated_draw``).  A NaN or
+    infinite cut raises NumericalError naming its half.
     """
     split = dataset.split
-    unc, cen = split.uncensored_idx, split.censored_idx
     g, phi = sp.gamma, sp.phi
     denom = phi + g * g
     mu_unc = fit.sel_unc + (g / denom) * fit.resid_unc
     c = np.sqrt(phi / denom)
+    uniform = rng.random(dataset.n)
     # -cut on each half: mu / c equals -(-mu / c) bit for bit.
-    neg_cut_unc = mu_unc / c
-    neg_cut_cen = np.negative(fit.sel_cen)
-    # A NaN minimum fails the test, so NaN takes the row-order path.
-    if _all_at_least(neg_cut_unc, -TAIL_SWITCH) and _all_at_least(neg_cut_cen, -TAIL_SWITCH):
-        uniform = rng.random(dataset.n)
-        v_unc = _survival_quantile(neg_cut_unc, np.take(uniform, unc))
-        v_cen = _survival_quantile(neg_cut_cen, np.take(uniform, cen))
-    else:
-        cut = np.empty(dataset.n)
-        cut[cen] = fit.sel_cen
-        cut[unc] = -mu_unc / c
-        v = np.negative(_std_trunc_lower(cut, rng))
-        v_unc, v_cen = v[unc], v[cen]
+    v_unc = _negated_draw(mu_unc / c, np.take(uniform, split.uncensored_idx), "uncensored")
+    v_cen = _negated_draw(np.negative(fit.sel_cen), np.take(uniform, split.censored_idx), "censored")
     # With v = -u, mu - c v and W theta + v are mu + c u and W theta - u bit
     # for bit.  Rounding at the boundary must never break the sign contract.
     z_unc = np.subtract(mu_unc, np.multiply(v_unc, c, out=v_unc), out=v_unc)

@@ -1,4 +1,9 @@
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from tbma.chain import (
 )
 from tbma.conditionals import model_rows
 from tbma.core import ModelIndicator, PriorSpec, SigmaParams
-from tbma.errors import EmptyChain, InvalidParameter
+from tbma.errors import EmptyChain, InvalidParameter, NumericalError
 
 
 def toy_output(models, psis=None, accepted=None, burnin=None, names_w=("w0",), names_x=("x0",)):
@@ -374,6 +379,69 @@ class TestSweep:
             ChainState(model.with_toggled(1), state.psi, unit, state.rows)
         with pytest.raises(InvalidParameter, match=r"coefficients have shape \(2,\), the model has d = 3"):
             ChainState(model.with_toggled(1), state.psi, unit, model_rows(self.ds, model.with_toggled(1)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_start_rejects_a_non_finite_coefficient(self, value):
+        model = ModelIndicator(np.array([True, False, True, False]), np.zeros(4, bool), 2)
+        with pytest.raises(InvalidParameter, match=r"coefficient of x0 \(stacked position 2\) is not finite"):
+            ChainState.start(self.ds, model, [0.4, value], SigmaParams(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        ("value", "cause"),
+        [
+            (np.nan, "non-finite latent cut in the (un)?censored rows"),
+            (np.inf, "non-finite latent cut in the (un)?censored rows"),
+            (1e308, "non-finite latent cut in the (un)?censored rows"),
+            (1e200, r"latent cut .* in the (un)?censored rows is too deep in the tail to draw"),
+        ],
+        ids=["nan", "inf", "1e308", "1e200"],
+    )
+    def test_a_coefficient_that_overflows_the_cut_raises_in_the_latent_draw(self, value, cause):
+        # Built without ``start``, which rejects a non-finite coefficient.
+        full = ModelIndicator.full_model(2, 2)
+        state = ChainState(full, np.array([value, 0.2, 0.3, 0.4]), SigmaParams(0.3, 1.0), model_rows(self.ds, full))
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match=cause):
+            sweep(state, self.prior, 1, np.random.default_rng(0))
+
+    def test_run_chain_names_the_chain_and_sweep_of_a_non_finite_cut(self):
+        # A prior-draw start at a selection prior mean of 1e308 overflows W theta.
+        prior = unit_prior(2, 2, theta0=np.array([1e308, 0.0]))
+        config = ChainConfig(iterations=5, burn_in=1, seed=1, chains=1, init="prior-draw")
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match=r"chain 2 aborted at sweep 0: non-finite latent cut in the (un)?censored rows"
+        ):
+            run_chain(self.ds, prior, config, chain_id=2)
+
+    @pytest.mark.parametrize(
+        ("value", "error"),
+        [
+            ("nan", r"InvalidParameter: start coefficient of w0 \(stacked position 0\) is not finite: nan"),
+            ("1e308", r"NumericalError: non-finite latent cut in the (un)?censored rows"),
+        ],
+        ids=["nan", "1e308"],
+    )
+    def test_a_non_finite_start_or_cut_fails_instead_of_hanging(self, value, error):
+        # A NaN or overflowing cut once sent the tail sampler into a loop that
+        # never ended, so the start and its sweep run in a child process
+        # under a timeout.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from conftest import make_dataset, unit_prior\n"
+            "from tbma.chain import ChainState, sweep\n"
+            "from tbma.core import ModelIndicator, SigmaParams\n"
+            "ds = make_dataset(n=30, seed=1)\n"
+            "psi = [float(sys.argv[1]), 0.2, 0.3, 0.4]\n"
+            "state = ChainState.start(ds, ModelIndicator.full_model(2, 2), psi, SigmaParams(0.3, 1.0))\n"
+            "sweep(state, unit_prior(2, 2, G0=0.5), 1, np.random.default_rng(0))\n"
+        )
+        path = os.pathsep.join([str(Path(tbma.__file__).parent.parent), str(Path(__file__).parent)])
+        done = subprocess.run(
+            [sys.executable, "-c", script, value], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 1
+        assert re.search(error, done.stderr.strip().splitlines()[-1]), done.stderr
 
     def test_sweep_rejects_a_prior_of_another_split_and_negative_moves(self):
         # A (3, 1) prior has the stacked length of the (2, 2) data, so only

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import ndtr, ndtri
-from scipy.stats import truncnorm
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.stats import kstest, truncnorm
 
 from conftest import (
     consistent_z,
@@ -42,6 +42,10 @@ import tbma.conditionals
 import tbma.core
 from tbma.core import LatentScores, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from tbma.errors import InvalidParameter, InvalidState, NumericalError
+
+
+# Standardized cuts past ``TAIL_SWITCH``, the first one just past it.
+TAIL_CUTS = [float(np.nextafter(TAIL_SWITCH, np.inf)), 8.0, 40.0, 1e3, 1e6]
 
 
 def posterior_with_covariance(model, mean, cov):
@@ -93,13 +97,43 @@ class TestTruncatedNormal:
         assert abs(draws.mean() - ref.mean()) < 4.0 * ref.std() / np.sqrt(n)
         assert abs(draws.var(ddof=1) - ref.var()) < 0.02 * ref.var()
 
-    def test_deep_tail_uses_rejection_correctly(self):
-        # Cut 7 sd into the tail; compare the conditional mean with scipy.
+    def test_deep_tail_log_space_quantile_matches_scipy_mean(self):
+        # Cut 7 sd into the tail, past the switch to the log-space quantile;
+        # compare the conditional mean with scipy.
         rng = np.random.default_rng(41)
         draws = truncated_normal_draws(-7.0, 200_000, False, rng)
         ref = truncnorm(a=7.0, b=np.inf, loc=-7.0, scale=1.0)
         assert np.all(draws >= 0.0)
         assert abs(draws.mean() - ref.mean()) < 5.0 * ref.std() / np.sqrt(draws.size)
+
+    @pytest.mark.parametrize("cut", TAIL_CUTS)
+    def test_tail_draws_follow_the_exact_truncated_cdf(self, cut):
+        # At mean -cut the uncensored scores are z = u - cut for the
+        # standardized draw u >= cut, exactly (u < 2 cut, so the difference
+        # is exact), and u = z + cut.  The exact CDF of u is
+        # 1 - P(u >= x) / P(u >= cut), formed in log space; scipy's truncnorm
+        # is not the reference, as its mean is off at 1e6.
+        assert cut > TAIL_SWITCH
+        rng = np.random.default_rng(23)
+        u = truncated_normal_draws(-cut, 4000, False, rng) + cut
+        result = kstest(u, lambda x: -np.expm1(log_ndtr(-x) - log_ndtr(-cut)))
+        assert result.pvalue > 1e-3
+
+    @pytest.mark.parametrize("cut", TAIL_CUTS[:-1])
+    @pytest.mark.parametrize("negative", [True, False])
+    def test_no_tail_draw_falls_below_its_cut(self, cut, negative):
+        # With the cut as the mean of a censored row (or its negation as that
+        # of an uncensored one), the score is cut - u (u - cut) exactly.  A
+        # draw below its cut would leave the sign clamp's boundary value,
+        # -tiny (0); a draw that rounds to the cut itself has probability
+        # about cut * ulp(cut) per draw, below 1e-10 up to a cut of 1e3, so
+        # the largest cut of ``TAIL_CUTS`` is left to the KS test.
+        rng = np.random.default_rng(29)
+        draws = truncated_normal_draws(cut if negative else -cut, 20_000, negative, rng)
+        if negative:
+            assert np.all(draws < -np.finfo(np.float64).tiny)
+        else:
+            assert np.all(draws > 0.0)
 
 
 class TestLatentConditional:
@@ -136,9 +170,10 @@ class TestLatentConditional:
 
 def reference_latent(dataset, fit, sp, rng):
     """The latent draw in its per-row form: a mean and an sd for every row,
-    mirrored by the censoring side, then inverse-CDF draws in row order for
-    cuts up to ``TAIL_SWITCH`` and exponential-proposal rejection for the
-    rest.  Takes the design products from ``fit``, as ``sample_latent`` does."""
+    mirrored by the censoring side, then one uniform per row in row order,
+    turned into the inverse-CDF draw for cuts up to ``TAIL_SWITCH`` and into
+    the same quantile in log space for the rest.  Takes the design products
+    from ``fit``, as ``sample_latent`` does."""
     mu = np.empty(dataset.n)
     mu[dataset.censored] = fit.sel_cen
     sd = np.ones(dataset.n)
@@ -151,25 +186,12 @@ def reference_latent(dataset, fit, sp, rng):
         sd[unc] = np.sqrt(phi / denom)
     negative = dataset.censored
     a = np.where(negative, mu, -mu) / sd
+    uniform = rng.uniform(size=dataset.n)
     u = np.empty_like(a)
     easy = a <= TAIL_SWITCH
-    if np.any(easy):
-        tail_mass = ndtr(-a[easy])
-        uniform = 1.0 - rng.uniform(size=int(np.count_nonzero(easy)))
-        u[easy] = -ndtri(uniform * tail_mass)
+    u[easy] = -ndtri((1.0 - uniform[easy]) * ndtr(-a[easy]))
     hard = ~easy
-    if np.any(hard):
-        cut = a[hard]
-        lam = 0.5 * cut * (1.0 + np.sqrt(1.0 + 4.0 / (cut * cut)))
-        tail = np.empty_like(cut)
-        todo = np.ones(cut.shape, dtype=bool)
-        while np.any(todo):
-            idx = np.flatnonzero(todo)
-            x = cut[idx] + rng.exponential(size=idx.size) / lam[idx]
-            accept = rng.uniform(size=idx.size) < np.exp(-0.5 * (x - lam[idx]) ** 2)
-            tail[idx[accept]] = x[accept]
-            todo[idx[accept]] = False
-        u[hard] = tail
+    u[hard] = -ndtri_exp(np.log1p(-uniform[hard]) + log_ndtr(-a[hard]))
     x = np.where(negative, mu - sd * u, mu + sd * u)
     tiny = np.finfo(np.float64).tiny
     return np.where(negative, np.minimum(x, -tiny), np.maximum(x, 0.0))
@@ -266,6 +288,37 @@ class TestSampleLatent:
         latent = sample_latent(ds, fit, sp, rng)
         assert_halves_equal(ds, latent, reference_latent(ds, fit, sp, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # Tail rows take one uniform each, like every other row.
+        alone = np.random.default_rng(3)
+        alone.random(ds.n)
+        assert rng.bit_generator.state == alone.bit_generator.state
+
+    @staticmethod
+    def fit_with_selection_value(ds, half, value):
+        """Fitted values of ``ds`` at fixed coefficients, with one of
+        ``half``'s selection products W theta set to ``value``."""
+        fit = full_fit(ds, np.array([0.4, -0.3, 0.2, 0.1]))
+        field = {"uncensored": "sel_unc", "censored": "sel_cen"}[half]
+        sel = getattr(fit, field).copy()
+        sel[1] = value
+        return dataclasses.replace(fit, **{field: sel})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("half", ["uncensored", "censored"])
+    def test_a_non_finite_cut_names_its_half(self, half, value):
+        ds = make_dataset(n=30, seed=3)
+        fit = self.fit_with_selection_value(ds, half, value)
+        with pytest.raises(NumericalError, match=f"non-finite latent cut in the {half} rows"):
+            sample_latent(ds, fit, SigmaParams(0.5, 1.0), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("half", ["uncensored", "censored"])
+    def test_a_cut_too_deep_to_draw_names_its_half(self, half):
+        # The cut is W theta on a censored row and -W theta on an uncensored
+        # one at gamma = 0; past about 1e154, log_ndtr(-cut) overflows to -inf.
+        ds = make_dataset(n=30, seed=3)
+        fit = self.fit_with_selection_value(ds, half, 1e200 if half == "censored" else -1e200)
+        with pytest.raises(NumericalError, match=rf"latent cut 1e\+200 in the {half} rows is too deep"):
+            sample_latent(ds, fit, SigmaParams(0.0, 1.0), np.random.default_rng(0))
 
     @settings(max_examples=100, deadline=None)
     @given(
