@@ -16,9 +16,8 @@ residual pair that the gamma and phi draws share is formed once.  A sweep
 gathers the row block again only when its moves changed the retained
 model.  Before the moves, the sweep builds the coefficient conditional's
 data statistics once and scores its starting model once.  Each move scores
-its toggle from the retained model's precision factor, scores the new model
-only when it accepts, and passes the retained model's posterior on to the
-next move and to the coefficient draw (``tbma.search``).
+its toggle once and passes the retained model's posterior on to the next
+move and to the coefficient draw (``tbma.search``).
 
 ``run_chain`` builds the initial state, loops over ``sweep`` with every
 OpenBLAS pool on one thread (see ``tbma.blas``), and stores the records.

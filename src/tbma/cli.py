@@ -14,7 +14,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import io as io_mod
-from .core import ModelPrior, PriorSpec
+from .core import ModelPrior, PriorSpec, TobitDataset
 from .errors import InvalidParameter, ParseError, SchemaError, TbmaError
 from .oracle import SynthSpec, generate_synthetic, run_fixture_suite
 
@@ -209,6 +209,30 @@ def _scale_warnings(loaded: io_mod.LoadedData, prior: PriorSpec) -> list[str]:
     return lines
 
 
+def _separation_warnings(dataset: TobitDataset) -> list[str]:
+    """One line per non-constant selection column that separates the
+    censored from the uncensored rows by itself: its values on the censored
+    rows all lie on one side of its values on the uncensored rows, ties
+    allowed.  Data augmentation mixes very slowly on such data (no maximum
+    likelihood estimate exists), and a run would otherwise say nothing.
+    Skipped when either row half is empty.
+    """
+    split = dataset.split
+    if not split.uncensored_idx.size or not split.censored_idx.size:
+        return []
+    unc, cen = split.WX_unc[: dataset.p], split.W_cen
+    unc_low, unc_high = unc.min(axis=1), unc.max(axis=1)
+    cen_low, cen_high = cen.min(axis=1), cen.max(axis=1)
+    constant = np.minimum(unc_low, cen_low) == np.maximum(unc_high, cen_high)
+    separating = ((cen_high <= unc_low) | (unc_high <= cen_low)) & ~constant
+    return [
+        f"warning: selection covariate {dataset.column_names_w[j]!r} separates the censored from the "
+        "uncensored rows by itself, so the sampler mixes very slowly and its answer may not be trusted; "
+        "drop or merge the column, or set a tighter Theta0_scale in the prior config"
+        for j in np.flatnonzero(separating)
+    ]
+
+
 def _cmd_run(args) -> int:
     config_raw = _read_config(args.config, _RUN_KEYS) if args.config else {}
     defaults = dict(_RUN_DEFAULTS, seed=_seed_default())
@@ -236,6 +260,8 @@ def _cmd_run(args) -> int:
     if not schema.standardize:
         for line in _scale_warnings(loaded, prior):
             print(line, file=sys.stderr)
+    for line in _separation_warnings(dataset):
+        print(line, file=sys.stderr)
 
     out_dir = Path(args.out_dir)
     if loaded.standardization is not None:

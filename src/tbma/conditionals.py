@@ -36,16 +36,16 @@ gets its entry the first time a score reads it.
 ``conditional_log_marginal`` scores one model from them by indexing its
 active rows and columns, adding the restricted prior and factoring once,
 with LAPACK's Cholesky routines called directly.  The prior block depends
-only on the model, so it is restricted and inverted once per model, kept in
-a bounded cache on the prior (``PriorSpec.restricted``).
+only on the model; the prior keeps the restricted and inverted block of the
+last model scored (``PriorSpec.restricted``).
 
-The model move compares a scored model with the model one bit away.
-``toggle_log_bayes_factor`` gives that log conditional Bayes factor from
-the scored model's precision factor and posterior mean: with a diagonal
-prior, the toggled model's precision is the current one bordered by, or
-stripped of, one row and column, so the factor costs one triangular solve
-and no factorisation.  A prior that is not diagonal scores the toggled
-model with ``conditional_log_marginal`` instead.
+The model move compares a scored model with the model one bit away.  With
+a diagonal prior, ``toggle_log_bayes_factor`` gives that log conditional
+Bayes factor from the scored model's precision factor and posterior mean:
+the toggled model's precision is the current one bordered by, or stripped
+of, one row and column, so the factor costs one triangular solve and no
+factorisation.  With any other prior the move scores the toggled model with
+``conditional_log_marginal`` (``tbma.search``).
 """
 
 from __future__ import annotations
@@ -265,15 +265,17 @@ def fitted_values(rows: ModelRows, psi: np.ndarray) -> FittedValues:
     covariates in ``active_positions`` order, with the design that the
     latent, gamma and phi conditionals share, formed once per sweep;
     read-only, so every reader sees the same values.  Each product sums d
-    terms per data row.
+    terms per data row.  A product that overflows is left infinite or NaN
+    without a warning: the latent draw raises NumericalError on its cut.
     """
     dw = rows.dw
     theta = psi[:dw]
-    fit = FittedValues(
-        sel_unc=theta @ rows.wx_unc[:dw],
-        sel_cen=theta @ rows.w_cen,
-        resid_unc=rows.dataset.split.y_unc - psi[dw:] @ rows.wx_unc[dw:],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = FittedValues(
+            sel_unc=theta @ rows.wx_unc[:dw],
+            sel_cen=theta @ rows.w_cen,
+            resid_unc=rows.dataset.split.y_unc - psi[dw:] @ rows.wx_unc[dw:],
+        )
     for values in (fit.sel_unc, fit.sel_cen, fit.resid_unc):
         values.setflags(write=False)
     return fit
@@ -366,9 +368,9 @@ def conditional_log_marginal(
     on the active subspace, all determinants via Cholesky log-determinants.
     The dropped constant depends only on (z, y, sigma), so differences across
     models are exact log conditional Bayes factors.  The prior block is
-    restricted and inverted once per model, kept in a bounded cache on the
-    prior (``PriorSpec.restricted``): the inverse of a restricted covariance
-    is not the restriction of the full prior precision.
+    restricted and then inverted (``PriorSpec.restricted``): the inverse of
+    a restricted covariance is not the restriction of the full prior
+    precision.
     """
     if model.d == 0:
         return PsiPosterior(model, np.zeros(0), 0.0, np.zeros((0, 0)))
@@ -409,11 +411,11 @@ def toggle_log_bayes_factor(
 ) -> float:
     """log conditional Bayes factor of ``current.model`` with the bit at
     stacked ``position`` toggled, against ``current.model``, at the latent
-    scores and covariance ``stats`` was built from.
+    scores and covariance ``stats`` was built from, under a diagonal prior.
 
-    With a diagonal prior, the toggled model's precision is the current one
-    bordered by, or stripped of, one row and column, so the factor follows
-    from the current model's precision factor L and posterior mean psi1
+    The toggled model's precision is the current one bordered by, or
+    stripped of, one row and column, so the factor follows from the current
+    model's precision factor L and posterior mean psi1
     (G. H. Golub and C. F. Van Loan, *Matrix Computations*, sec. 6.5), with
     v and m the prior variance and mean at ``position``:
 
@@ -424,13 +426,12 @@ def toggle_log_bayes_factor(
       (-log D + log v + m^2/v - psi1_k^2/D) / 2.
 
     It agrees with the difference of the two models' ``conditional_log_marginal``
-    values to rounding.  A prior that is not diagonal scores the toggled
-    model with ``conditional_log_marginal`` instead.
+    values to rounding.  Raises InvalidParameter for a prior that is not
+    diagonal, whose toggled precision is not a bordered one.
     """
-    model = current.model
     if not prior.is_diagonal:
-        toggled = conditional_log_marginal(stats, prior, model.with_toggled(position))
-        return toggled.log_conditional_marginal - current.log_conditional_marginal
+        raise InvalidParameter("a toggle is scored from the current factor only under a diagonal prior")
+    model = current.model
     v, m = float(prior.variances[position]), float(prior.psi0[position])
     chol, active = current.chol, model.active_positions
     if model.include[position]:

@@ -174,8 +174,9 @@ class TobitDataset:
     @cached_property
     def fingerprint(self) -> str:
         h = hashlib.sha256()
+        # Each contiguous array's own buffer: the bytes of ``tobytes()``, uncopied.
         for part in (self.W, self.X, self.y, self.censored):
-            h.update(np.ascontiguousarray(part).tobytes())
+            h.update(np.ascontiguousarray(part))
         h.update("|".join(self.column_names_w).encode())
         h.update(b"::")
         h.update("|".join(self.column_names_x).encode())
@@ -337,17 +338,6 @@ class RestrictedPrior:
     quad: float
 
 
-# Bytes of restricted prior precisions (d^2 * 8 for a model of size d) that a
-# PriorSpec keeps.  Since a rejected toggle is scored from the retained
-# factor, only the starting and the accepted models are looked up: an
-# 800-sweep chain at the paper's shape near d = 8 made 814 lookups of 11
-# models (peak 4 080 B), a 1 500-sweep chain on 6 + 6 covariates with 4 moves
-# per sweep 1 543 lookups of 12 models (3 080 B).  A 100-sweep chain started
-# at the full paper model made 113 lookups of 14 models near d = 100, and
-# only there does the budget drop models (peak 1 008 392 B).
-PRIOR_CACHE_BYTES = 1 << 20
-
-
 @dataclass(frozen=True, eq=False)
 class PriorSpec:
     """Coefficient and covariance priors, plus the prior over the model space.
@@ -356,8 +346,7 @@ class PriorSpec:
     the per-equation blocks; phi carries an inverse-gamma prior with density
     proportional to x**(-s0/2 - 1) * exp(-S0 / (2 x)).
 
-    ``restricted`` keeps the prior terms of the models it was last asked
-    for while their precisions take at most ``PRIOR_CACHE_BYTES``.
+    ``restricted`` keeps the prior terms of the last model it was asked for.
     """
 
     theta0: np.ndarray
@@ -369,8 +358,7 @@ class PriorSpec:
     s0: float
     S0: float
     model_prior: ModelPrior = field(default_factory=ModelPrior)
-    _restricted: dict[bytes, RestrictedPrior] = field(init=False, repr=False, default_factory=dict)
-    _restricted_nbytes: int = field(init=False, repr=False, default=0)
+    _restricted: tuple[bytes, RestrictedPrior] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "theta0", _frozen_array(np.atleast_1d(self.theta0), np.float64))
@@ -420,26 +408,22 @@ class PriorSpec:
 
     def restricted(self, model: ModelIndicator) -> RestrictedPrior:
         """The prior terms on ``model``'s active subspace (at least one
-        covariate), formed from ``restrict`` once and then kept.  The least
-        recently used models' terms are dropped while the kept precisions
-        take more than ``PRIOR_CACHE_BYTES``; the newest entry always stays."""
+        covariate), formed from ``restrict``.  The last model's terms are
+        kept: with a diagonal prior a sweep looks up only its starting model
+        and each accepted proposal, and the starting model is the one looked
+        up last."""
         key = model.include.tobytes()
-        cache = self._restricted
-        terms = cache.pop(key, None)
-        if terms is None:
-            terms = _restricted_terms(*self.restrict(model))
-            held = self._restricted_nbytes + terms.precision.nbytes
-            while cache and held > PRIOR_CACHE_BYTES:
-                held -= cache.pop(next(iter(cache))).precision.nbytes
-            object.__setattr__(self, "_restricted_nbytes", held)
-        cache[key] = terms
-        return terms
+        slot = self._restricted
+        if slot is None or slot[0] != key:
+            slot = (key, _restricted_terms(*self.restrict(model)))
+            object.__setattr__(self, "_restricted", slot)
+        return slot[1]
 
     @cached_property
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         for part in (self.theta0, self.Theta0, self.beta0, self.B0):
-            h.update(np.ascontiguousarray(part).tobytes())
+            h.update(np.ascontiguousarray(part))
         h.update(repr((self.gamma0, self.G0, self.s0, self.S0, self.model_prior)).encode())
         return h.hexdigest()
 

@@ -290,12 +290,14 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
 
 def _design(table: np.ndarray, columns: list[int], intercept: bool) -> np.ndarray:
     """A design matrix: a column of ones when ``intercept`` is set, then the
-    ``columns`` of ``table``, each copied straight into the result."""
+    ``columns`` of ``table``, gathered straight into the result in one pass."""
     out = np.empty((table.shape[0], intercept + len(columns)))
+    # Into the whole result, contiguous, and with in-range indices, the gather
+    # is not buffered: the intercept's slot takes table column 0 until the
+    # ones overwrite it.  ("raise" would buffer the output.)
+    np.take(table, [0] * intercept + columns, axis=1, out=out, mode="clip")
     if intercept:
         out[:, 0] = 1.0
-    for k, c in enumerate(columns, start=int(intercept)):
-        out[:, k] = table[:, c]
     return out
 
 

@@ -184,45 +184,63 @@ class TestStandardization:
         assert not (out_dir / "standardization.csv").exists()
 
 
+@pytest.fixture
+def readme_data(tmp_path):
+    """The README example's data: n = 2000 rows, 6 + 6 columns."""
+    data = tmp_path / "data.csv"
+    run_cli("synth", "--n", 2000, "--p", 6, "--q", 6, "--theta", "0.8,-0.7,0.6,0,0,0",
+            "--beta", "1.0,-0.8,0.5,0,0,0", "--gamma", 0.5, "--phi", 1.0, "--seed", 1, "--out", data)
+    return data
+
+
+def edited_copy(data, out, edit):
+    """A copy of the CSV ``data`` at ``out``, after ``edit(header, rows)``
+    changed its cells in place."""
+    with data.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    edit(header, rows)
+    with out.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return out
+
+
+def scaled_copy(data, out, column, factor):
+    """A copy of the CSV ``data`` at ``out`` with ``column`` multiplied by ``factor``."""
+    def edit(header, rows):
+        at = header.index(column)
+        for row in rows:
+            row[at] = repr(float(row[at]) * factor)
+    return edited_copy(data, out, edit)
+
+
+def run_short(tmp_path, data, schema, capsys, tag):
+    """What a 10-sweep, one-chain ``tbma run`` printed; it must exit 0."""
+    capsys.readouterr()
+    code = run_cli("run", "--data", data, "--schema", schema, "--iterations", 10, "--burn-in", 2,
+                   "--chains", 1, "--out-dir", tmp_path / tag)
+    assert code == 0
+    return capsys.readouterr()
+
+
+def readme_schema(tmp_path, standardize=False, tag="readme"):
+    return write(tmp_path / f"schema-{tag}.cfg", [
+        "response = y", "censored = censored", "selection = " + ", ".join(f"w{j}" for j in range(1, 7)),
+        "outcome = " + ", ".join(f"x{j}" for j in range(1, 7)), f"standardize = {str(standardize).lower()}",
+    ])
+
+
 class TestScaleWarning:
     """``tbma run`` on unstandardized data warns, on stderr only, about each
     covariate whose implied coefficient scale is far from its prior sd."""
 
-    @pytest.fixture
-    def readme_data(self, tmp_path):
-        data = tmp_path / "data.csv"
-        run_cli("synth", "--n", 2000, "--p", 6, "--q", 6, "--theta", "0.8,-0.7,0.6,0,0,0",
-                "--beta", "1.0,-0.8,0.5,0,0,0", "--gamma", 0.5, "--phi", 1.0, "--seed", 1, "--out", data)
-        return data
-
-    @staticmethod
-    def scaled_response(readme_data, tmp_path, factor):
-        with readme_data.open(newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        at = header.index("y")
-        for row in rows:
-            row[at] = repr(float(row[at]) * factor)
-        out = tmp_path / "scaled.csv"
-        with out.open("w", newline="") as fh:
-            csv.writer(fh).writerows([header, *rows])
-        return out
-
     @staticmethod
     def run(tmp_path, data, capsys, standardize, tag):
-        schema = write(tmp_path / f"schema-{tag}.cfg", [
-            "response = y", "censored = censored", "selection = " + ", ".join(f"w{j}" for j in range(1, 7)),
-            "outcome = " + ", ".join(f"x{j}" for j in range(1, 7)), f"standardize = {str(standardize).lower()}",
-        ])
-        capsys.readouterr()
-        code = run_cli("run", "--data", data, "--schema", schema, "--iterations", 10, "--burn-in", 2,
-                       "--chains", 1, "--out-dir", tmp_path / tag)
-        assert code == 0
-        return capsys.readouterr()
+        return run_short(tmp_path, data, readme_schema(tmp_path, standardize, tag), capsys, tag)
 
     def test_response_far_from_the_prior_scale_warns_naming_each_outcome_column(
         self, tmp_path, readme_data, capsys
     ):
-        scaled = self.scaled_response(readme_data, tmp_path, 1e8)
+        scaled = scaled_copy(readme_data, tmp_path / "scaled.csv", "y", 1e8)
         captured = self.run(tmp_path, scaled, capsys, False, "scaled")
         lines = [line for line in captured.err.splitlines() if line.startswith("warning:")]
         assert [line.split("'")[1] for line in lines] == [f"x{j}" for j in range(1, 7)]
@@ -234,21 +252,91 @@ class TestScaleWarning:
 
     def test_readme_example_and_standardized_data_do_not_warn(self, tmp_path, readme_data, capsys):
         assert "warning" not in self.run(tmp_path, readme_data, capsys, False, "readme").err
-        scaled = self.scaled_response(readme_data, tmp_path, 1e8)
+        scaled = scaled_copy(readme_data, tmp_path / "scaled.csv", "y", 1e8)
         assert "warning" not in self.run(tmp_path, scaled, capsys, True, "standardized").err
 
     def test_selection_covariate_of_tiny_spread_warns(self, tmp_path, readme_data, capsys):
-        with readme_data.open(newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        at = header.index("w2")
-        for row in rows:
-            row[at] = repr(float(row[at]) * 1e-5)
-        data = tmp_path / "narrow.csv"
-        with data.open("w", newline="") as fh:
-            csv.writer(fh).writerows([header, *rows])
+        data = scaled_copy(readme_data, tmp_path / "narrow.csv", "w2", 1e-5)
         err = self.run(tmp_path, data, capsys, False, "narrow").err
         warnings = [line for line in err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1 and warnings[0].startswith("warning: selection covariate 'w2': ")
+
+
+class TestSeparationWarning:
+    """``tbma run`` warns, on stderr only, about each selection column whose
+    values on the censored rows all lie on one side of its values on the
+    uncensored rows, and runs the chains all the same."""
+
+    @staticmethod
+    def run(tmp_path, data, schema, capsys, tag):
+        captured = run_short(tmp_path, data, schema, capsys, tag)
+        assert "separates" not in captured.out
+        return [line for line in captured.err.splitlines() if "separates" in line]
+
+    @staticmethod
+    def separating(tied):
+        """Rewrite w4 as s (0.5 + U), s = +1 on uncensored and -1 on censored
+        rows; when ``tied``, the first censored row takes the smallest
+        uncensored value instead."""
+        def edit(header, rows):
+            at, flag = header.index("w4"), header.index("censored")
+            gen = np.random.default_rng(5)
+            for row in rows:
+                sign = -1.0 if row[flag] == "1" else 1.0
+                row[at] = repr(sign * (0.5 + gen.random()))
+            if tied:
+                low = min((row[at] for row in rows if row[flag] == "0"), key=float)
+                next(row for row in rows if row[flag] == "1")[at] = low
+        return edit
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["complete", "quasi-complete"])
+    def test_a_separating_selection_column_warns_naming_it(self, tmp_path, readme_data, capsys, tied):
+        data = edited_copy(readme_data, tmp_path / "separated.csv", self.separating(tied))
+        for standardize in (False, True):
+            tag = f"run-{standardize}"
+            lines = self.run(tmp_path, data, readme_schema(tmp_path, standardize, tag), capsys, tag)
+            assert len(lines) == 1
+            assert lines[0].startswith("warning: selection covariate 'w4' separates the censored")
+            assert "drop or merge the column, or set a tighter Theta0_scale" in lines[0]
+
+    def test_readme_and_paper_shape_data_do_not_warn(self, tmp_path, readme_data, capsys):
+        assert "warning" not in run_short(tmp_path, readme_data, readme_schema(tmp_path), capsys, "readme").err
+        data = tmp_path / "paper.csv"
+        width = 56
+        run_cli("synth", "--n", 14863, "--p", width, "--q", width,
+                "--theta=" + ",".join(["-0.5", "0.5", "-0.5", "0.4"] + ["0"] * (width - 4)),
+                "--beta=" + ",".join(["0.8", "-0.6", "0.5", "0.3"] + ["0"] * (width - 4)),
+                "--gamma", 0.5, "--seed", 7, "--out", data)
+        schema = write(tmp_path / "schema-paper.cfg", [
+            "response = y", "censored = censored", "selection = " + ", ".join(f"w{j}" for j in range(1, width + 1)),
+            "outcome = " + ", ".join(f"x{j}" for j in range(1, width + 1)),
+        ])
+        assert "warning" not in run_short(tmp_path, data, schema, capsys, "paper").err
+
+
+class TestCollinearColumns:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_duplicated_columns_in_both_designs_run_to_finite_traces(self, tmp_path, readme_data, capsys):
+        # Under the proper default prior the coefficient precision stays
+        # positive definite although each design is rank deficient.
+        def edit(header, rows):
+            for copy, source in (("w2", "w1"), ("x2", "x1")):
+                at, source_at = header.index(copy), header.index(source)
+                for row in rows:
+                    row[at] = row[source_at]
+
+        data = edited_copy(readme_data, tmp_path / "collinear.csv", edit)
+        out_dir = tmp_path / "run"
+        code = run_cli("run", "--data", data, "--schema", readme_schema(tmp_path), "--iterations", 300,
+                       "--burn-in", 100, "--chains", 2, "--inner-model-moves", 4, "--seed", 3, "--out-dir", out_dir)
+        assert code == 0
+        assert "warning" not in capsys.readouterr().err
+        for cid in range(2):
+            trace = load_trace(out_dir / f"trace_chain{cid}.csv")
+            assert trace.kept == 300
+            for values in (trace.psis, trace.gammas, trace.phis):
+                assert np.all(np.isfinite(values))
+            assert np.all(trace.phis > 0.0)
 
 
 class TestValidate:

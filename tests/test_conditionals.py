@@ -1,5 +1,4 @@
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,8 +37,6 @@ from tbma.conditionals import (
     sweep_statistics,
     toggle_log_bayes_factor,
 )
-import tbma.conditionals
-import tbma.core
 from tbma.core import LatentScores, ModelIndicator, ModelPrior, PriorSpec, SigmaParams, TobitDataset
 from tbma.errors import InvalidParameter, InvalidState, NumericalError
 
@@ -593,8 +590,8 @@ def cached_scoring_problems(draw):
 
 
 class TestPriorTermCache:
-    """Each model's restricted prior terms are formed once, kept in a bounded
-    cache on the prior, and read without being changed."""
+    """A prior keeps the restricted prior terms of the last model it was
+    asked for, and they are read without being changed."""
 
     @settings(max_examples=100, deadline=None)
     @given(problem=cached_scoring_problems())
@@ -612,42 +609,34 @@ class TestPriorTermCache:
                 assert bits(post.log_conditional_marginal) == bits(value)
 
     @settings(max_examples=100, deadline=None)
-    @given(problem=cached_scoring_problems(), budget=st.integers(0, 2_000))
-    def test_cache_stays_within_its_bound(self, problem, budget):
-        # Reference: least recently used first, dropped while the kept
-        # precisions (d^2 doubles each) pass the budget, the newest kept.
-        stats, kwargs, models = problem
+    @given(problem=cached_scoring_problems())
+    def test_a_repeated_lookup_is_kept_and_a_refill_has_equal_bits(self, problem):
+        _, kwargs, models = problem
         prior = PriorSpec(**kwargs)
-        expected = {}
-        with mock.patch.object(tbma.core, "PRIOR_CACHE_BYTES", budget):
-            for model in models:
-                conditional_log_marginal(stats, prior, model)
-                key = model.include.tobytes()
-                expected[key] = expected.pop(key, 8 * model.d**2)
-                while len(expected) > 1 and sum(expected.values()) > budget:
-                    del expected[next(iter(expected))]
-                assert list(prior._restricted) == list(expected)
-                held = [entry.precision.nbytes for entry in prior._restricted.values()]
-                assert held == list(expected.values())
-                assert prior._restricted_nbytes == sum(held)
+        first = {}
+        for model in models:
+            terms = prior.restricted(model)
+            assert prior.restricted(model) is terms
+            assert not terms.precision.flags.writeable
+            assert not terms.precision_mean.flags.writeable
+            kept = first.setdefault(model.include.tobytes(), terms)
+            for a, b in ((terms.precision, kept.precision), (terms.precision_mean, kept.precision_mean)):
+                assert np.array_equal(bits(a), bits(b))
+            assert (bits(terms.logdet), bits(terms.quad)) == (bits(kept.logdet), bits(kept.quad))
 
     @settings(max_examples=100, deadline=None)
     @given(problem=cached_scoring_problems())
-    def test_cached_terms_are_read_only_and_unchanged_by_scoring(self, problem):
+    def test_kept_terms_are_unchanged_by_scoring(self, problem):
         stats, kwargs, models = problem
         prior = PriorSpec(**kwargs)
         for model in models:
+            terms = prior.restricted(model)
+            snapshot = (terms.precision.tobytes(), terms.precision_mean.tobytes(), terms.logdet, terms.quad)
             conditional_log_marginal(stats, prior, model)
-        entries = list(prior._restricted.values())
-        snapshot = [(e.precision.tobytes(), e.precision_mean.tobytes(), e.logdet, e.quad) for e in entries]
-        for entry in entries:
-            assert not entry.precision.flags.writeable
-            assert not entry.precision_mean.flags.writeable
-        for model in models:
-            conditional_log_marginal(stats, prior, model)
-        assert [(e.precision.tobytes(), e.precision_mean.tobytes(), e.logdet, e.quad) for e in entries] == snapshot
+            assert prior.restricted(model) is terms
+            assert (terms.precision.tobytes(), terms.precision_mean.tobytes(), terms.logdet, terms.quad) == snapshot
 
-    def test_least_recently_used_model_is_dropped(self, monkeypatch):
+    def test_only_the_last_model_is_kept(self, monkeypatch):
         fills = []
         restrict = PriorSpec.restrict
 
@@ -659,23 +648,11 @@ class TestPriorTermCache:
         ds = make_dataset(n=20, p=3, q=3, seed=4)
         stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), SigmaParams(0.3, 1.2))
         prior = unit_prior(3, 3)
-        # The 20 models of 3 covariates each keep a 3 x 3 precision; 8 fit.
-        bound = 8
-        monkeypatch.setattr(tbma.core, "PRIOR_CACHE_BYTES", bound * 3 * 3 * 8)
-        forced = np.zeros(6, bool)
-        models = [ModelIndicator(np.array([(k >> b) & 1 for b in range(6)], bool), forced, 3) for k in range(1, 64)]
-        models = [model for model in models if model.d == 3]
-        kept, others = models[0], models[1 : bound + 1]
-        conditional_log_marginal(stats, prior, kept)
-        for model in others[:-1]:
+        first = ModelIndicator(np.array([1, 0, 1, 0, 1, 0], bool), np.zeros(6, bool), 3)
+        second = first.with_toggled(1)
+        for model in (first, first, second, second, first, first):
             conditional_log_marginal(stats, prior, model)
-        conditional_log_marginal(stats, prior, kept)  # a hit: now the most recently used
-        conditional_log_marginal(stats, prior, others[-1])  # full: drops others[0]
-        assert len(fills) == bound + 1
-        conditional_log_marginal(stats, prior, kept)
-        assert len(fills) == bound + 1
-        conditional_log_marginal(stats, prior, others[0])
-        assert fills[-1] == others[0].key() and len(fills) == bound + 2
+        assert fills == [first.key(), second.key(), first.key()]
 
 
 def log_model_prior(model_prior, model):
@@ -732,25 +709,16 @@ class TestToggleLogBayesFactor:
             assert abs(toggle_log_bayes_factor(stats, prior, null, position) - difference) <= 1e-9
             assert abs(toggle_log_bayes_factor(stats, prior, single, position) + difference) <= 1e-9
 
-    @pytest.mark.parametrize("diagonal", [True, False])
-    def test_only_a_dense_prior_scores_the_toggled_model(self, diagonal):
+    def test_a_dense_prior_raises(self):
         ds = make_dataset(n=30, p=3, q=2, seed=8)
         stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), SigmaParams(-0.5, 1.3))
-        prior = PriorSpec(**prior_kwargs(3, 2, np.random.default_rng(4), diagonal))
-        assert prior.is_diagonal == diagonal
+        prior = PriorSpec(**prior_kwargs(3, 2, np.random.default_rng(4), diagonal=False))
+        assert not prior.is_diagonal
         current = conditional_log_marginal(stats, prior, ModelIndicator(np.array([1, 0, 1, 1, 0], bool),
                                                                          np.zeros(5, bool), 3))
-        real = tbma.conditionals.conditional_log_marginal
         for position in range(5):
-            with mock.patch.object(tbma.conditionals, "conditional_log_marginal", wraps=real) as scored:
-                delta = toggle_log_bayes_factor(stats, prior, current, position)
-            expected = per_model_delta(stats, prior, current, position)
-            if diagonal:
-                assert scored.call_count == 0
-                assert abs(delta - expected) <= 1e-9
-            else:
-                assert scored.call_count == 1
-                assert delta == expected
+            with pytest.raises(InvalidParameter, match="only under a diagonal prior"):
+                toggle_log_bayes_factor(stats, prior, current, position)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

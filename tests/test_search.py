@@ -179,10 +179,11 @@ class TestMc3Step:
 
 
 class TestScoringContract:
-    """mc3_step scores each toggle through tbma.search.toggle_log_bayes_factor,
-    scores only an accepted toggle's model, through
-    tbma.search.conditional_log_marginal, and hands back the posterior of the
-    model it retains."""
+    """Under a diagonal prior, mc3_step scores each toggle through
+    tbma.search.toggle_log_bayes_factor and scores only an accepted toggle's
+    model, through tbma.search.conditional_log_marginal; under any other
+    prior it scores each toggled model once, through the latter.  It hands
+    back the posterior of the model it retains."""
 
     def setup_method(self):
         self.ds = make_dataset(n=25, seed=14)
@@ -212,6 +213,25 @@ class TestScoringContract:
             current = post
         assert outcomes == {True, False}
 
+    def test_a_dense_prior_scores_each_toggled_model_once(self, rng, monkeypatch):
+        # No factor to border: every move scores its toggled model once,
+        # accepted or not, and an accepted move keeps that posterior.
+        prior = unit_prior(2, 2, Theta0=np.array([[1.0, 0.6], [0.6, 2.0]]), theta0=np.array([0.3, -0.2]))
+        assert not prior.is_diagonal
+        scored, toggles = record_scores(monkeypatch)
+        current = conditional_log_marginal(self.stats, prior, ModelIndicator.null_model(2, 2))
+        outcomes = set()
+        for step in range(100):
+            retained, accepted, post = mc3_step(self.stats, prior, current, self.flat, rng)
+            assert len(scored) == step + 1 and toggles == []
+            proposal = scored[-1]
+            assert np.count_nonzero(proposal.model.include != current.model.include) == 1
+            assert post is (proposal if accepted else current)
+            assert retained is post.model
+            outcomes.add(accepted)
+            current = post
+        assert outcomes == {True, False}
+
     def test_nothing_scored_when_no_bit_is_free(self, rng, monkeypatch):
         scored, toggles = record_scores(monkeypatch)
         model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
@@ -232,6 +252,18 @@ class TestScoringContract:
             assert again.log_conditional_marginal == current.log_conditional_marginal
             assert np.array_equal(again.psi1, current.psi1)
             assert np.array_equal(again.chol, current.chol)
+
+
+class TestAcceptanceUniform:
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 5])
+    def test_random_and_uniform_draw_the_same_double_and_state(self, seed):
+        # mc3_step draws its acceptance uniform with random(); the chain's
+        # bits rest on it matching uniform() exactly.
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            x, y = a.random(), b.uniform()
+            assert type(x) is type(y) is float and x == y
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestDetailedBalance:
