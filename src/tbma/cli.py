@@ -191,15 +191,16 @@ def _scale_warnings(loaded: io_mod.LoadedData, prior: PriorSpec) -> list[str]:
     y_sd = float(y_unc.std()) if y_unc.size else 0.0
     low, high = _SCALE_RATIO_BOUNDS
     lines = []
-    blocks = [("selection", dataset.W, dataset.column_names_w, prior.Theta0, forced[: dataset.p], 1.0)]
+    # (equation, design, column names, stacked position of its first column, coefficient unit)
+    blocks = [("selection", dataset.W, dataset.column_names_w, 0, 1.0)]
     if y_sd > 0.0:
-        blocks.append(("outcome", dataset.X, dataset.column_names_x, prior.B0, forced[dataset.p :], y_sd))
-    for equation, design, names, cov, fixed, unit in blocks:
+        blocks.append(("outcome", dataset.X, dataset.column_names_x, dataset.p, y_sd))
+    for equation, design, names, start, unit in blocks:
         sds = design.std(axis=0)
         for j, name in enumerate(names):
-            if fixed[j] or sds[j] == 0.0:
+            if forced[start + j] or sds[j] == 0.0:
                 continue
-            ratio = unit / sds[j] / np.sqrt(cov[j, j])
+            ratio = unit / sds[j] / np.sqrt(prior.variances[start + j])
             if not low <= ratio <= high:
                 lines.append(
                     f"warning: {equation} covariate {name!r}: its implied coefficient scale is {ratio:.3g} "

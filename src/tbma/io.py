@@ -1,5 +1,9 @@
 """CSV ingestion, run configuration files, and emission of summary tables,
-per-sweep traces and diagnostic series."""
+per-sweep traces and diagnostic series.
+
+Data files, traces and the oracle fixtures are parsed by one ``np.loadtxt``
+pass, ``_parse_body``, so one rule decides which cells are numbers; a file
+that pass rejects is read again only to name the fault."""
 
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ __all__ = [
     "load_csv",
     "write_csv",
     "read_tagged_csv",
+    "read_tagged_table",
     "write_dataset",
     "write_standardization",
     "write_summary",
@@ -134,6 +139,25 @@ def _blank_line(line: str) -> bool:
     return _blank(next(csv.reader([line])))
 
 
+def _parse_body(path, lines, dtype: np.dtype, name_fault, usecols=None) -> np.ndarray:
+    """The body ``lines`` of ``path`` as records of the structured ``dtype``,
+    one per line, in the one ``np.loadtxt`` pass that decides which cells of
+    any file tbma reads are numbers.  When it fails, ``name_fault(reason)``
+    reads the file again to name the fault; should it return, the ParseError
+    names the file and numpy's reason."""
+    first = next(lines, None)
+    if first is None:  # np.loadtxt warns on a body without data
+        return np.empty(0, dtype)
+    try:
+        return np.loadtxt(
+            itertools.chain([first], lines), delimiter=",", quotechar='"', comments=None,
+            usecols=usecols, dtype=dtype, ndmin=1,
+        )
+    except ValueError as exc:
+        name_fault(str(exc))
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _number(raw: str) -> float | None:
     """A stripped cell as ``np.loadtxt`` reads it, or None: ``float()``
     without digit-group underscores or non-ASCII digits."""
@@ -188,7 +212,7 @@ def _censored_row(row: list[str], schema: DataSchema, col: dict[str, int]) -> bo
 def load_csv(path, schema: DataSchema) -> LoadedData:
     """Parse a UTF-8 CSV with a header row into the model's design matrices.
 
-    The body is parsed in one ``np.loadtxt`` pass over the columns the schema
+    The body is parsed in one ``_parse_body`` pass over the columns the schema
     reads.  Rows keep file order; blank rows are skipped; censored rows store 0
     for the response.  Data rows are numbered from 1 in error messages.
     """
@@ -214,17 +238,10 @@ def load_csv(path, schema: DataSchema) -> LoadedData:
 
         # np.loadtxt skips empty lines but not whitespace or all-empty rows.
         lines = (line for line in fh if not _blank_line(line))
-        first = next(lines, None)
-        if first is None:  # np.loadtxt warns on a body without data
-            table = np.empty((0, len(used)))
-        else:
-            try:
-                table = np.loadtxt(
-                    itertools.chain([first], lines), delimiter=",", quotechar='"', comments=None,
-                    usecols=[i for i, _ in used], dtype=np.float64, ndmin=2,
-                )
-            except ValueError as exc:
-                _raise_first_bad_cell(path, schema, col, used, str(exc))
+        table = _parse_body(
+            path, lines, np.dtype([("cells", np.float64, (len(used),))]),
+            lambda cause: _raise_first_bad_cell(path, schema, col, used, cause), usecols=[i for i, _ in used],
+        )["cells"]
 
     if schema.censored is not None:
         censored = table[:, at[schema.censored]] == 1.0
@@ -439,6 +456,23 @@ def read_tagged_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     return meta, header, rows
 
 
+def read_tagged_table(path, dtype_for) -> tuple[dict[str, str], list[str], np.ndarray]:
+    """``read_tagged_csv`` for a file of numbers: the data rows, empty lines
+    skipped, are records of the dtype ``dtype_for(meta, header)`` parsed by
+    ``_parse_body``.  A body that pass rejects or a last line without a line
+    ending is read again by ``read_tagged_csv``, to name ``file:line`` of a
+    ragged row or of a file cut short."""
+    path = path if hasattr(path, "open") else Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        lines = _Lines(fh)
+        meta, header, _, _ = _tagged_head(lines, path)
+        body = (line for line in lines if line.strip("\r\n"))
+        records = _parse_body(path, body, dtype_for(meta, header), lambda _: read_tagged_csv(path))
+    if not lines.last.endswith(("\n", "\r")):
+        read_tagged_csv(path)
+    return meta, header, records
+
+
 def write_dataset(dataset: TobitDataset, path) -> None:
     """Emit a dataset as a CSV readable by the default loader schema.
 
@@ -510,18 +544,21 @@ def write_trace(output: ChainOutput, path) -> None:
 def load_trace(path) -> ChainOutput:
     """Rebuild a ChainOutput from a trace file written by write_trace.
 
-    The body is parsed in one ``np.loadtxt`` pass.  A file that pass cannot
-    read is read again through ``read_tagged_csv``, so that a ragged row, a
-    bad cell or a file cut short fails as it would there, naming the file
-    and, for the first and last, the line."""
+    The body is read by ``read_tagged_table``.  A ``burnin``, ``accepted`` or
+    ``in_*`` cell other than 0 or 1, a non-finite ``gamma``, ``phi`` or
+    ``coef_*`` cell, or a ``phi`` not above 0 is a ParseError naming the
+    file, the data row (counted from 1) and the column."""
     path = Path(path)
-    fields = _parse_trace(path)
-    meta, header, sweeps, flags, values = fields if fields is not None else _read_trace_rows(path)
+    meta, header, table = read_tagged_table(path, lambda meta, header: _trace_dtype(path, meta, header))
+    if not table.size:
+        raise ParseError(f"{path} contains no sweep records")
     p, q = int(meta["p"]), int(meta["q"])
+    flags, values = table["flags"], table["values"]
+    _check_trace_cells(path, header, flags, values, p + q)
     return ChainOutput(
         column_names_w=tuple(c[len("in_sel_") :] for c in header[5 : 5 + p]),
         column_names_x=tuple(c[len("in_out_") :] for c in header[5 + p : 5 + p + q]),
-        sweeps=sweeps,
+        sweeps=table["sweep"],
         is_burnin=flags[:, 0].astype(bool),
         accepted=flags[:, 1].astype(bool),
         gammas=values[:, 0],
@@ -534,8 +571,9 @@ def load_trace(path) -> ChainOutput:
     )
 
 
-def _trace_shape(path: Path, meta: dict[str, str], header: list[str]) -> tuple[int, int]:
-    """p and q of a trace, checked against its header."""
+def _trace_dtype(path: Path, meta: dict[str, str], header: list[str]) -> np.dtype:
+    """A trace row's record of sweep, (burnin, accepted) flags and (gamma, phi,
+    inclusion bits, coefficients) values; p and q are checked on the header."""
     shape = []
     for key in ("p", "q"):
         try:
@@ -547,49 +585,29 @@ def _trace_shape(path: Path, meta: dict[str, str], header: list[str]) -> tuple[i
     p, q = shape
     if len(header) != 5 + 2 * (p + q):
         raise ParseError(f"{path}: {len(header)} columns where p = {p}, q = {q} need {5 + 2 * (p + q)}")
-    return p, q
+    return np.dtype([("sweep", np.int64), ("flags", np.int64, (2,)), ("values", np.float64, (2 + 2 * (p + q),))])
 
 
-def _parse_trace(path: Path):
-    """A trace's metadata, header, sweeps, burn-in and acceptance flags, and
-    (gamma, phi, inclusion bits, coefficients) columns, its body parsed by
-    ``np.loadtxt``; None when the file is not a whole trace that pass reads."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        lines = _Lines(fh)
-        meta, header, _, _ = _tagged_head(lines, path)
-        try:
-            p, q = _trace_shape(path, meta, header)
-        except ParseError:
-            return None
-        body = (line for line in lines if line.strip("\r\n"))
-        first = next(body, None)
-        if first is None:
-            return None
-        try:
-            dtype = np.dtype([("sweep", np.int64), ("flags", np.int64, (2,)), ("values", np.float64, (2 + 2 * (p + q),))])
-            table = np.loadtxt(
-                itertools.chain([first], body), delimiter=",", quotechar='"', comments=None, dtype=dtype, ndmin=1
-            )
-        except ValueError:
-            return None
-    if not lines.last.endswith(("\n", "\r")):
-        return None
-    return meta, header, table["sweep"], table["flags"], table["values"]
-
-
-def _read_trace_rows(path: Path):
-    """What ``_parse_trace`` gives, read through ``read_tagged_csv``; every
-    fault is a ParseError."""
-    meta, header, rows = read_tagged_csv(path)
-    _trace_shape(path, meta, header)
-    if not rows:
-        raise ParseError(f"{path} contains no sweep records")
-    data = np.array(rows, dtype=object)
-    try:
-        values = data[:, 3:].astype(np.float64)
-        return meta, header, data[:, 0].astype(np.int64), data[:, 1:3].astype(np.int64), values
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
+def _check_trace_cells(path: Path, header: list[str], flags: np.ndarray, values: np.ndarray, d: int) -> None:
+    """Raise a ParseError for the first trace cell, in row order, outside its
+    column's domain; ``d`` is the count of inclusion bits."""
+    gamma, phi, bits, coefs = values[:, :1], values[:, 1:2], values[:, 2 : 2 + d], values[:, 2 + d :]
+    # (header column of the block's first cell, cells, bad cells, domain)
+    blocks = (
+        (1, flags, (flags != 0) & (flags != 1), "0 or 1"),
+        (3, gamma, ~np.isfinite(gamma), "finite"),
+        (4, phi, ~(np.isfinite(phi) & (phi > 0.0)), "finite and positive"),
+        (5, bits, (bits != 0) & (bits != 1), "0 or 1"),
+        (5 + d, coefs, ~np.isfinite(coefs), "finite"),
+    )
+    faults = []
+    for start, cells, bad, domain in blocks:
+        rows, cols = np.nonzero(bad)
+        if rows.size:
+            faults.append((rows[0], start + cols[0], cells[rows[0], cols[0]], domain))
+    if faults:
+        row, col, value, domain = min(faults, key=lambda fault: fault[:2])
+        raise ParseError(f"{path}: {_TRACE_FMT % value} at data row {row + 1}, column {header[col]!r}, is not {domain}")
 
 
 def write_diagnostics(series: np.ndarray, path) -> None:

@@ -5,11 +5,13 @@ the sampler's closed form, and a generator that draws data from the model.
 fixture against a plain tensor-grid quadrature of the complete-data density
 (``quadrature_conditional_marginal`` over ``batched_log_density``), and each
 model's conditional log marginal against a residual-sum rewrite
-(``conditional_log_marginal_rss``).  Both are written from the raw rows and
+(``conditional_log_marginal_rss``).  Both gather the raw rows by the
+censoring mask, never the sampler's row split (``TobitDataset.split``), and
 share no algebra with the sampler; they take the latent scores in row order
 and check the sign contract with ``LatentScores.from_rows``.  The fixtures
 pin small datasets with frozen latent scores, so every check is reproducible
-byte for byte.  ``tbma synth`` draws data with ``generate_synthetic``.
+byte for byte; ``read_tagged_table`` reads them by the parse that data and
+traces take.  ``tbma synth`` draws data with ``generate_synthetic``.
 
 The references that only the test suite uses live in ``tests/oracles.py``.
 """
@@ -28,7 +30,7 @@ from scipy.special import logsumexp
 from .conditionals import conditional_log_marginal, model_rows, sweep_statistics
 from .core import LatentScores, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 from .errors import DimensionError, InvalidParameter, ParseError
-from .io import read_tagged_csv
+from .io import read_tagged_table
 
 __all__ = [
     "build_sigma",
@@ -53,6 +55,8 @@ RSS_FORM_TOL = 1e-9
 
 # Fixtures pin the coefficient prior to standard normal per active column.
 _FIXTURE_PRIOR_HYPERS = dict(gamma0=0.0, G0=1.0, s0=4.0, S0=4.0)
+# Metadata entries every fixture carries.
+_FIXTURE_KEYS = ("gamma", "phi", "model_a_w", "model_a_x", "model_b_w", "model_b_x")
 
 
 def build_sigma(sp: SigmaParams) -> np.ndarray:
@@ -85,20 +89,25 @@ def batched_log_density(
     """Complete-data log density at a batch of active coefficient points,
     with ``z`` in row order.
 
-    Direct transcription of the censored/uncensored quadratic split; written
-    independently of the sweep's sufficient-statistic algebra on purpose.
+    Direct transcription of the censored/uncensored quadratic split over the
+    raw rows; written independently of the sweep's row split and
+    sufficient-statistic algebra on purpose.
     """
     latent = LatentScores.from_rows(dataset, z)
-    split = dataset.split
     aw, ax = model.active_w, model.active_x
     dw = aw.size
     theta = coords[:, :dw]
     beta = coords[:, dw:]
     g, phi = sp.gamma, sp.phi
 
-    e_z_cen = latent.z_cen[None, :] - theta @ split.W_cen[aw]
-    e_z_unc = latent.z_unc[None, :] - theta @ split.WX_unc[aw]
-    e_y = split.y_unc[None, :] - beta @ split.WX_unc[dataset.p + ax]
+    # Active columns over each row half, one C-contiguous row per covariate.
+    unc = ~dataset.censored
+    W_cen = np.ascontiguousarray(dataset.W[~unc][:, aw].T)
+    W_unc = np.ascontiguousarray(dataset.W[unc][:, aw].T)
+    X_unc = np.ascontiguousarray(dataset.X[unc][:, ax].T)
+    e_z_cen = latent.z_cen[None, :] - theta @ W_cen
+    e_z_unc = latent.z_unc[None, :] - theta @ W_unc
+    e_y = dataset.y[unc][None, :] - beta @ X_unc
 
     quad = np.einsum("ij,ij->i", e_z_cen, e_z_cen)
     quad += (1.0 + g * g / phi) * np.einsum("ij,ij->i", e_z_unc, e_z_unc)
@@ -368,11 +377,20 @@ def _parse_bits(text: str) -> np.ndarray:
 
 
 def load_fixture(path) -> CbfFixture:
-    meta, header, rows = read_tagged_csv(path)
+    """A fixture file: its metadata entries and a body of numbers, read by
+    ``read_tagged_table``.  A missing metadata entry or column is a
+    ParseError naming the file."""
+    meta, header, table = read_tagged_table(
+        path, lambda meta, header: np.dtype([("cells", np.float64, (len(header),))])
+    )
+    for kind, names, present in (("metadata entry", _FIXTURE_KEYS, meta), ("column", ("y", "censored", "z"), header)):
+        for name in names:
+            if name not in present:
+                raise ParseError(f"fixture {path} has no {kind} {name!r}")
     names_w = [c for c in header if c.startswith("w")]
     names_x = [c for c in header if c.startswith("x")]
     col = {name: i for i, name in enumerate(header)}
-    data = np.array([[float(cell) for cell in row] for row in rows])
+    data = table["cells"]
     W = data[:, [col[c] for c in names_w]]
     X = data[:, [col[c] for c in names_x]]
     censored = data[:, col["censored"]].astype(bool)

@@ -1,4 +1,5 @@
 import csv
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -100,6 +101,24 @@ class TestSynthRunSummarize:
         assert code == 2
         assert f"{trace}:{line}: 11 cells where the header has 13" in capsys.readouterr().err
 
+
+    def test_trace_cell_outside_its_domain_exits_2_naming_file_row_and_column(self, tmp_path, schema_file, capsys):
+        data = tmp_path / "synth.csv"
+        run_cli("synth", "--n", 50, "--p", 2, "--q", 2, "--theta", "1,0", "--beta", "1,0",
+                "--seed", 3, "--out", data)
+        out_dir = tmp_path / "run"
+        run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 20,
+                "--burn-in", 5, "--chains", 1, "--seed", 2, "--out-dir", out_dir)
+        trace = out_dir / "trace_chain0.csv"
+        lines = trace.read_bytes().split(b"\r\n")  # lines[0] holds the preamble and header
+        cells = lines[4].split(b",")
+        cells[2] = b"7"  # the acceptance flag
+        lines[4] = b",".join(cells)
+        trace.write_bytes(b"\r\n".join(lines))
+        code = run_cli("summarize", "--traces", trace, "--out-dir", tmp_path / "s")
+        assert code == 2
+        assert f"{trace}: 7 at data row 4, column 'accepted', is not 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_non_integer_trace_shape_exits_2_naming_file_and_key(self, tmp_path, schema_file, capsys):
         data = tmp_path / "synth.csv"
@@ -347,6 +366,32 @@ class TestValidate:
 
     def test_empty_fixture_dir_fails(self, tmp_path):
         assert run_cli("validate", "--fixtures-dir", tmp_path) == 1
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("ragged row", "{path}:13: 6 cells where the header has 7"),
+            ("cut short", "{path}:26: last line has no line ending; the file is cut short"),
+            ("underscore cell", "{path}: could not convert string '1_0' to float64"),
+            ("missing key", "fixture {path} has no metadata entry 'model_a_w'"),
+        ],
+    )
+    def test_bad_fixture_exits_2_naming_the_file(self, tmp_path, capsys, fault, message):
+        raw = (resources.files("tbma") / "fixtures" / "fixture_01.csv").read_bytes()
+        lines = raw.split(b"\n")  # ten preamble lines, the header, then the data rows
+        if fault == "ragged row":
+            lines[12] = lines[12].rsplit(b",", 1)[0]
+        elif fault == "underscore cell":
+            lines[13] = b"1_0" + lines[13][lines[13].index(b","):]
+        elif fault == "missing key":
+            lines.remove(b"# model_a_w = 10")
+        raw = b"\n".join(lines)
+        if fault == "cut short":
+            raw = raw[:-1]
+        path = tmp_path / "fixture_01.csv"
+        path.write_bytes(raw)
+        assert run_cli("validate", "--fixtures-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
 
 
 class TestErrorPaths:

@@ -373,17 +373,53 @@ class TestTraceRoundTrip:
         back = load_trace(tmp_path / "trace.csv")
         assert np.array_equal(back.psis, out.psis) and np.array_equal(back.sweeps, out.sweeps)
 
-    def test_cells_numpy_does_not_parse_load_as_python_reads_them(self, tmp_path):
-        """Digit-group underscores are an int to Python, not to ``np.loadtxt``:
-        such a trace loads through the row-by-row reader."""
-        out, raw = self.trace_bytes(tmp_path)
-        lines = raw.split(b"\r\n")
-        cells = lines[1].split(b",")
-        cells[0] = b"1_000"
-        lines[1] = b",".join(cells)
-        (tmp_path / "trace.csv").write_bytes(b"\r\n".join(lines))
-        back = load_trace(tmp_path / "trace.csv")
-        assert back.sweeps[0] == 1000 and np.array_equal(back.sweeps[1:], out.sweeps[1:])
+    @staticmethod
+    def with_cells(tmp_path, *edits):
+        """A trace whose data row ``row`` (from 1) holds ``cell`` in
+        ``column``, for each ``(row, column, cell)`` of ``edits``."""
+        _, raw = TestTraceRoundTrip.trace_bytes(tmp_path)
+        lines = raw.split(b"\r\n")  # lines[0] holds the preamble and header
+        header = lines[0].rsplit(b"\n", 1)[1].decode().split(",")
+        for row, column, cell in edits:
+            cells = lines[row].split(b",")
+            cells[header.index(column)] = cell.encode()
+            lines[row] = b",".join(cells)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        return path
+
+    @pytest.mark.parametrize("column, cell", [("sweep", "1_000"), ("gamma", "1_0"), ("gamma", "\uff11")])
+    def test_cells_numpy_does_not_parse_are_parse_errors(self, tmp_path, column, cell):
+        """Digit-group underscores and non-ASCII digits are numbers to
+        Python's ``int`` and ``float``, but not to ``np.loadtxt``, whose rule
+        every file tbma reads follows."""
+        path = self.with_cells(tmp_path, (1, column, cell))
+        with pytest.raises(ParseError, match=rf"{path}: could not convert string '{cell}'"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "column, cell, domain",
+        [
+            ("burnin", "2", "0 or 1"),
+            ("accepted", "7", "0 or 1"),
+            ("in_out_x1", "2", "0 or 1"),
+            ("gamma", "nan", "finite"),
+            ("phi", "inf", "finite and positive"),
+            ("phi", "-1", "finite and positive"),
+            ("phi", "0", "finite and positive"),
+            ("coef_sel_w0", "nan", "finite"),
+            ("coef_out_x1", "-inf", "finite"),
+        ],
+    )
+    def test_cell_outside_its_column_domain_names_file_row_and_column(self, tmp_path, column, cell, domain):
+        path = self.with_cells(tmp_path, (3, column, cell))
+        with pytest.raises(ParseError, match=rf"{path}: {cell} at data row 3, column '{column}', is not {domain}$"):
+            load_trace(path)
+
+    def test_first_cell_out_of_domain_in_row_order_is_named(self, tmp_path):
+        path = self.with_cells(tmp_path, (2, "coef_out_x1", "nan"), (2, "in_sel_w1", "3"), (3, "burnin", "5"))
+        with pytest.raises(ParseError, match=rf"{path}: 3 at data row 2, column 'in_sel_w1'"):
+            load_trace(path)
 
     def test_ragged_row_names_file_and_line(self, tmp_path):
         _, raw = self.trace_bytes(tmp_path)

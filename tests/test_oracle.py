@@ -1,3 +1,6 @@
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -6,6 +9,7 @@ from conftest import consistent_z, latent_scores, make_dataset, null_rows, unit_
 from oracles import complete_data_log_density, conjugate_regression_moments, enumerate_model_posterior
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams, TobitDataset
 from tbma.errors import DimensionError, InvalidParameter, InvalidState
+from tbma.io import read_tagged_csv
 from tbma.oracle import (
     QuadratureSpec,
     batched_log_density,
@@ -103,6 +107,32 @@ VALIDATE_ORACLES = {
     ),
     "conditional_log_marginal_rss": conditional_log_marginal_rss,
 }
+
+
+class TestValidateOraclesReadRawRows:
+    def test_values_ignore_the_sampler_row_split(self):
+        """With the cached split's design and response rows permuted and its
+        index arrays intact, only a reader of the split sees a change."""
+        ds = make_dataset(n=14, seed=31)
+        z = consistent_z(ds, seed=7)
+        sp, prior = SigmaParams(0.7, 0.8), unit_prior(2, 2)
+        model = ModelIndicator(np.array([True, False, True, True]), np.zeros(4, bool), 2)
+        spec = QuadratureSpec(nodes_per_axis=15)
+
+        def values():
+            return (
+                quadrature_conditional_marginal(ds, z, model, sp, prior, spec),
+                conditional_log_marginal_rss(ds, z, model, sp, prior),
+            )
+
+        before = values()
+        split = ds.split
+        unc = np.roll(np.arange(split.uncensored_idx.size), 1)
+        cen = np.roll(np.arange(split.censored_idx.size), 1)
+        ds.__dict__["split"] = dataclasses.replace(
+            split, WX_unc=split.WX_unc[:, unc], y_unc=split.y_unc[unc], W_cen=split.W_cen[:, cen]
+        )
+        assert values() == before
 
 
 class TestValidateOraclesSignContract:
@@ -264,6 +294,19 @@ class TestFixtureFiles:
             assert fx.dataset.n == 15
             assert fx.model_a.d <= 3 and fx.model_b.d <= 3
             assert np.array_equal(fx.z < 0, fx.dataset.censored)
+
+    def test_cells_load_as_python_float_reads_them(self):
+        """Each packaged fixture's arrays hold, bit for bit, ``float()`` of its cells."""
+        root = resources.files("tbma") / "fixtures"
+        for fx in iter_fixtures():
+            _, header, rows = read_tagged_csv(root / f"{fx.name}.csv")
+            cells = np.array([[float(cell) for cell in row] for row in rows])
+            column = {name: cells[:, [header.index(name)]] for name in header}
+            W = np.hstack([column[name] for name in fx.dataset.column_names_w])
+            X = np.hstack([column[name] for name in fx.dataset.column_names_x])
+            for loaded, expected in ((fx.dataset.W, W), (fx.dataset.X, X), (fx.dataset.y, column["y"][:, 0]),
+                                     (fx.z, column["z"][:, 0]), (fx.dataset.censored, column["censored"][:, 0] == 1)):
+                assert loaded.tobytes() == expected.tobytes(), fx.name
 
     def test_all_censored_fixture_has_unit_bayes_factor_on_outcome_bit(self):
         # With no observed outcomes, toggling an outcome covariate cannot
