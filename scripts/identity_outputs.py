@@ -1,7 +1,7 @@
-"""Write the outputs of nine fixed synthetic-data + ``tbma run`` setups, and
-of ``tbma summarize`` on each setup's traces, so that two checkouts can be
-compared for byte-identical chains and for a trace reader that rebuilds the
-same summaries:
+"""Write the outputs of nine fixed synthetic-data + ``tbma run`` setups and
+one library-API chain, and of ``tbma summarize`` on each setup's traces, so
+that two checkouts can be compared for byte-identical chains and for a trace
+reader that rebuilds the same summaries:
 
     python3 scripts/identity_outputs.py OUTDIR
 
@@ -30,7 +30,12 @@ Setups, one subdirectory each:
   per sweep;
 * ``readme-standardized``: the README data loaded with ``standardize =
   true``, so that ``standardization.csv`` is written too; 1000 sweeps,
-  2 chains.
+  2 chains;
+* ``dense-prior``: ``run_chain`` under prior blocks with off-diagonal
+  entries, which no ``tbma run`` can build, so that the model move scores
+  each toggled model whole (n = 200, 2 + 2 columns whose first columns are
+  intercepts, the selection one forced in, and a Bernoulli model prior with
+  pi = 0.3), 2000 sweeps with 2 model moves each; it writes its trace only.
 
 Each setup's ``summarize/`` subdirectory holds the summary and diagnostics
 that ``tbma summarize`` rebuilds from that setup's traces.
@@ -46,6 +51,8 @@ import os
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,6 +71,8 @@ LARGE_SPEC = dict(n=16000, p=LARGE_WIDTH, q=LARGE_WIDTH,
                   true_theta=[1.0, -0.5, 0.5, -0.5, 0.4] + [0.0] * (LARGE_WIDTH - 5),
                   true_beta=[1.0, 0.8, -0.6, 0.5, 0.3] + [0.0] * (LARGE_WIDTH - 5),
                   gamma=0.5, phi=1.0, seed=7, intercepts=True)
+DENSE_SPEC = dict(n=200, p=2, q=2, true_theta=[0.3, 0.8], true_beta=[0.5, 0.0], gamma=0.4, phi=1.0, seed=13,
+                  intercepts=True)
 
 # (name, data set, run flags, prior config lines or None)
 SETUPS = (
@@ -174,7 +183,29 @@ def main(argv: list[str]) -> int:
     lines = ["name,cbf_rel_err,rss_form_err"]
     lines += [f"{check.name},{check.cbf_rel_err:.17g},{check.rss_form_err:.17g}" for check in run_fixture_suite()]
     (folder / "fixtures.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _dense_prior_chain(Path("dense-prior"))
     return 0
+
+
+def _dense_prior_chain(folder: Path) -> None:
+    """The ``dense-prior`` setup: a chain under dense prior blocks (those of
+    the ``moving-model`` case of the acceptance suite's Geweke check), run
+    through the library and written as a trace."""
+    from tbma.chain import ChainConfig, run_chain
+    from tbma.core import ModelIndicator, ModelPrior, PriorSpec
+    from tbma.io import write_trace
+    from tbma.oracle import SynthSpec, generate_synthetic
+
+    dataset = generate_synthetic(SynthSpec(**DENSE_SPEC))[0]
+    prior = PriorSpec(
+        theta0=np.array([0.4, -0.3]), Theta0=np.array([[0.5, 0.2], [0.2, 0.4]]),
+        beta0=np.array([0.3, 0.5]), B0=np.array([[0.6, -0.25], [-0.25, 0.5]]),
+        gamma0=0.2, G0=0.25, s0=12.0, S0=10.0, model_prior=ModelPrior("bernoulli", 0.3),
+    )
+    template = ModelIndicator.full_model(2, 2, np.array([True, False, False, False]))
+    config = ChainConfig(iterations=2000, burn_in=500, seed=17, chains=1, inner_model_moves=2)
+    folder.mkdir(exist_ok=True)
+    write_trace(run_chain(dataset, prior, config, model_template=template), folder / "trace_chain0.csv")
 
 
 if __name__ == "__main__":

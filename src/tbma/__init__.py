@@ -18,7 +18,6 @@ from .chain import (
     pool_outputs,
     posterior_summaries,
     run_chain,
-    run_chains,
     running_model_size,
     sweep,
 )
@@ -60,6 +59,6 @@ from .oracle import (
     quadrature_conditional_marginal,
     run_fixture_suite,
 )
-from .search import mc3_step, propose_position
+from .search import mc3_step
 
 __version__ = "0.1.0"

@@ -2,11 +2,11 @@
 posterior summaries.
 
 ``sweep`` owns the sweep order.  It takes a frozen ``ChainState`` (the
-retained model, its coefficients, the covariance pair and the retained
-model's row block of the design) and returns the next one.  Each sweep draws
-the latent scores, then the covariance entry, then the conditional variance,
-applies the model move(s), and finally draws the coefficients for the
-retained model, in exactly that order.  The first three draws read the
+retained model's row block of the design, which carries the model; the
+model's coefficients; the covariance pair) and returns the next one.  Each
+sweep draws the latent scores, then the covariance entry, then the
+conditional variance, applies the model move(s), and finally draws the
+coefficients for the retained model, in exactly that order.  The first three draws read the
 fitted values of the sweep's starting coefficients, formed once at the top
 of the sweep from the state's row block (``model_rows``): the state holds
 only the retained model's d coefficients, so the products sum d terms per
@@ -16,8 +16,9 @@ residual pair that the gamma and phi draws share is formed once.  A sweep
 gathers the row block again only when its moves changed the retained
 model.  Before the moves, the sweep builds the coefficient conditional's
 data statistics once and scores its starting model once.  Each move scores
-its toggle once and passes the retained model's posterior on to the next
-move and to the coefficient draw (``tbma.search``).
+its toggle once and passes the retained model's posterior, which holds
+that model, on to the next move and to the coefficient draw
+(``tbma.search``).
 
 ``run_chain`` builds the initial state, loops over ``sweep`` with every
 OpenBLAS pool on one thread (see ``tbma.blas``), and stores the records.
@@ -56,7 +57,6 @@ __all__ = [
     "default_prior",
     "sweep",
     "run_chain",
-    "run_chains",
     "pool_outputs",
     "inclusion_probabilities",
     "posterior_summaries",
@@ -188,22 +188,24 @@ def _random_model(template: ModelIndicator, rng: np.random.Generator) -> ModelIn
 
 @dataclass(frozen=True, eq=False)
 class ChainState:
-    """One point of a chain: the retained model, its d coefficients in
-    ``model.active_positions`` order (every other coefficient is zero), the
-    covariance pair, and the model's row block of the design
-    (``model_rows``), which also carries the dataset.
+    """One point of a chain: the retained model's row block of the design
+    (``model_rows``), which carries the model and the dataset, the model's d
+    coefficients in ``model.active_positions`` order (every other
+    coefficient is zero), and the covariance pair.
 
     Build one with ``ChainState.start``, which gathers the row block itself.
     """
 
-    model: ModelIndicator
+    rows: ModelRows
     psi: np.ndarray
     sigma: SigmaParams
-    rows: ModelRows
+
+    @property
+    def model(self) -> ModelIndicator:
+        """The retained model, which its row block carries."""
+        return self.rows.model
 
     def __post_init__(self):
-        if self.rows.model is not self.model and self.rows.model != self.model:
-            raise InvalidParameter("the row block was gathered for another model")
         if self.psi.shape != (self.model.d,):
             raise InvalidParameter(
                 f"coefficients have shape {self.psi.shape}, the model has d = {self.model.d}"
@@ -222,7 +224,7 @@ class ChainState:
             )
         psi = np.array(psi, dtype=np.float64)
         psi.setflags(write=False)
-        state = cls(model, psi, sigma, model_rows(dataset, model))
+        state = cls(model_rows(dataset, model), psi, sigma)
         bad = np.flatnonzero(~np.isfinite(psi))
         if bad.size:
             position = int(model.active_positions[bad[0]])
@@ -259,15 +261,15 @@ def sweep(
     sigma = SigmaParams(gamma, phi)
     stats = sweep_statistics(rows, latent, sigma)
     # Looked up on ``search`` so that every scored model goes through one name.
-    psi_post = search.conditional_log_marginal(stats, prior, state.model)
-    model, accepted_any = state.model, False
+    psi_post = search.conditional_log_marginal(stats, prior, rows.model)
+    accepted_any = False
     for _ in range(inner_model_moves):
-        model, accepted, psi_post = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
+        psi_post, accepted = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
         accepted_any = accepted_any or accepted
     psi = draw_psi(psi_post, rng)
-    if accepted_any and model != rows.model:
-        rows = model_rows(dataset, model)
-    return ChainState(model, psi, sigma, rows), accepted_any
+    if accepted_any and psi_post.model != rows.model:
+        rows = model_rows(dataset, psi_post.model)
+    return ChainState(rows, psi, sigma), accepted_any
 
 
 def _initial_state(
@@ -365,19 +367,6 @@ def run_chain(
         dataset_fingerprint=dataset.fingerprint,
         config_fingerprint=_config_fingerprint(config, prior),
     )
-
-
-def run_chains(
-    dataset: TobitDataset,
-    prior: PriorSpec,
-    config: ChainConfig,
-    model_template: ModelIndicator | None = None,
-) -> list[ChainOutput]:
-    """Independent chains indexed 0..chains-1 with rng streams split by id."""
-    return [
-        run_chain(dataset, prior, config, chain_id=cid, model_template=model_template)
-        for cid in range(config.chains)
-    ]
 
 
 def pool_outputs(outputs: list[ChainOutput]) -> ChainOutput:

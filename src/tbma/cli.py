@@ -176,6 +176,32 @@ def _load_prior(path, p: int, q: int) -> PriorSpec:
         raise
 
 
+def _empty_half_warnings(path, loaded: io_mod.LoadedData) -> list[str]:
+    """A line when every row or no row is censored, naming what the data
+    then leave to the prior.  With no uncensored row the outcome equation is
+    never observed, and nothing bounds a forced selection column (an
+    intercept) from below; with no censored row only gamma^2 + phi is
+    identified, and the selection equation sees one side of zero only."""
+    dataset = loaded.dataset
+    if dataset.n_o == 0:
+        forced = [repr(name) for name, f in zip(dataset.column_names_w, loaded.model_template.forced) if f]
+        bound = (
+            f"; nothing in the data bounds the forced selection column {' and '.join(forced)} from below, "
+            "so it drifts into its prior's lower tail"
+        ) if forced else ""
+        return [
+            f"warning: every row of {path} is censored, so the outcome equation's inclusion probabilities "
+            f"and coefficients, gamma and phi only echo their priors{bound}"
+        ]
+    if dataset.n_o == dataset.n:
+        return [
+            f"warning: no row of {path} is censored, so only gamma^2 + phi is identified: the selection "
+            "equation's coefficients and inclusion probabilities, and gamma and phi taken separately, "
+            "only echo their priors"
+        ]
+    return []
+
+
 def _scale_warnings(loaded: io_mod.LoadedData, prior: PriorSpec) -> list[str]:
     """One line per covariate whose scale is far from its prior's.
 
@@ -251,12 +277,8 @@ def _cmd_run(args) -> int:
     dataset = loaded.dataset
     if dataset.n == 0:
         raise SchemaError(f"{args.data} has no data rows")
-    if dataset.n_o == 0:
-        print(
-            f"warning: every row of {args.data} is censored, so the outcome equation's "
-            "inclusion probabilities and coefficients, gamma and phi only echo their priors",
-            file=sys.stderr,
-        )
+    for line in _empty_half_warnings(args.data, loaded):
+        print(line, file=sys.stderr)
     prior = _load_prior(args.prior_config, dataset.p, dataset.q)
     if not schema.standardize:
         for line in _scale_warnings(loaded, prior):

@@ -19,10 +19,6 @@ class NumericalError(TbmaError, ArithmeticError):
     """A linear-algebra step failed, typically signalling NaN contamination."""
 
 
-class NoMoveAvailable(TbmaError, RuntimeError):
-    """The current model has no free inclusion bit to toggle."""
-
-
 class EmptyChain(TbmaError, ValueError):
     """A summary was requested from a chain with no stored samples."""
 

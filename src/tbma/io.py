@@ -28,13 +28,13 @@ __all__ = [
     "LoadedData",
     "load_csv",
     "write_csv",
-    "read_tagged_csv",
     "read_tagged_table",
     "write_dataset",
     "write_standardization",
     "write_summary",
     "write_trace",
     "load_trace",
+    "check_cell_domains",
     "write_diagnostics",
     "ConfigFile",
     "read_config",
@@ -429,48 +429,70 @@ def _tagged_head(lines: _Lines, path):
     return meta, next(reader), preamble, reader
 
 
-def read_tagged_csv(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """The ``# key = value`` lines before the header, the header and the data
-    rows of a file written by ``write_csv``; ``path`` may also be an
-    ``importlib.resources`` traversable.  Other ``#`` lines and blank lines
-    are skipped.  A row whose cell count differs from the header's, or a last
-    line without a line ending (a file cut short), is a ParseError naming
-    ``file:line``."""
-    path = path if hasattr(path, "open") else Path(path)
-    rows: list[list[str]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        lines = _Lines(fh)
-        meta, header, preamble, reader = _tagged_head(lines, path)
-        for cells in reader:
-            if len(cells) == len(header):
-                rows.append(cells)
-            elif cells:
-                raise ParseError(
-                    f"{path}:{preamble + reader.line_num}: "
-                    f"{len(cells)} cells where the header has {len(header)}"
-                )
-    if not lines.last.endswith(("\n", "\r")):
-        raise ParseError(
-            f"{path}:{preamble + reader.line_num}: last line has no line ending; the file is cut short"
-        )
-    return meta, header, rows
-
-
 def read_tagged_table(path, dtype_for) -> tuple[dict[str, str], list[str], np.ndarray]:
-    """``read_tagged_csv`` for a file of numbers: the data rows, empty lines
-    skipped, are records of the dtype ``dtype_for(meta, header)`` parsed by
-    ``_parse_body``.  A body that pass rejects or a last line without a line
-    ending is read again by ``read_tagged_csv``, to name ``file:line`` of a
-    ragged row or of a file cut short."""
+    """The ``# key = value`` lines before the header, the header and the data
+    rows of a file of numbers written by ``write_csv``; ``path`` may also be
+    an ``importlib.resources`` traversable.  Other ``#`` lines and empty
+    lines are skipped.  The data rows are records of the dtype
+    ``dtype_for(meta, header)``, parsed by ``_parse_body``.  A body that pass
+    rejects, or a last line without a line ending, is read again by
+    ``_raise_tagged_fault`` to name the fault."""
     path = path if hasattr(path, "open") else Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         lines = _Lines(fh)
         meta, header, _, _ = _tagged_head(lines, path)
+        dtype = dtype_for(meta, header)
         body = (line for line in lines if line.strip("\r\n"))
-        records = _parse_body(path, body, dtype_for(meta, header), lambda _: read_tagged_csv(path))
+        records = _parse_body(path, body, dtype, lambda _: _raise_tagged_fault(path, dtype))
     if not lines.last.endswith(("\n", "\r")):
-        read_tagged_csv(path)
+        _raise_tagged_fault(path, dtype)
     return meta, header, records
+
+
+def _raise_tagged_fault(path, dtype: np.dtype) -> None:
+    """Read a file of ``read_tagged_table`` again and raise a ParseError for
+    its fault.  A row whose cell count differs from the header's, or a last
+    line without a line ending (a file cut short), is named by ``file:line``;
+    failing those, the first cell that ``np.loadtxt`` does not read as a
+    number of its column's ``dtype`` field is named by its data row (counted
+    from 1) and column.  Returns if the file has none of these faults."""
+    kinds = "".join(dtype[name].base.kind * math.prod(dtype[name].shape) for name in dtype.names)
+    bad_cell = None
+    with path.open(newline="", encoding="utf-8") as fh:
+        lines = _Lines(fh)
+        _, header, preamble, reader = _tagged_head(lines, path)
+        for row_num, cells in enumerate(filter(None, reader), start=1):
+            if len(cells) != len(header):
+                raise ParseError(
+                    f"{path}:{preamble + reader.line_num}: "
+                    f"{len(cells)} cells where the header has {len(header)}"
+                )
+            if bad_cell is None:
+                col = next((j for j, cell in enumerate(zip(cells, kinds)) if not _reads_as(*cell)), None)
+                if col is not None:
+                    words = "a 64-bit integer" if kinds[col] == "i" else "a number"
+                    bad_cell = f"{path}: {cells[col]!r} at data row {row_num}, column {header[col]!r}, is not {words}"
+    if not lines.last.endswith(("\n", "\r")):
+        raise ParseError(
+            f"{path}:{preamble + reader.line_num}: last line has no line ending; the file is cut short"
+        )
+    if bad_cell is not None:
+        raise ParseError(bad_cell)
+
+
+def _reads_as(raw: str, kind: str) -> bool:
+    """Whether ``np.loadtxt`` reads the cell ``raw`` as a number of dtype
+    kind ``kind``: an int64 for ``"i"``, a float64 for ``"f"``; cells of
+    other kinds are not checked."""
+    raw = raw.strip()
+    if kind == "f":
+        return _number(raw) is not None
+    if kind != "i":
+        return True
+    try:
+        return raw.isascii() and "_" not in raw and -(2**63) <= int(raw) < 2**63
+    except ValueError:
+        return False
 
 
 def write_dataset(dataset: TobitDataset, path) -> None:
@@ -554,7 +576,15 @@ def load_trace(path) -> ChainOutput:
         raise ParseError(f"{path} contains no sweep records")
     p, q = int(meta["p"]), int(meta["q"])
     flags, values = table["flags"], table["values"]
-    _check_trace_cells(path, header, flags, values, p + q)
+    d = p + q
+    gamma, phi, bits, coefs = values[:, :1], values[:, 1:2], values[:, 2 : 2 + d], values[:, 2 + d :]
+    check_cell_domains(path, header, (
+        (1, flags, (flags != 0) & (flags != 1), "0 or 1"),
+        (3, gamma, ~np.isfinite(gamma), "finite"),
+        (4, phi, ~(np.isfinite(phi) & (phi > 0.0)), "finite and positive"),
+        (5, bits, (bits != 0) & (bits != 1), "0 or 1"),
+        (5 + d, coefs, ~np.isfinite(coefs), "finite"),
+    ))
     return ChainOutput(
         column_names_w=tuple(c[len("in_sel_") :] for c in header[5 : 5 + p]),
         column_names_x=tuple(c[len("in_out_") :] for c in header[5 + p : 5 + p + q]),
@@ -588,18 +618,13 @@ def _trace_dtype(path: Path, meta: dict[str, str], header: list[str]) -> np.dtyp
     return np.dtype([("sweep", np.int64), ("flags", np.int64, (2,)), ("values", np.float64, (2 + 2 * (p + q),))])
 
 
-def _check_trace_cells(path: Path, header: list[str], flags: np.ndarray, values: np.ndarray, d: int) -> None:
-    """Raise a ParseError for the first trace cell, in row order, outside its
-    column's domain; ``d`` is the count of inclusion bits."""
-    gamma, phi, bits, coefs = values[:, :1], values[:, 1:2], values[:, 2 : 2 + d], values[:, 2 + d :]
-    # (header column of the block's first cell, cells, bad cells, domain)
-    blocks = (
-        (1, flags, (flags != 0) & (flags != 1), "0 or 1"),
-        (3, gamma, ~np.isfinite(gamma), "finite"),
-        (4, phi, ~(np.isfinite(phi) & (phi > 0.0)), "finite and positive"),
-        (5, bits, (bits != 0) & (bits != 1), "0 or 1"),
-        (5 + d, coefs, ~np.isfinite(coefs), "finite"),
-    )
+def check_cell_domains(path, header: list[str], blocks) -> None:
+    """Raise a ParseError for the first cell of a table of numbers, in row
+    order and within a row in column order, outside its column's domain,
+    naming the file, the data row (counted from 1) and the column.  Each of
+    ``blocks`` is a block of adjacent columns: (the header index of its first
+    column, its cells as one row per data row, the mask of its bad cells,
+    its domain in words)."""
     faults = []
     for start, cells, bad, domain in blocks:
         rows, cols = np.nonzero(bad)

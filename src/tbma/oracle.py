@@ -30,7 +30,7 @@ from scipy.special import logsumexp
 from .conditionals import conditional_log_marginal, model_rows, sweep_statistics
 from .core import LatentScores, ModelIndicator, PriorSpec, SigmaParams, TobitDataset
 from .errors import DimensionError, InvalidParameter, ParseError
-from .io import read_tagged_table
+from .io import check_cell_domains, read_tagged_table
 
 __all__ = [
     "build_sigma",
@@ -378,8 +378,10 @@ def _parse_bits(text: str) -> np.ndarray:
 
 def load_fixture(path) -> CbfFixture:
     """A fixture file: its metadata entries and a body of numbers, read by
-    ``read_tagged_table``.  A missing metadata entry or column is a
-    ParseError naming the file."""
+    ``read_tagged_table``.  A missing metadata entry or column, or a
+    metadata value that is not a number, is a ParseError naming the file; a
+    non-finite cell or a ``censored`` cell other than 0 or 1 is one naming
+    the file, the data row and the column."""
     meta, header, table = read_tagged_table(
         path, lambda meta, header: np.dtype([("cells", np.float64, (len(header),))])
     )
@@ -391,9 +393,14 @@ def load_fixture(path) -> CbfFixture:
     names_x = [c for c in header if c.startswith("x")]
     col = {name: i for i, name in enumerate(header)}
     data = table["cells"]
+    flags = data[:, [col["censored"]]]
+    check_cell_domains(path, header, (
+        (0, data, ~np.isfinite(data), "finite"),
+        (col["censored"], flags, (flags != 0) & (flags != 1), "0 or 1"),
+    ))
     W = data[:, [col[c] for c in names_w]]
     X = data[:, [col[c] for c in names_x]]
-    censored = data[:, col["censored"]].astype(bool)
+    censored = flags[:, 0] == 1
     dataset = TobitDataset(
         W=W,
         X=X,
@@ -410,17 +417,25 @@ def load_fixture(path) -> CbfFixture:
             raise ParseError(f"fixture {path}: {tag} needs {dataset.p} + {dataset.q} bits")
         return ModelIndicator(np.concatenate([bits_w, bits_x]), forced, dataset.p)
 
+    def number(key: str, kind=float, default=None):
+        raw = meta.get(key, default)
+        try:
+            return kind(raw)
+        except ValueError:
+            words = "an integer" if kind is int else "a number"
+            raise ParseError(f"fixture {path}: metadata {key} = {raw!r} is not {words}") from None
+
     name = meta.get("name") or Path(str(path)).stem
     return CbfFixture(
         name=name,
         dataset=dataset,
         z=data[:, col["z"]],
-        sp=SigmaParams(gamma=float(meta["gamma"]), phi=float(meta["phi"])),
+        sp=SigmaParams(gamma=number("gamma"), phi=number("phi")),
         model_a=model("model_a"),
         model_b=model("model_b"),
         quadrature=QuadratureSpec(
-            nodes_per_axis=int(meta.get("nodes_per_axis", 201)),
-            half_width=float(meta.get("half_width", 10.0)),
+            nodes_per_axis=number("nodes_per_axis", int, "201"),
+            half_width=number("half_width", float, "10.0"),
         ),
     )
 

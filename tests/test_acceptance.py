@@ -162,8 +162,8 @@ def test_c3_stationarity_against_exact_enumeration(memo_marginals):
     stats = sweep_statistics(null_rows(dataset), latent_scores(dataset, z), sp)
     current = tbma.search.conditional_log_marginal(stats, prior, model)
     for _ in range(steps):
-        model, _, current = mc3_step(stats, prior, current, flat, rng)
-        counts[model.key()] += 1
+        current, _ = mc3_step(stats, prior, current, flat, rng)
+        counts[current.model.key()] += 1
     elapsed = time.perf_counter() - start
 
     worst = max(abs(counts[k] / steps - exact[k]) for k in exact)

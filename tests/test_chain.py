@@ -25,7 +25,6 @@ from tbma.chain import (
     pool_outputs,
     posterior_summaries,
     run_chain,
-    run_chains,
     running_model_size,
     sweep,
 )
@@ -125,11 +124,6 @@ class TestRunChainBookkeeping:
         out = run_chain(self.ds, self.prior, config)
         assert out.kept == 8
         assert np.all(out.phis > 0)
-
-    def test_run_chains_count(self):
-        config = ChainConfig(iterations=6, burn_in=2, seed=3, chains=3)
-        outs = run_chains(self.ds, self.prior, config)
-        assert [o.chain_id for o in outs] == [0, 1, 2]
 
     def test_prior_dimension_mismatch(self):
         with pytest.raises(InvalidParameter):
@@ -302,9 +296,9 @@ def state_bits(state):
     """Every array and number of a chain state, as bytes."""
     rows = state.rows
     return (
-        state.model.include.tobytes(), state.model.forced.tobytes(), state.psi.tobytes(),
-        np.array([state.sigma.gamma, state.sigma.phi]).tobytes(), rows.model.include.tobytes(),
-        rows.dw, rows.wx_unc.tobytes(), rows.w_cen.tobytes(),
+        rows.model.include.tobytes(), rows.model.forced.tobytes(), state.psi.tobytes(),
+        np.array([state.sigma.gamma, state.sigma.phi]).tobytes(), rows.dw, rows.wx_unc.tobytes(),
+        rows.w_cen.tobytes(),
     )
 
 
@@ -332,7 +326,7 @@ class TestSweep:
             assert state_bits(state) == before
             assert state_bits(again) == state_bits(nxt) and accepted_again == accepted
             assert replay.bit_generator.state == rng.bit_generator.state
-            assert nxt.rows.dataset is self.ds and nxt.rows.model == nxt.model
+            assert nxt.rows.dataset is self.ds
             models.add(nxt.model.key())
             state = nxt
         assert len(models) > 2
@@ -376,10 +370,8 @@ class TestSweep:
             ChainState.start(self.ds, ModelIndicator.full_model(3, 1), np.zeros(4), unit)
         state = ChainState.start(self.ds, model, [0.4, -0.3], unit)
         assert not state.psi.flags.writeable
-        with pytest.raises(InvalidParameter, match="another model"):
-            ChainState(model.with_toggled(1), state.psi, unit, state.rows)
         with pytest.raises(InvalidParameter, match=r"coefficients have shape \(2,\), the model has d = 3"):
-            ChainState(model.with_toggled(1), state.psi, unit, model_rows(self.ds, model.with_toggled(1)))
+            ChainState(model_rows(self.ds, model.with_toggled(1)), state.psi, unit)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_start_rejects_a_non_finite_coefficient(self, value):
@@ -402,7 +394,7 @@ class TestSweep:
         # Built without ``start``, which rejects a non-finite coefficient.
         # The error is the only signal: no numpy warning comes first.
         full = ModelIndicator.full_model(2, 2)
-        state = ChainState(full, np.array([value, 0.2, 0.3, 0.4]), SigmaParams(0.3, 1.0), model_rows(self.ds, full))
+        state = ChainState(model_rows(self.ds, full), np.array([value, 0.2, 0.3, 0.4]), SigmaParams(0.3, 1.0))
         with pytest.raises(NumericalError, match=cause):
             sweep(state, self.prior, 1, np.random.default_rng(0))
 
@@ -582,7 +574,7 @@ class TestPooling:
         ds = make_dataset(n=20, seed=6)
         prior = unit_prior(2, 2)
         config = ChainConfig(iterations=12, burn_in=4, seed=8, chains=2)
-        outs = run_chains(ds, prior, config)
+        outs = [run_chain(ds, prior, config, chain_id=cid) for cid in range(config.chains)]
         pooled = pool_outputs(outs)
         assert pooled.kept == 2 * 8
         assert not pooled.is_burnin.any()

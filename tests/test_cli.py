@@ -372,8 +372,11 @@ class TestValidate:
         [
             ("ragged row", "{path}:13: 6 cells where the header has 7"),
             ("cut short", "{path}:26: last line has no line ending; the file is cut short"),
-            ("underscore cell", "{path}: could not convert string '1_0' to float64"),
+            ("underscore cell", "{path}: '1_0' at data row 3, column 'w1', is not a number\n"),
+            ("flag of 2", "{path}: 2 at data row 2, column 'censored', is not 0 or 1\n"),
+            ("non-finite cell", "{path}: nan at data row 4, column 'z', is not finite\n"),
             ("missing key", "fixture {path} has no metadata entry 'model_a_w'"),
+            ("non-numeric value", "fixture {path}: metadata gamma = 'abc' is not a number\n"),
         ],
     )
     def test_bad_fixture_exits_2_naming_the_file(self, tmp_path, capsys, fault, message):
@@ -383,8 +386,15 @@ class TestValidate:
             lines[12] = lines[12].rsplit(b",", 1)[0]
         elif fault == "underscore cell":
             lines[13] = b"1_0" + lines[13][lines[13].index(b","):]
+        elif fault in ("flag of 2", "non-finite cell"):
+            row, column, cell = (12, 5, b"2") if fault == "flag of 2" else (14, 6, b"nan")
+            cells = lines[row].rstrip(b"\r").split(b",")
+            cells[column] = cell
+            lines[row] = b",".join(cells) + b"\r"
         elif fault == "missing key":
             lines.remove(b"# model_a_w = 10")
+        elif fault == "non-numeric value":
+            lines[lines.index(b"# gamma = 0.0")] = b"# gamma = abc"
         raw = b"\n".join(lines)
         if fault == "cut short":
             raw = raw[:-1]
@@ -524,6 +534,44 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"warning: every row of {data} is censored" in err
         assert "only echo their priors" in err
+        assert (tmp_path / "o" / "summary.csv").exists()
+
+    def test_all_censored_warning_names_the_forced_selection_column(self, tmp_path, capsys):
+        schema = write(tmp_path / "schema.cfg", [
+            "response = y", "censored = censored", "selection = w1, w2", "outcome = x1, x2",
+        ])
+        data = write(tmp_path / "censored.csv", [
+            "w1,w2,x1,x2,y,censored",
+            *(f"{0.1 * i},{-0.2 * i},{0.3 * i},{0.05 * i},0,1" for i in range(12)),
+        ])
+        code = run_cli("run", "--data", data, "--schema", schema, "--iterations", 20,
+                       "--burn-in", 5, "--chains", 1, "--out-dir", tmp_path / "o")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: every row of {data} is censored, so the outcome equation's inclusion probabilities "
+            "and coefficients, gamma and phi only echo their priors; nothing in the data bounds the forced "
+            "selection column '(intercept)' from below, so it drifts into its prior's lower tail"
+        ]
+        assert "warning:" not in captured.out
+
+    def test_no_censored_row_warns_that_only_gamma_squared_plus_phi_is_identified(
+        self, tmp_path, schema_file, capsys
+    ):
+        data = write(tmp_path / "selected.csv", [
+            "w1,w2,x1,x2,y,censored",
+            *(f"{0.1 * i},{-0.2 * i},{0.3 * i},{0.05 * i},{0.4 * i - 2},0" for i in range(12)),
+        ])
+        code = run_cli("run", "--data", data, "--schema", schema_file, "--iterations", 20,
+                       "--burn-in", 5, "--chains", 1, "--out-dir", tmp_path / "o")
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: no row of {data} is censored, so only gamma^2 + phi is identified: the selection "
+            "equation's coefficients and inclusion probabilities, and gamma and phi taken separately, "
+            "only echo their priors"
+        ]
+        assert "warning:" not in captured.out
         assert (tmp_path / "o" / "summary.csv").exists()
 
     def test_schema_typo_exits_2(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from tbma.io import (
     load_trace,
     parse_bool,
     read_config,
-    read_tagged_csv,
+    read_tagged_table,
     write_csv,
     write_dataset,
     write_diagnostics,
@@ -392,9 +392,16 @@ class TestTraceRoundTrip:
     def test_cells_numpy_does_not_parse_are_parse_errors(self, tmp_path, column, cell):
         """Digit-group underscores and non-ASCII digits are numbers to
         Python's ``int`` and ``float``, but not to ``np.loadtxt``, whose rule
-        every file tbma reads follows."""
-        path = self.with_cells(tmp_path, (1, column, cell))
-        with pytest.raises(ParseError, match=rf"{path}: could not convert string '{cell}'"):
+        every file tbma reads follows.  The error counts data rows from 1."""
+        path = self.with_cells(tmp_path, (3, column, cell))
+        kind = "a 64-bit integer" if column == "sweep" else "a number"
+        with pytest.raises(ParseError, match=rf"{path}: '{cell}' at data row 3, column '{column}', is not {kind}$"):
+            load_trace(path)
+
+    def test_first_cell_numpy_does_not_parse_in_row_order_is_named(self, tmp_path):
+        path = self.with_cells(tmp_path, (2, "coef_out_x1", "1e"), (2, "burnin", "1.0"), (3, "sweep", "x"))
+        message = rf"{path}: '1.0' at data row 2, column 'burnin', is not a 64-bit integer$"
+        with pytest.raises(ParseError, match=message):
             load_trace(path)
 
     @pytest.mark.parametrize(
@@ -444,7 +451,9 @@ class TestTraceRoundTrip:
         lines[2] = b"9223372036854775808" + lines[2][lines[2].index(b","):]
         path = tmp_path / "trace.csv"
         path.write_bytes(b"\r\n".join(lines))
-        with pytest.raises(ParseError, match=rf"{path}: "):
+        with pytest.raises(
+            ParseError, match=rf"{path}: '9223372036854775808' at data row 2, column 'sweep', is not a 64-bit integer$"
+        ):
             load_trace(path)
 
     @pytest.mark.parametrize("key", ["p", "q"])
@@ -532,9 +541,10 @@ class TestGoldenBytes:
         assert (tmp_path / "summary.csv").read_bytes() == self.SUMMARY
 
 
-# Cells may hold the CSV delimiter, quotes, spaces, line breaks and the
-# preamble's own marks; preamble text stays on one line.
+# Header cells may hold the CSV delimiter, quotes, spaces, line breaks and
+# the preamble's own marks; preamble text stays on one line.
 _CELL = st.text(alphabet='ab z,"\'#=\n\r', max_size=6)
+_NUMBER = st.floats(allow_nan=False)
 _KEY = st.text(alphabet="ab z#", max_size=5)
 _VALUE = st.text(alphabet="ab z=#,", max_size=6)
 
@@ -543,11 +553,17 @@ _VALUE = st.text(alphabet="ab z=#,", max_size=6)
 def _tagged_tables(draw):
     # A header whose first name starts with '#' would read as a preamble line.
     header = draw(st.lists(_CELL, min_size=1, max_size=4).filter(lambda h: not h[0].startswith("#")))
-    rows = draw(st.lists(st.lists(_CELL, min_size=len(header), max_size=len(header)), max_size=4))
+    rows = draw(st.lists(st.lists(_NUMBER, min_size=len(header), max_size=len(header)), max_size=4))
     pairs = draw(st.lists(st.tuples(_KEY, _VALUE), max_size=3))
     tags = draw(st.lists(st.text(alphabet="ab z#-", max_size=6), max_size=2))
     preamble = draw(st.permutations(tags + [f"{key} = {value}" for key, value in pairs]))
     return header, rows, preamble
+
+
+def read_numbers(path):
+    """A tagged file whose data rows are all numbers: its metadata, header and cells."""
+    meta, header, records = read_tagged_table(path, lambda meta, header: np.dtype([("cells", np.float64, len(header))]))
+    return meta, header, records["cells"]
 
 
 class TestTaggedCsv:
@@ -556,8 +572,8 @@ class TestTaggedCsv:
     def test_round_trip(self, tmp_path_factory, table):
         header, rows, preamble = table
         path = tmp_path_factory.mktemp("rt") / "t.csv"
-        write_csv(path, header, iter(rows), preamble)
-        meta, header_back, rows_back = read_tagged_csv(path)
+        write_csv(path, header, ([repr(value) for value in row] for row in rows), preamble)
+        meta, header_back, rows_back = read_numbers(path)
         expected = {}
         for entry in preamble:
             if "=" in entry:
@@ -565,23 +581,23 @@ class TestTaggedCsv:
                 expected[key.strip()] = value.strip()
         assert meta == expected
         assert header_back == header
-        assert rows_back == rows
+        assert rows_back.tobytes() == np.array(rows, dtype=np.float64).tobytes()
 
     def test_ragged_row_names_file_and_line(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", ["# a = 1", "", "h1,h2", "1,2", "", "3", "4,5"])
         with pytest.raises(ParseError, match=rf"{path}:6: 1 cells where the header has 2"):
-            read_tagged_csv(path)
+            read_numbers(path)
 
     def test_file_cut_after_a_full_row_is_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"# a = 1\nh1,h2\r\n1,2\r\n3,4")
         with pytest.raises(ParseError, match=rf"{path}:4: last line has no line ending"):
-            read_tagged_csv(path)
+            read_numbers(path)
 
     def test_preamble_without_header_is_rejected(self, tmp_path):
         path = write_lines(tmp_path / "t.csv", ["# a = 1", ""])
         with pytest.raises(ParseError, match="no header row"):
-            read_tagged_csv(path)
+            read_numbers(path)
 
 
 class TestConfigFiles:

@@ -9,7 +9,7 @@ from conftest import consistent_z, latent_scores, make_dataset, null_rows, unit_
 from oracles import complete_data_log_density, conjugate_regression_moments, enumerate_model_posterior
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams, TobitDataset
 from tbma.errors import DimensionError, InvalidParameter, InvalidState
-from tbma.io import read_tagged_csv
+from tbma.io import read_tagged_table
 from tbma.oracle import (
     QuadratureSpec,
     batched_log_density,
@@ -299,8 +299,10 @@ class TestFixtureFiles:
         """Each packaged fixture's arrays hold, bit for bit, ``float()`` of its cells."""
         root = resources.files("tbma") / "fixtures"
         for fx in iter_fixtures():
-            _, header, rows = read_tagged_csv(root / f"{fx.name}.csv")
-            cells = np.array([[float(cell) for cell in row] for row in rows])
+            _, header, rows = read_tagged_table(
+                root / f"{fx.name}.csv", lambda meta, header: np.dtype([("cells", "U64", len(header))])
+            )
+            cells = np.array([[float(cell) for cell in row] for row in rows["cells"]])
             column = {name: cells[:, [header.index(name)]] for name in header}
             W = np.hstack([column[name] for name in fx.dataset.column_names_w])
             X = np.hstack([column[name] for name in fx.dataset.column_names_x])

@@ -117,15 +117,15 @@ def row_order_sweep(state, prior, inner_model_moves, rng, tails):
     phi = draw_phi(row_order_phi(dataset, z, fit, gamma, prior), rng)
     sigma = SigmaParams(gamma, phi)
     stats = row_order_statistics(rows, z, sigma)
-    psi_post = conditional_log_marginal(stats, prior, state.model)
-    model, accepted_any = state.model, False
+    psi_post = conditional_log_marginal(stats, prior, rows.model)
+    accepted_any = False
     for _ in range(inner_model_moves):
-        model, accepted, psi_post = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
+        psi_post, accepted = mc3_step(stats, prior, psi_post, prior.model_prior, rng)
         accepted_any = accepted_any or accepted
     psi = draw_psi(psi_post, rng)
-    if accepted_any and model != rows.model:
-        rows = model_rows(dataset, model)
-    return ChainState(model, psi, sigma, rows), accepted_any
+    if accepted_any and psi_post.model != rows.model:
+        rows = model_rows(dataset, psi_post.model)
+    return ChainState(rows, psi, sigma), accepted_any
 
 
 def steep_selection_problem():

@@ -9,9 +9,8 @@ from conftest import consistent_z, latent_scores, make_dataset, null_rows, unit_
 from oracles import enumerate_model_posterior
 from tbma.conditionals import conditional_log_marginal, sweep_statistics
 from tbma.core import ModelIndicator, ModelPrior, SigmaParams
-from tbma.errors import NoMoveAvailable
 from tbma.oracle import conditional_log_marginal_rss
-from tbma.search import mc3_step, propose_position
+from tbma.search import mc3_step
 
 
 def random_model(rng, p=3, q=3):
@@ -38,29 +37,68 @@ def record_scores(monkeypatch):
     return scored, toggles
 
 
+def record_proposals(monkeypatch):
+    """Rebind the toggle score to record each proposed position and return
+    -inf, so that no move is accepted and nothing is scored again."""
+    proposed = []
+
+    def recording(stats, prior, current, position):
+        proposed.append(position)
+        return -np.inf
+
+    monkeypatch.setattr(tbma.search, "toggle_log_bayes_factor", recording)
+    return proposed
+
+
+def scored_start(model):
+    """Sweep statistics of a small dataset of ``model``'s shape, a unit
+    (diagonal) prior and ``model``'s posterior."""
+    ds = make_dataset(n=12, seed=3, p=model.p, q=model.q)
+    stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), SigmaParams(0.3, 1.0))
+    prior = unit_prior(model.p, model.q)
+    return stats, prior, conditional_log_marginal(stats, prior, model)
+
+
+def proposals(model, rng, moves):
+    """The positions that ``moves`` calls of mc3_step from ``model`` propose;
+    each move is rejected and hands ``model``'s posterior back."""
+    stats, prior, current = scored_start(model)
+    with pytest.MonkeyPatch.context() as patch:
+        proposed = record_proposals(patch)
+        for _ in range(moves):
+            post, accepted = mc3_step(stats, prior, current, ModelPrior(), rng)
+            assert post is current and not accepted
+    assert len(proposed) == moves
+    return proposed
+
+
 class TestProposeNeighbor:
-    """The proposal: a uniform draw of the free position whose bit is toggled."""
+    """The proposal, seen through mc3_step: a uniform draw of the free
+    position whose bit is toggled."""
 
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(0, 99999))
     def test_hamming_distance_is_one(self, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng)
-        proposal = model.with_toggled(propose_position(model, rng))
-        flips = np.count_nonzero(model.include != proposal.include)
-        assert flips == 1
+        for position in proposals(model, rng, 5):
+            flips = np.count_nonzero(model.include != model.with_toggled(position).include)
+            assert flips == 1
 
     def test_forced_bits_never_change(self, rng):
         forced = np.array([True, False, False, False, False])
         model = ModelIndicator.null_model(3, 2, forced=forced)
-        for _ in range(200):
-            position = propose_position(model, rng)
+        for position in proposals(model, rng, 200):
             assert isinstance(position, int) and 1 <= position < 5
 
-    def test_all_forced_raises(self, rng):
+    def test_all_forced_returns_current_without_a_draw(self, rng, monkeypatch):
         model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
-        with pytest.raises(NoMoveAvailable):
-            propose_position(model, rng)
+        stats, prior, current = scored_start(model)
+        proposed = record_proposals(monkeypatch)
+        before = rng.bit_generator.state
+        post, accepted = mc3_step(stats, prior, current, ModelPrior(), rng)
+        assert post is current and not accepted
+        assert proposed == [] and rng.bit_generator.state == before
 
     def test_uniform_over_free_bits(self):
         # 12 free bits: each flip frequency within 1/12 +- 0.01 and a
@@ -68,9 +106,7 @@ class TestProposeNeighbor:
         rng = np.random.default_rng(6021023)
         model = ModelIndicator.full_model(6, 6)
         trials = 100_000
-        counts = np.zeros(12)
-        for _ in range(trials):
-            counts[propose_position(model, rng)] += 1
+        counts = np.bincount(proposals(model, rng, trials), minlength=12)
         freq = counts / trials
         assert np.all(np.abs(freq - 1.0 / 12.0) < 0.01)
         assert chisquare(counts).pvalue > 0.001
@@ -125,10 +161,10 @@ class TestMc3Step:
         monkeypatch.setattr(tbma.search, "toggle_log_bayes_factor", lambda stats, prior, current, position: 0.0)
         current = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
         for step in range(200):
-            retained, accepted, current = mc3_step(self.stats, self.prior, current, self.flat, rng)
+            current, accepted = mc3_step(self.stats, self.prior, current, self.flat, rng)
             assert accepted
             assert len(scored) == step + 1
-            assert current is scored[-1] and retained is current.model
+            assert current is scored[-1]
 
     def test_no_move_available_returns_input(self, rng):
         model = ModelIndicator.null_model(1, 1, forced=np.ones(2, bool))
@@ -136,8 +172,8 @@ class TestMc3Step:
         stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), self.sp)
         prior = unit_prior(1, 1)
         current = conditional_log_marginal(stats, prior, model)
-        out, accepted, post = mc3_step(stats, prior, current, self.flat, rng)
-        assert out == model
+        post, accepted = mc3_step(stats, prior, current, self.flat, rng)
+        assert post is current and post.model == model
         assert not accepted
         assert post.psi1.shape == (2,)
 
@@ -147,10 +183,10 @@ class TestMc3Step:
         rng_b = np.random.default_rng(505)
         half = ModelPrior(kind="bernoulli", pi=0.5)
         for _ in range(400):
-            model_a, acc_a, post_a = mc3_step(self.stats, self.prior, post_a, self.flat, rng_a)
-            model_b, acc_b, post_b = mc3_step(self.stats, self.prior, post_b, half, rng_b)
+            post_a, acc_a = mc3_step(self.stats, self.prior, post_a, self.flat, rng_a)
+            post_b, acc_b = mc3_step(self.stats, self.prior, post_b, half, rng_b)
             assert acc_a == acc_b
-            assert model_a == model_b
+            assert post_a.model == post_b.model
 
     def test_acceptance_shift_invariant(self, monkeypatch):
         # A walk that scores each toggle as the difference of the two models'
@@ -161,8 +197,8 @@ class TestMc3Step:
             current = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
             steps = []
             for _ in range(500):
-                model, accepted, current = mc3_step(self.stats, self.prior, current, self.flat, rng)
-                steps.append((model, accepted))
+                current, accepted = mc3_step(self.stats, self.prior, current, self.flat, rng)
+                steps.append((current.model, accepted))
             return steps
 
         def shifted(stats, prior, current, position):
@@ -199,7 +235,7 @@ class TestScoringContract:
         outcomes = set()
         for step in range(100):
             before = len(scored)
-            retained, accepted, post = mc3_step(self.stats, self.prior, current, self.flat, rng)
+            post, accepted = mc3_step(self.stats, self.prior, current, self.flat, rng)
             assert len(toggles) == step + 1 and toggles[-1][0] is current
             position = toggles[-1][1]
             assert len(scored) == before + accepted
@@ -208,7 +244,6 @@ class TestScoringContract:
                 assert post.model == current.model.with_toggled(position)
             else:
                 assert post is current
-            assert retained is post.model
             outcomes.add(accepted)
             current = post
         assert outcomes == {True, False}
@@ -222,12 +257,11 @@ class TestScoringContract:
         current = conditional_log_marginal(self.stats, prior, ModelIndicator.null_model(2, 2))
         outcomes = set()
         for step in range(100):
-            retained, accepted, post = mc3_step(self.stats, prior, current, self.flat, rng)
+            post, accepted = mc3_step(self.stats, prior, current, self.flat, rng)
             assert len(scored) == step + 1 and toggles == []
             proposal = scored[-1]
             assert np.count_nonzero(proposal.model.include != current.model.include) == 1
             assert post is (proposal if accepted else current)
-            assert retained is post.model
             outcomes.add(accepted)
             current = post
         assert outcomes == {True, False}
@@ -239,15 +273,14 @@ class TestScoringContract:
         stats = sweep_statistics(null_rows(ds), latent_scores(ds, consistent_z(ds)), self.sp)
         prior = unit_prior(1, 1)
         current = conditional_log_marginal(stats, prior, model)
-        out, accepted, post = mc3_step(stats, prior, current, self.flat, rng)
+        post, accepted = mc3_step(stats, prior, current, self.flat, rng)
         assert scored == [] and toggles == []
-        assert post is current
-        assert out is model and not accepted
+        assert post is current and not accepted
 
     def test_rescoring_the_retained_model_is_bit_identical(self, rng):
         current = conditional_log_marginal(self.stats, self.prior, ModelIndicator.null_model(2, 2))
         for _ in range(100):
-            _, _, current = mc3_step(self.stats, self.prior, current, self.flat, rng)
+            current, _ = mc3_step(self.stats, self.prior, current, self.flat, rng)
             again = conditional_log_marginal(self.stats, self.prior, current.model)
             assert again.log_conditional_marginal == current.log_conditional_marginal
             assert np.array_equal(again.psi1, current.psi1)
@@ -304,7 +337,7 @@ class TestDetailedBalance:
         stats = sweep_statistics(null_rows(ds), latent_scores(ds, z), sp)
         current = tbma.search.conditional_log_marginal(stats, prior, model)
         for _ in range(steps):
-            model, _, current = mc3_step(stats, prior, current, flat, rng)
-            counts[model.key()] += 1
+            current, _ = mc3_step(stats, prior, current, flat, rng)
+            counts[current.model.key()] += 1
         for key, prob in posterior.items():
             assert abs(counts[key] / steps - prob) < 0.05
